@@ -12,38 +12,17 @@
 //!             [--deadline-ms MS] [--chaos-seed S] [--quiet]
 //! ```
 
-use sprout_core::recovery::{RecoveryConfig, RecoveryPolicy, StageBudget};
-use sprout_core::router::RouterConfig;
-use sprout_serve::backoff::BackoffConfig;
+#[path = "common/batch.rs"]
+mod batch;
+#[path = "common/cli.rs"]
+mod cli;
+
+use batch::{submit_sweep, Tally};
+use cli::{or_exit, parse, take};
 use sprout_serve::chaos::ServeFaultPlan;
-use sprout_serve::job::{JobSpec, JobState};
-use sprout_serve::service::{RoutingService, ServiceConfig, SubmitError};
+use sprout_serve::service::{RoutingService, ServiceConfig};
+use sprout_serve::worker::fast_router;
 use std::time::{Duration, Instant};
-
-/// Saturation retries per job before giving up on it.
-const SUBMIT_ATTEMPTS: u32 = 4;
-
-/// Submits `spec`, riding out saturation with the same seeded backoff
-/// schedule the service itself uses — deterministic per job index, and
-/// never shorter than the service's own retry-after hint.
-fn submit_with_backoff(
-    service: &RoutingService,
-    backoff: &BackoffConfig,
-    k: usize,
-    spec: JobSpec,
-) -> Result<u64, SubmitError> {
-    let mut attempt = 0u32;
-    loop {
-        match service.submit(spec.clone()) {
-            Err(SubmitError::Saturated { retry_after_ms }) if attempt + 1 < SUBMIT_ATTEMPTS => {
-                let delay_ms = backoff.delay_ms(k as u64, attempt).max(retry_after_ms);
-                std::thread::sleep(Duration::from_secs_f64(delay_ms / 1e3));
-                attempt += 1;
-            }
-            other => return other,
-        }
-    }
-}
 
 fn main() {
     let mut jobs = 8usize;
@@ -87,22 +66,10 @@ fn main() {
         i += 1;
     }
 
-    let router = RouterConfig {
-        tile_pitch_mm: 0.5,
-        grow_iterations: 8,
-        refine_iterations: 2,
-        reheat: None,
-        recovery: RecoveryConfig {
-            policy: RecoveryPolicy::BestSoFar,
-            budget: StageBudget::default(),
-            fault: None,
-        },
-        ..RouterConfig::default()
-    };
     let config = ServiceConfig {
         workers,
         queue_capacity,
-        router,
+        router: fast_router(),
         default_deadline_ms: deadline_ms,
         fault: chaos_seed.map(|seed| ServeFaultPlan {
             seed,
@@ -114,33 +81,10 @@ fn main() {
         ..ServiceConfig::default()
     };
 
-    let service = match RoutingService::start(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve_batch: {e}");
-            std::process::exit(1);
-        }
-    };
+    let service = or_exit(RoutingService::start(config), "serve_batch");
 
-    let submit_backoff = BackoffConfig::default();
     let start = Instant::now();
-    let mut ids = Vec::new();
-    for k in 0..jobs {
-        // Budget sweep: distinct boards-worth of work per job, all
-        // comfortably routable on the preset so any failure is the
-        // chaos plan's doing rather than the budget's.
-        let budget = 20.0 + (k % 3) as f64 * 2.0;
-        match submit_with_backoff(&service, &submit_backoff, k, JobSpec::two_rail(budget)) {
-            Ok(id) => ids.push(id),
-            Err(SubmitError::Saturated { .. }) => {
-                eprintln!("serve_batch: job {k} rejected after {SUBMIT_ATTEMPTS} attempts")
-            }
-            Err(e) => {
-                eprintln!("serve_batch: submit {k}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    let ids = submit_sweep(&service, jobs, "serve_batch");
 
     if !service.wait_idle(Duration::from_secs(600)) {
         eprintln!("serve_batch: jobs did not settle within 600 s");
@@ -149,60 +93,27 @@ fn main() {
     service.shutdown(true);
     let wall_s = start.elapsed().as_secs_f64();
 
-    let mut lost = 0usize;
-    let mut by_state = [0usize; 6];
-    for &id in &ids {
-        match service.status(id).map(|s| s.state) {
-            Some(JobState::Completed) => by_state[0] += 1,
-            Some(JobState::BestSoFar) => by_state[1] += 1,
-            Some(JobState::Failed) => by_state[2] += 1,
-            Some(JobState::Shed) => by_state[3] += 1,
-            Some(JobState::Expired) => by_state[4] += 1,
-            Some(JobState::Cancelled) => by_state[5] += 1,
-            _ => lost += 1,
-        }
-    }
+    let tally = Tally::of(&service, &ids);
     let m = service.metrics();
     let boards_per_s = ids.len() as f64 / wall_s.max(1e-9);
     if !quiet {
         println!(
-            "serve_batch: {} jobs in {:.2} s ({:.2} boards/s) — \
-             completed {} best_so_far {} failed {} shed {} expired {} cancelled {}",
+            "serve_batch: {} jobs in {:.2} s ({:.2} boards/s) — {}",
             ids.len(),
             wall_s,
             boards_per_s,
-            by_state[0],
-            by_state[1],
-            by_state[2],
-            by_state[3],
-            by_state[4],
-            by_state[5],
+            tally.summary(),
         );
         println!(
             "serve_batch: p50 {:.1} ms p99 {:.1} ms retries {} panics contained {}",
             m.latency_p50_ms, m.latency_p99_ms, m.retries, m.worker_panics
         );
     }
-    if lost > 0 || m.terminal_violations > 0 {
+    if tally.lost > 0 || m.terminal_violations > 0 {
         eprintln!(
-            "serve_batch: INVARIANT BROKEN — {lost} lost job(s), {} double finalize(s)",
-            m.terminal_violations
+            "serve_batch: INVARIANT BROKEN — {} lost job(s), {} double finalize(s)",
+            tally.lost, m.terminal_violations
         );
         std::process::exit(1);
     }
-}
-
-fn take(args: &[String], i: &mut usize, what: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("missing value for {what}");
-        std::process::exit(2);
-    })
-}
-
-fn parse<T: std::str::FromStr>(v: &str, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value `{v}` for {what}");
-        std::process::exit(2);
-    })
 }

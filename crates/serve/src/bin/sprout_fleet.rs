@@ -15,16 +15,17 @@
 //!              [--heartbeat-ms N] [--heartbeat-timeout-ms N] [--quiet]
 //! ```
 
-use sprout_serve::backoff::BackoffConfig;
+#[path = "common/batch.rs"]
+mod batch;
+#[path = "common/cli.rs"]
+mod cli;
+
+use batch::{submit_sweep, Tally};
+use cli::{or_exit, parse, take};
 use sprout_serve::chaos::FleetFaultPlan;
 use sprout_serve::fleet::{sigterm_flag, FleetConfig, FleetCoordinator};
-use sprout_serve::job::{JobSpec, JobState};
-use sprout_serve::service::SubmitError;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-
-/// Saturation retries per job before giving up on it.
-const SUBMIT_ATTEMPTS: u32 = 4;
 
 fn main() {
     let mut jobs = 8usize;
@@ -61,29 +62,12 @@ fn main() {
                 ))
             }
             "--data-dir" => config.data_dir = Some(take(&args, &mut i, "--data-dir").into()),
-            "--chaos-seed" => {
-                fault.seed = parse(&take(&args, &mut i, "--chaos-seed"), "--chaos-seed");
-                have_fault = true;
-            }
-            "--kill-rate" => {
-                fault.kill_rate = parse(&take(&args, &mut i, "--kill-rate"), "--kill-rate");
-                have_fault = true;
-            }
-            "--stall-rate" => {
-                fault.stall_rate = parse(&take(&args, &mut i, "--stall-rate"), "--stall-rate");
-                have_fault = true;
-            }
-            "--stall-ms" => {
-                fault.stall_ms = parse(&take(&args, &mut i, "--stall-ms"), "--stall-ms");
-                have_fault = true;
-            }
-            "--blackout-rate" => {
-                fault.blackout_rate =
-                    parse(&take(&args, &mut i, "--blackout-rate"), "--blackout-rate");
-                have_fault = true;
-            }
-            "--blackout-ms" => {
-                fault.blackout_ms = parse(&take(&args, &mut i, "--blackout-ms"), "--blackout-ms");
+            flag if FleetFaultPlan::FLAGS.contains(&flag) => {
+                let value = take(&args, &mut i, flag);
+                if let Err(e) = fault.set_flag(flag, &value) {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                }
                 have_fault = true;
             }
             "--heartbeat-ms" => {
@@ -120,54 +104,17 @@ fn main() {
 
     // Use a scratch data dir when none was given: cross-process resume
     // needs shared checkpoints to be interesting at all.
-    let scratch;
-    if config.data_dir.is_none() {
-        scratch = std::env::temp_dir().join(format!("sprout-fleet-{}", std::process::id()));
-        config.data_dir = Some(scratch.clone());
-    } else {
-        scratch = std::path::PathBuf::new();
-    }
+    let scratch = config
+        .data_dir
+        .is_none()
+        .then(|| std::env::temp_dir().join(format!("sprout-fleet-{}", std::process::id())));
+    config.data_dir = config.data_dir.or_else(|| scratch.clone());
 
     let sigterm = sigterm_flag();
-    let fleet = match FleetCoordinator::start(config) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("sprout_fleet: {e}");
-            std::process::exit(1);
-        }
-    };
+    let fleet = or_exit(FleetCoordinator::start(config), "sprout_fleet");
 
-    // Saturation rides the same seeded backoff schedule the coordinator
-    // uses internally, never shorter than the retry-after hint.
-    let submit_backoff = BackoffConfig::default();
     let start = Instant::now();
-    let mut ids = Vec::new();
-    for k in 0..jobs {
-        let budget = 20.0 + (k % 3) as f64 * 2.0;
-        let mut attempt = 0u32;
-        let outcome = loop {
-            match fleet.submit(JobSpec::two_rail(budget)) {
-                Err(SubmitError::Saturated { retry_after_ms }) if attempt + 1 < SUBMIT_ATTEMPTS => {
-                    let delay_ms = submit_backoff
-                        .delay_ms(k as u64, attempt)
-                        .max(retry_after_ms);
-                    std::thread::sleep(Duration::from_secs_f64(delay_ms / 1e3));
-                    attempt += 1;
-                }
-                other => break other,
-            }
-        };
-        match outcome {
-            Ok(id) => ids.push(id),
-            Err(SubmitError::Saturated { .. }) => {
-                eprintln!("sprout_fleet: job {k} rejected after {SUBMIT_ATTEMPTS} attempts")
-            }
-            Err(e) => {
-                eprintln!("sprout_fleet: submit {k}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    let ids = submit_sweep(&fleet, jobs, "sprout_fleet");
 
     // Wait for idle, watching for SIGTERM → graceful drain.
     let deadline = Instant::now() + Duration::from_secs(600);
@@ -188,80 +135,37 @@ fn main() {
     let drained = fleet.drain(Duration::from_secs(60));
     let wall_s = start.elapsed().as_secs_f64();
 
-    let mut lost = 0usize;
-    let mut resumed_jobs = 0usize;
-    let mut by_state = [0usize; 6];
-    for &id in &ids {
-        match fleet.status(id) {
-            Some(snap) => {
-                if snap.resumed > 0 {
-                    resumed_jobs += 1;
-                }
-                match snap.state {
-                    JobState::Completed => by_state[0] += 1,
-                    JobState::BestSoFar => by_state[1] += 1,
-                    JobState::Failed => by_state[2] += 1,
-                    JobState::Shed => by_state[3] += 1,
-                    JobState::Expired => by_state[4] += 1,
-                    JobState::Cancelled => by_state[5] += 1,
-                    _ => lost += 1,
-                }
-            }
-            None => lost += 1,
-        }
-    }
+    let tally = Tally::of(&fleet, &ids);
     let m = fleet.metrics();
     if !quiet {
         println!(
-            "sprout_fleet: {} jobs across {} workers in {:.2} s ({:.2} boards/s) — \
-             completed {} best_so_far {} failed {} shed {} expired {} cancelled {}",
+            "sprout_fleet: {} jobs across {} workers in {:.2} s ({:.2} boards/s) — {}",
             ids.len(),
             m.workers_spawned,
             wall_s,
             ids.len() as f64 / wall_s.max(1e-9),
-            by_state[0],
-            by_state[1],
-            by_state[2],
-            by_state[3],
-            by_state[4],
-            by_state[5],
+            tally.summary(),
         );
         println!(
             "sprout_fleet: p50 {:.1} ms p99 {:.1} ms — workers dead {} restarts {} \
-             redispatches {} stale finalizes {} resumed jobs {}",
+             redispatches {} stale finalizes {}",
             m.latency_p50_ms,
             m.latency_p99_ms,
             m.workers_dead,
             m.worker_restarts,
             m.redispatches,
             m.stale_finalizes,
-            resumed_jobs,
         );
     }
     drop(fleet);
-    if !scratch.as_os_str().is_empty() {
-        let _ = std::fs::remove_dir_all(&scratch);
+    if let Some(scratch) = scratch {
+        let _ = std::fs::remove_dir_all(scratch);
     }
-    if lost > 0 || m.terminal_violations > 0 || !drained {
+    if tally.lost > 0 || m.terminal_violations > 0 || !drained {
         eprintln!(
-            "sprout_fleet: INVARIANT BROKEN — {lost} lost job(s), {} double finalize(s), drained={drained}",
-            m.terminal_violations
+            "sprout_fleet: INVARIANT BROKEN — {} lost job(s), {} double finalize(s), drained={drained}",
+            tally.lost, m.terminal_violations
         );
         std::process::exit(1);
     }
-}
-
-fn take(args: &[String], i: &mut usize, what: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("missing value for {what}");
-        std::process::exit(2);
-    })
-}
-
-fn parse<T: std::str::FromStr>(v: &str, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value `{v}` for {what}");
-        std::process::exit(2);
-    })
 }

@@ -3,9 +3,10 @@
 //! Starts a [`RoutingService`] — or, with `--fleet N`, a
 //! [`FleetCoordinator`] over N worker processes — and serves the same
 //! HTTP/1.1 JSON API until interrupted (or until `--run-for-ms`
-//! elapses, for scripted smoke tests). In fleet mode SIGTERM triggers
-//! a graceful drain: no new leases, in-flight jobs finish or
-//! checkpoint, queued work stays journaled for the next coordinator.
+//! elapses, for scripted smoke tests). SIGTERM triggers a graceful
+//! stop: the in-process service finishes its queue; the fleet stops
+//! leasing, lets in-flight jobs finish, and leaves queued work
+//! journaled for the next coordinator.
 //!
 //! ```text
 //! sprout_served [--addr 127.0.0.1:7171] [--workers N] [--queue-capacity N]
@@ -13,8 +14,13 @@
 //!               [--fleet N]
 //! ```
 
+#[path = "common/cli.rs"]
+mod cli;
+
+use cli::{or_exit, parse, take};
 use sprout_serve::fleet::{sigterm_flag, FleetConfig, FleetCoordinator};
 use sprout_serve::http::HttpServer;
+use sprout_serve::ledger::{Executor, Ledger, ServeError};
 use sprout_serve::service::{RoutingService, ServiceConfig};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -62,70 +68,51 @@ fn main() {
         i += 1;
     }
 
-    if let Some(workers) = fleet_workers {
-        run_fleet(&addr, workers, &config, run_for_ms);
-        return;
-    }
-
-    let service = match RoutingService::start(config) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("sprout_served: {e}");
-            std::process::exit(1);
+    match fleet_workers {
+        Some(workers) => {
+            let fleet = FleetCoordinator::start(FleetConfig {
+                workers,
+                queue_capacity: config.queue_capacity,
+                data_dir: config.data_dir,
+                default_deadline_ms: config.default_deadline_ms,
+                worker_args: vec!["--router".into(), "fast".into()],
+                ..FleetConfig::default()
+            });
+            serve(
+                &addr,
+                fleet,
+                &format!("fleet, {workers} workers"),
+                run_for_ms,
+                |f| {
+                    f.drain(Duration::from_secs(60));
+                },
+            )
         }
-    };
-    let mut server = match HttpServer::bind(&addr, Arc::clone(&service)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sprout_served: bind {addr}: {e}");
-            std::process::exit(1);
+        None => {
+            let service = RoutingService::start(config);
+            serve(&addr, service, "in-process", run_for_ms, |s| {
+                s.shutdown(true)
+            })
         }
-    };
-    println!("sprout_served listening on http://{}", server.addr());
-
-    match run_for_ms {
-        Some(ms) => std::thread::sleep(Duration::from_millis(ms)),
-        None => loop {
-            // No signal handling without dependencies: park forever;
-            // the process dies with the terminal.
-            std::thread::park();
-        },
     }
-
-    server.stop();
-    service.shutdown(true);
-    let m = service.metrics();
-    println!("sprout_served: drained; {}", m.to_json());
 }
 
-/// Fleet-backed daemon: same HTTP API, jobs sharded across worker
-/// processes, SIGTERM drains gracefully.
-fn run_fleet(addr: &str, workers: usize, base: &ServiceConfig, run_for_ms: Option<u64>) {
-    let config = FleetConfig {
-        workers,
-        queue_capacity: base.queue_capacity,
-        data_dir: base.data_dir.clone(),
-        default_deadline_ms: base.default_deadline_ms,
-        worker_args: vec!["--router".into(), "fast".into()],
-        ..FleetConfig::default()
-    };
+/// Serves `backend` over HTTP until SIGTERM (or `--run-for-ms`), then
+/// stops it with `stop`: the fleet drains its leases, the in-process
+/// service drains its queue.
+fn serve<E: Executor>(
+    addr: &str,
+    backend: Result<Ledger<E>, ServeError>,
+    mode: &str,
+    run_for_ms: Option<u64>,
+    stop: impl FnOnce(&Ledger<E>),
+) {
     let sigterm = sigterm_flag();
-    let fleet = match FleetCoordinator::start(config) {
-        Ok(f) => Arc::new(f),
-        Err(e) => {
-            eprintln!("sprout_served: fleet: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut server = match HttpServer::bind(addr, Arc::clone(&fleet)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sprout_served: bind {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let backend = Arc::new(or_exit(backend, "sprout_served"));
+    let bound = HttpServer::bind(addr, Arc::clone(&backend));
+    let mut server = or_exit(bound, &format!("sprout_served: bind {addr}"));
     println!(
-        "sprout_served listening on http://{} (fleet, {workers} workers)",
+        "sprout_served listening on http://{} ({mode})",
         server.addr()
     );
 
@@ -133,7 +120,7 @@ fn run_fleet(addr: &str, workers: usize, base: &ServiceConfig, run_for_ms: Optio
     loop {
         std::thread::sleep(Duration::from_millis(50));
         if sigterm.load(Ordering::SeqCst) {
-            eprintln!("sprout_served: SIGTERM — draining fleet");
+            eprintln!("sprout_served: SIGTERM — draining");
             break;
         }
         if stop_at.is_some_and(|t| Instant::now() >= t) {
@@ -142,21 +129,6 @@ fn run_fleet(addr: &str, workers: usize, base: &ServiceConfig, run_for_ms: Optio
     }
 
     server.stop();
-    fleet.drain(Duration::from_secs(60));
-    println!("sprout_served: drained; {}", fleet.metrics().to_json());
-}
-
-fn take(args: &[String], i: &mut usize, what: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("missing value for {what}");
-        std::process::exit(2);
-    })
-}
-
-fn parse<T: std::str::FromStr>(v: &str, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value `{v}` for {what}");
-        std::process::exit(2);
-    })
+    stop(&backend);
+    println!("sprout_served: drained; {}", backend.metrics().to_json());
 }

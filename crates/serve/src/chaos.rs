@@ -130,6 +130,55 @@ impl FleetFaultPlan {
         u64_to_f64(hash3(self.seed ^ salt, job, attempt as u64))
     }
 
+    /// The command-line flags that set each field of a plan.
+    pub const FLAGS: [&'static str; 6] = [
+        "--chaos-seed",
+        "--kill-rate",
+        "--stall-rate",
+        "--stall-ms",
+        "--blackout-rate",
+        "--blackout-ms",
+    ];
+
+    /// The plan as command-line flags, in [`FleetFaultPlan::FLAGS`]
+    /// order: how the coordinator hands it to each worker process.
+    pub fn to_args(&self) -> Vec<String> {
+        let values = [
+            self.seed.to_string(),
+            self.kill_rate.to_string(),
+            self.stall_rate.to_string(),
+            self.stall_ms.to_string(),
+            self.blackout_rate.to_string(),
+            self.blackout_ms.to_string(),
+        ];
+        Self::FLAGS
+            .iter()
+            .zip(values)
+            .flat_map(|(flag, value)| [flag.to_string(), value])
+            .collect()
+    }
+
+    /// Sets the field named by `flag` (one of
+    /// [`FleetFaultPlan::FLAGS`]) from its command-line `value`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag when it is unknown or the value does
+    /// not parse.
+    pub fn set_flag(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        let bad = || format!("bad value `{value}` for {flag}");
+        match flag {
+            "--chaos-seed" => self.seed = value.parse().map_err(|_| bad())?,
+            "--kill-rate" => self.kill_rate = value.parse().map_err(|_| bad())?,
+            "--stall-rate" => self.stall_rate = value.parse().map_err(|_| bad())?,
+            "--stall-ms" => self.stall_ms = value.parse().map_err(|_| bad())?,
+            "--blackout-rate" => self.blackout_rate = value.parse().map_err(|_| bad())?,
+            "--blackout-ms" => self.blackout_ms = value.parse().map_err(|_| bad())?,
+            _ => return Err(format!("unknown fault flag {flag}")),
+        }
+        Ok(())
+    }
+
     /// Should this attempt kill the worker process after the first
     /// wave's checkpoint? (Attempt 0 only.)
     pub fn kills(&self, job: u64, attempt: usize) -> bool {

@@ -1,5 +1,5 @@
-//! A hardened, dependency-free HTTP/1.1 front end for
-//! [`RoutingService`].
+//! A hardened, dependency-free HTTP/1.1 front end for a job
+//! [`Ledger`], whichever executor runs its attempts.
 //!
 //! Deliberately minimal: one request per connection
 //! (`Connection: close`), thread-per-connection with a hard cap, and a
@@ -32,9 +32,8 @@
 //! connection dropped instead of wedging a server thread.
 
 use crate::events::{EventBus, EventKind};
-use crate::fleet::FleetCoordinator;
 use crate::job::{JobSnapshot, JobSpec};
-use crate::service::{Readiness, RoutingService, SubmitError};
+use crate::ledger::{Executor, Ledger, Readiness, SubmitError};
 use sprout_telemetry::json::Obj;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -64,9 +63,11 @@ const LONG_POLL_TIMEOUT: Duration = Duration::from_millis(1500);
 /// which the writer probes for a silent client disconnect.
 const STREAM_TICK: Duration = Duration::from_millis(250);
 
-/// The service surface the HTTP front end routes to. Implemented by
-/// both the in-process [`RoutingService`] and the multi-process
-/// [`FleetCoordinator`], so the same daemon binary can front either.
+/// The service surface the HTTP front end routes to. The job
+/// [`Ledger`] implements it over either executor — the in-process
+/// [`RoutingService`](crate::service::RoutingService) or the
+/// multi-process [`FleetCoordinator`](crate::fleet::FleetCoordinator) —
+/// so the same daemon binary can front either.
 pub trait JobBackend: Send + Sync {
     /// Admit a job; `Err` carries the backpressure/validation verdict.
     fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError>;
@@ -85,67 +86,36 @@ pub trait JobBackend: Send + Sync {
     /// The per-job event bus backing `/jobs/<id>/events`.
     fn events(&self) -> Arc<EventBus>;
     /// The job's performance profile (JSON), if one was recorded.
-    /// Default `None`: backends whose routing runs in other processes
-    /// (fleet mode) have no in-process timeline to serve.
-    fn profile(&self, _id: u64) -> Option<String> {
-        None
-    }
+    fn profile(&self, id: u64) -> Option<String>;
 }
 
-impl JobBackend for RoutingService {
+impl<E: Executor> JobBackend for Ledger<E> {
     fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        RoutingService::submit(self, spec)
+        Ledger::submit(self, spec)
     }
     fn status(&self, id: u64) -> Option<JobSnapshot> {
-        RoutingService::status(self, id)
+        Ledger::status(self, id)
     }
     fn jobs(&self) -> Vec<JobSnapshot> {
-        RoutingService::jobs(self)
+        Ledger::jobs(self)
     }
     fn cancel(&self, id: u64) -> bool {
-        RoutingService::cancel(self, id)
+        Ledger::cancel(self, id)
     }
     fn ready(&self) -> Readiness {
-        RoutingService::ready(self)
+        Ledger::ready(self)
     }
     fn metrics_json(&self) -> String {
         self.metrics().to_json()
     }
     fn metrics_prometheus(&self) -> String {
-        self.metrics().to_prometheus("sprout_serve_")
+        self.metrics().to_prometheus(E::PREFIX)
     }
     fn events(&self) -> Arc<EventBus> {
-        RoutingService::events(self)
+        Ledger::events(self)
     }
     fn profile(&self, id: u64) -> Option<String> {
-        RoutingService::profile(self, id)
-    }
-}
-
-impl JobBackend for FleetCoordinator {
-    fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        FleetCoordinator::submit(self, spec)
-    }
-    fn status(&self, id: u64) -> Option<JobSnapshot> {
-        FleetCoordinator::status(self, id)
-    }
-    fn jobs(&self) -> Vec<JobSnapshot> {
-        FleetCoordinator::jobs(self)
-    }
-    fn cancel(&self, id: u64) -> bool {
-        FleetCoordinator::cancel(self, id)
-    }
-    fn ready(&self) -> Readiness {
-        FleetCoordinator::ready(self)
-    }
-    fn metrics_json(&self) -> String {
-        self.metrics().to_json()
-    }
-    fn metrics_prometheus(&self) -> String {
-        self.metrics().to_prometheus("sprout_fleet_")
-    }
-    fn events(&self) -> Arc<EventBus> {
-        FleetCoordinator::events(self)
+        Ledger::profile(self, id)
     }
 }
 
@@ -159,8 +129,7 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// serves `service` — a [`RoutingService`] or a
-    /// [`FleetCoordinator`] — until [`HttpServer::stop`] or drop.
+    /// serves `service` until [`HttpServer::stop`] or drop.
     ///
     /// # Errors
     ///
@@ -401,66 +370,35 @@ fn route(stream: &TcpStream, service: &dyn JobBackend, req: &Request) -> std::io
                 || (req.accept.contains("text/plain") && !req.accept.contains("application/json"));
             if wants_prom {
                 let body = service.metrics_prometheus();
-                let head = format!(
-                    "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-                    body.len()
-                );
-                let mut w = stream;
-                w.write_all(head.as_bytes())?;
-                w.write_all(body.as_bytes())?;
-                w.flush()
+                respond(stream, 200, "OK", "text/plain; version=0.0.4", &body, &[])
             } else {
                 respond_json(stream, 200, "OK", &service.metrics_json(), &[])
             }
         }
-        ("GET", path) if path.starts_with("/jobs/") && path.ends_with("/events") => {
-            let id = path
-                .strip_prefix("/jobs/")
-                .and_then(|r| r.strip_suffix("/events"))
-                .and_then(|r| r.parse::<u64>().ok());
-            match id {
-                Some(id) if service.status(id).is_some() => serve_events(stream, service, id, req),
-                Some(_) => respond_plain(stream, 404, "Not Found", "unknown job"),
-                None => respond_plain(stream, 400, "Bad Request", "bad job id"),
-            }
-        }
-        ("GET", path) if path.starts_with("/jobs/") && path.ends_with("/profile") => {
-            let id = path
-                .strip_prefix("/jobs/")
-                .and_then(|r| r.strip_suffix("/profile"))
-                .and_then(|r| r.parse::<u64>().ok());
-            match id {
-                Some(id) => match service.profile(id) {
+        (method, path) if path.starts_with("/jobs/") => {
+            let rest = &path["/jobs/".len()..];
+            let (id, sub) = rest.split_once('/').unwrap_or((rest, ""));
+            let Ok(id) = id.parse::<u64>() else {
+                return respond_plain(stream, 400, "Bad Request", "bad job id");
+            };
+            let known = service.status(id);
+            match (method, sub, known) {
+                ("GET", "", Some(snap)) => respond_json(stream, 200, "OK", &snap.to_json(), &[]),
+                ("GET", "events", Some(_)) => serve_events(stream, service, id, req),
+                ("GET", "profile", Some(_)) => match service.profile(id) {
                     Some(body) => respond_json(stream, 200, "OK", &body, &[]),
-                    None if service.status(id).is_some() => {
-                        respond_plain(stream, 404, "Not Found", "no profile recorded")
-                    }
-                    None => respond_plain(stream, 404, "Not Found", "unknown job"),
+                    None => respond_plain(stream, 404, "Not Found", "no profile recorded"),
                 },
-                None => respond_plain(stream, 400, "Bad Request", "bad job id"),
-            }
-        }
-        ("POST", path) if path.starts_with("/jobs/") && path.ends_with("/cancel") => {
-            let id = path
-                .strip_prefix("/jobs/")
-                .and_then(|r| r.strip_suffix("/cancel"))
-                .and_then(|r| r.parse::<u64>().ok());
-            match id {
-                Some(id) if service.cancel(id) => respond_plain(stream, 200, "OK", "cancelling"),
-                Some(_) => respond_plain(stream, 404, "Not Found", "unknown or terminal job"),
-                None => respond_plain(stream, 400, "Bad Request", "bad job id"),
-            }
-        }
-        ("GET", path) if path.starts_with("/jobs/") => {
-            match path
-                .strip_prefix("/jobs/")
-                .and_then(|r| r.parse::<u64>().ok())
-            {
-                Some(id) => match service.status(id) {
-                    Some(snap) => respond_json(stream, 200, "OK", &snap.to_json(), &[]),
-                    None => respond_plain(stream, 404, "Not Found", "unknown job"),
-                },
-                None => respond_plain(stream, 400, "Bad Request", "bad job id"),
+                ("GET", "" | "events" | "profile", None) => {
+                    respond_plain(stream, 404, "Not Found", "unknown job")
+                }
+                ("POST", "cancel", _) if service.cancel(id) => {
+                    respond_plain(stream, 200, "OK", "cancelling")
+                }
+                ("POST", "cancel", _) => {
+                    respond_plain(stream, 404, "Not Found", "unknown or terminal job")
+                }
+                _ => respond_plain(stream, 404, "Not Found", "no such route"),
             }
         }
         _ => respond_plain(stream, 404, "Not Found", "no such route"),
@@ -490,14 +428,8 @@ fn serve_events(
         }
         let dropped = format!("X-Dropped-Events: {}", page.dropped);
         let terminal = format!("X-Stream-Terminal: {}", page.terminal);
-        let head = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\n{dropped}\r\n{terminal}\r\nConnection: close\r\n\r\n",
-            body.len()
-        );
-        let mut w = stream;
-        w.write_all(head.as_bytes())?;
-        w.write_all(body.as_bytes())?;
-        return w.flush();
+        let ndjson = "application/x-ndjson";
+        return respond(stream, 200, "OK", ndjson, &body, &[&dropped, &terminal]);
     }
 
     // Streaming path. The write timeout is the backpressure boundary:
@@ -569,15 +501,16 @@ fn query_param(query: &str, key: &str) -> Option<String> {
     })
 }
 
-fn respond_json(
+fn respond(
     mut stream: &TcpStream,
     status: u16,
     reason: &str,
+    content_type: &str,
     body: &str,
     extra_headers: &[&str],
 ) -> std::io::Result<()> {
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
         body.len()
     );
     for h in extra_headers {
@@ -590,17 +523,23 @@ fn respond_json(
     stream.flush()
 }
 
-fn respond_plain(
-    mut stream: &TcpStream,
+fn respond_json(
+    stream: &TcpStream,
     status: u16,
     reason: &str,
     body: &str,
+    extra_headers: &[&str],
 ) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: text/plain\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    respond(
+        stream,
+        status,
+        reason,
+        "application/json",
+        body,
+        extra_headers,
+    )
+}
+
+fn respond_plain(stream: &TcpStream, status: u16, reason: &str, body: &str) -> std::io::Result<()> {
+    respond(stream, status, reason, "text/plain", body, &[])
 }

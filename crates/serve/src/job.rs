@@ -218,7 +218,16 @@ impl JobSpec {
     /// A typed [`SpecError`] naming the offending construct. Never
     /// panics, whatever the input.
     pub fn parse(text: &str) -> Result<JobSpec, SpecError> {
-        let root = json::parse(text.trim()).map_err(SpecError::Json)?;
+        JobSpec::from_json(&json::parse(text.trim()).map_err(SpecError::Json)?)
+    }
+
+    /// Validates an already-parsed spec object: the form a spec takes
+    /// inside journal lines and lease frames.
+    ///
+    /// # Errors
+    ///
+    /// As [`JobSpec::parse`].
+    pub fn from_json(root: &Json) -> Result<JobSpec, SpecError> {
         let board_obj = root.get("board").ok_or(SpecError::Field("board"))?;
         let preset = board_obj
             .get("preset")

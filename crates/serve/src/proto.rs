@@ -20,8 +20,8 @@
 //!
 //! Every `Done` is keyed by `(job, lease)` and the journal key adds the
 //! [`spec_fingerprint`]: a revived worker reporting under an expired
-//! lease is detected and ignored, which is what makes finalize
-//! idempotent at the fleet level.
+//! lease is detected and ignored by the job ledger, which is what makes
+//! finalize idempotent across processes.
 
 use crate::job::JobSpec;
 use sprout_board::io::fnv1a64;
@@ -67,16 +67,21 @@ pub fn spec_fingerprint(spec: &JobSpec) -> u64 {
     fnv1a64(spec.to_json().as_bytes())
 }
 
-/// Terminal outcome a worker reports for a leased job. The worker
-/// *classifies*; the coordinator *decides* (retry vs finalize), so the
-/// retry policy lives in exactly one process.
-#[derive(Debug, Clone, PartialEq)]
+/// The classified outcome of one attempt, from either executor: a
+/// worker process sends it as a `done` frame, an in-thread slot hands
+/// it over as a value. The attempt *classifies*; the job ledger
+/// *decides* (retry vs finalize), so the retry policy lives in one
+/// place.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DoneFrame {
     /// Job id.
     pub job: u64,
     /// The lease this run was performed under.
     pub lease: u64,
-    /// Outcome hint: `completed`, `expired`, or `failed`.
+    /// Outcome hint: `completed`, `expired`, `cancelled`, or `failed`.
+    /// The ledger settles an attempt lost with its worker as a
+    /// retryable `worker_panic` or `worker_died`; those never cross the
+    /// wire.
     pub state: String,
     /// Rails restored from the checkpoint instead of re-routed.
     pub resumed: usize,
@@ -94,6 +99,20 @@ pub struct DoneFrame {
     pub error: Option<String>,
     /// `true` when the failure class is worth re-dispatching.
     pub retryable: bool,
+}
+
+impl DoneFrame {
+    /// The frame of an attempt that routed nothing: `failed`, not
+    /// retryable, no error recorded yet.
+    pub(crate) fn unrun(job: u64, lease: u64, rails_total: usize) -> DoneFrame {
+        DoneFrame {
+            job,
+            lease,
+            state: "failed".into(),
+            rails_total,
+            ..DoneFrame::default()
+        }
+    }
 }
 
 /// A frame sent by a worker process.
@@ -311,11 +330,10 @@ impl CoordFrame {
         let ty = frame_type(&root)?;
         match ty.as_str() {
             "lease" => {
-                let spec_json = root
+                let spec = root
                     .get("spec")
-                    .map(crate::service::render_json)
-                    .ok_or(ProtoError::Field("spec"))?;
-                let spec = JobSpec::parse(&spec_json)
+                    .map(JobSpec::from_json)
+                    .ok_or(ProtoError::Field("spec"))?
                     .map_err(|e| ProtoError::Json(format!("embedded spec: {e}")))?;
                 Ok(CoordFrame::Lease {
                     job: need_u64(&root, "job")?,

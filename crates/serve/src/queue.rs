@@ -155,15 +155,11 @@ impl BoundedQueue {
     }
 
     /// Re-enters an already-accepted job (retry or crash recovery)
-    /// after `delay`. Exempt from the capacity bound: an accepted job
+    /// after `delay`. Exempt from the capacity bound, and recorded even
+    /// on a closed queue, whose `pop` still drains it: an accepted job
     /// is never dropped by its own queue.
     pub fn reenter(&self, id: u64, priority: Priority, attempt: usize, delay: Duration) {
         let mut inner = self.lock();
-        if inner.closed {
-            // Draining: the service finalizes the job as cancelled
-            // instead; dropping here would lose it silently, so the
-            // entry is still recorded and drained by `pop`.
-        }
         let seq = inner.seq;
         inner.seq += 1;
         inner.entries.push(QueueEntry {
@@ -205,47 +201,27 @@ impl BoundedQueue {
                 .min_by_key(|(_, e)| (std::cmp::Reverse(e.priority), e.seq))
                 .map(|(i, _)| i);
             if let Some(i) = best {
-                let entry = inner.entries.swap_remove(i);
-                return Popped::Entry(entry);
+                return Popped::Entry(inner.entries.swap_remove(i));
             }
             if inner.closed && inner.entries.is_empty() {
                 return Popped::Closed;
             }
-            // Wake at the earliest ready_at, the pop deadline, or the
-            // next close/notify — whichever comes first.
-            let next_ready = inner.entries.iter().map(|e| e.ready_at).min();
-            let wake = match next_ready {
-                Some(t) => t.min(deadline),
-                None => deadline,
-            };
-            if wake <= now {
+            if now >= deadline {
                 return Popped::Timeout;
             }
-            let (guard, _) = self
+            // Wake at the earliest ready_at, the pop deadline, or the
+            // next close/notify — whichever comes first — and look again.
+            let wake = inner
+                .entries
+                .iter()
+                .map(|e| e.ready_at)
+                .min()
+                .map_or(deadline, |t| t.min(deadline));
+            inner = self
                 .cv
-                .wait_timeout(inner, wake - now)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if Instant::now() >= deadline {
-                // One last ready check before reporting a timeout.
-                let now = Instant::now();
-                if let Some(i) = inner
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.ready_at <= now)
-                    .min_by_key(|(_, e)| (std::cmp::Reverse(e.priority), e.seq))
-                    .map(|(i, _)| i)
-                {
-                    let entry = inner.entries.swap_remove(i);
-                    return Popped::Entry(entry);
-                }
-                return if inner.closed && inner.entries.is_empty() {
-                    Popped::Closed
-                } else {
-                    Popped::Timeout
-                };
-            }
+                .wait_timeout(inner, wake.saturating_duration_since(now))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 

@@ -1,53 +1,46 @@
-//! The fault-hardened routing service.
+//! The in-process routing service: the job ledger over in-thread
+//! slots.
 //!
-//! [`RoutingService`] fronts the supervisor with the robustness
-//! machinery a long-running deployment needs:
+//! [`RoutingService`] is a [`Ledger`] whose executor, [`Threads`], runs
+//! each attempt on one of [`ServiceConfig::workers`] threads. A slot
+//! takes the next job the moment it is free (it blocks on the queue,
+//! it does not poll) and hands the attempt's [`DoneFrame`] back to the
+//! ledger as a value. Behaviour that only makes sense in-process lives
+//! here:
 //!
-//! * **Bounded admission** — jobs enter through a [`BoundedQueue`];
-//!   when it is full, [`RoutingService::submit`] either sheds a
-//!   strictly-lower-priority queued job or rejects the arrival with a
-//!   retry-after hint. Accepted jobs are never silently dropped.
-//! * **Deadline propagation** — each job's wall-clock deadline is
-//!   measured from admission; the remaining budget at each attempt is
-//!   handed to the supervisor, which folds it into every worker's
-//!   per-stage budgets.
-//! * **Retry with seeded backoff** — retryable failures re-enter the
-//!   queue after a [`BackoffConfig`] delay; the supervisor checkpoint
-//!   is kept between attempts so completed rails restore instead of
-//!   re-routing.
-//! * **Crash recovery** — every accepted job is journaled to the data
-//!   directory before it is queued; a terminal record is journaled
-//!   (with `create_new`, so a double finalize cannot go unnoticed)
-//!   when it finishes. A restarted service re-admits every journaled
-//!   job without a terminal record and resumes it from its supervisor
-//!   checkpoint.
-//! * **Graceful degradation** — under queue pressure jobs run with the
-//!   `BestSoFar` recovery policy and a tightened wall budget: a partial
-//!   result beats a timed-out queue.
-//!
-//! The invariant everything above serves, asserted by the chaos suite:
-//! **every accepted job reaches exactly one terminal state, and the
-//! service never panics** — whatever the fault plan injects.
+//! * **Panic containment** — each attempt runs under `catch_unwind`; a
+//!   panicked attempt is a lost attempt the ledger retries.
+//! * **Cancelling running jobs** — the ledger's cancel token reaches the
+//!   supervisor directly.
+//! * **Graceful degradation** — under queue pressure attempts run with
+//!   the `BestSoFar` recovery policy and a tightened wall budget: a
+//!   partial result beats a timed-out queue.
+//! * **Chaos** — [`ServeFaultPlan`] injects panics, stalls, and the
+//!   simulated in-lifetime kill (the job checkpoints its first wave and
+//!   is then abandoned; only a restarted service finishes it).
+//! * **Forensics** — a per-job thread-timeline profile
+//!   ([`RoutingService::profile`]) and, with
+//!   [`ServiceConfig::keep_reports`], a [`RunReport`] per attempt.
 
 use crate::backoff::BackoffConfig;
 use crate::chaos::ServeFaultPlan;
-use crate::events::{EventBus, EventKind, JobRecorder};
-use crate::job::{JobSnapshot, JobSpec, JobState, Priority, SpecError};
-use crate::queue::{Admitted, BoundedQueue, Popped, QueueEntry};
-use sprout_core::recovery::{CancelToken, RecoveryPolicy};
+use crate::events::{EventKind, JobRecorder};
+use crate::job::JobState;
+use crate::ledger::{lock, Core, Executor, Lease, Ledger, Lost, Next, Policy};
+pub use crate::ledger::{Readiness, ServeError, ServiceMetrics, SubmitError};
+use crate::proto::DoneFrame;
+use crate::worker::{run_attempt, Attempt};
+use sprout_core::recovery::RecoveryPolicy;
 use sprout_core::report::RunReport;
 use sprout_core::router::RouterConfig;
-use sprout_core::supervisor::{is_retryable, Supervisor, SupervisorConfig};
-use sprout_core::SproutError;
+use sprout_core::supervisor::WaveHook;
 use sprout_telemetry::{self as telemetry, json::Obj};
 use std::collections::HashMap;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -105,381 +98,43 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Why a submission was not accepted.
+/// The in-thread executor: a pool of slot threads.
 #[derive(Debug)]
-pub enum SubmitError {
-    /// The spec failed validation (HTTP 400).
-    Invalid(SpecError),
-    /// The queue is full and nothing in it has lower priority; retry
-    /// after the hinted delay (HTTP 429 + `Retry-After`).
-    Saturated {
-        /// Suggested client backoff (ms).
-        retry_after_ms: f64,
-    },
-    /// The service is draining or stopped (HTTP 503).
-    Draining,
-    /// The journal write failed; the job was not accepted (HTTP 500).
-    Journal(String),
-}
-
-impl fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SubmitError::Invalid(e) => write!(f, "invalid job spec: {e}"),
-            SubmitError::Saturated { retry_after_ms } => {
-                write!(f, "queue saturated; retry after {retry_after_ms:.0} ms")
-            }
-            SubmitError::Draining => write!(f, "service is draining"),
-            SubmitError::Journal(e) => write!(f, "journal write failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
-/// Why the service could not start.
-#[derive(Debug)]
-pub enum ServeError {
-    /// The data directory could not be created or scanned.
-    Io(String),
-    /// A configuration value is unusable.
-    InvalidConfig(&'static str),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::Io(e) => write!(f, "service I/O error: {e}"),
-            ServeError::InvalidConfig(what) => write!(f, "invalid service config: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-/// Health/readiness of the service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Readiness {
-    /// Accepting work with headroom.
-    Ready,
-    /// Accepting work, but the queue is past the overload watermark —
-    /// new attempts run degraded.
-    Overloaded,
-    /// Not accepting work (draining or stopped).
-    Draining,
-}
-
-impl Readiness {
-    /// The wire name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Readiness::Ready => "ready",
-            Readiness::Overloaded => "overloaded",
-            Readiness::Draining => "draining",
-        }
-    }
-}
-
-/// A point-in-time snapshot of the service counters.
-#[derive(Debug, Clone, Default)]
-pub struct ServiceMetrics {
-    /// Jobs waiting in the queue (retry delays included).
-    pub queue_depth: usize,
-    /// Jobs currently routing.
-    pub running: usize,
-    /// Jobs accepted since start (recovered jobs included).
-    pub accepted: u64,
-    /// Submissions rejected with backpressure.
-    pub rejected: u64,
-    /// Terminal: completed.
-    pub completed: u64,
-    /// Terminal: partial results shipped.
-    pub best_so_far: u64,
-    /// Terminal: failed with a typed error.
-    pub failed: u64,
-    /// Terminal: shed under saturation.
-    pub shed: u64,
-    /// Terminal: deadline expired.
-    pub expired: u64,
-    /// Terminal: cancelled.
-    pub cancelled: u64,
-    /// Service-level retries performed.
-    pub retries: u64,
-    /// Jobs re-admitted by crash recovery.
-    pub recovered: u64,
-    /// Workers "killed" mid-job by the fault plan.
-    pub killed: u64,
-    /// Worker panics contained by the service boundary.
-    pub worker_panics: u64,
-    /// Jobs observed in more than one terminal state — always 0 unless
-    /// the exactly-once invariant broke.
-    pub terminal_violations: u64,
-    /// Median admission→terminal latency (ms) over terminal jobs.
-    pub latency_p50_ms: f64,
-    /// 99th-percentile admission→terminal latency (ms).
-    pub latency_p99_ms: f64,
-    /// Worker *processes* alive — always 0 for the in-process service;
-    /// populated by fleet mode. Emitted so `/metrics` scrapes the same
-    /// field names against either backend.
-    pub workers_live: usize,
-    /// Jobs out under a process lease — always 0 for the in-process
-    /// service.
-    pub leased: usize,
-    /// Leases expired by worker death and re-dispatched — always 0 for
-    /// the in-process service.
-    pub redispatches: u64,
-    /// Seconds since the service started.
-    pub uptime_seconds: f64,
-    /// Events published on the per-job observability bus.
-    pub events_published: u64,
-    /// Bus events dropped to drop-oldest backpressure.
-    pub events_dropped: u64,
-    /// Median admission→start queue wait (ms) over started attempts.
-    pub queue_wait_p50_ms: f64,
-    /// 99th-percentile admission→start queue wait (ms).
-    pub queue_wait_p99_ms: f64,
-    /// Attempt starts measured for the queue-wait percentiles.
-    pub queue_wait_count: u64,
-    /// Sum of measured queue waits (ms) — the Prometheus `_sum`.
-    pub queue_wait_sum_ms: f64,
-    /// Sum of terminal latencies (ms) — the Prometheus `_sum`.
-    pub latency_sum_ms: f64,
-}
-
-impl ServiceMetrics {
-    /// One JSON line (the `/metrics` body).
-    pub fn to_json(&self) -> String {
-        let mut o = Obj::new();
-        o.u64("queue_depth", self.queue_depth as u64)
-            .u64("running", self.running as u64)
-            .u64("accepted", self.accepted)
-            .u64("rejected", self.rejected)
-            .u64("completed", self.completed)
-            .u64("best_so_far", self.best_so_far)
-            .u64("failed", self.failed)
-            .u64("shed", self.shed)
-            .u64("expired", self.expired)
-            .u64("cancelled", self.cancelled)
-            .u64("retries", self.retries)
-            .u64("recovered", self.recovered)
-            .u64("killed", self.killed)
-            .u64("worker_panics", self.worker_panics)
-            .u64("terminal_violations", self.terminal_violations)
-            .f64("latency_p50_ms", self.latency_p50_ms)
-            .f64("latency_p99_ms", self.latency_p99_ms)
-            .u64("workers_live", self.workers_live as u64)
-            .u64("leased", self.leased as u64)
-            .u64("redispatches", self.redispatches)
-            .f64("uptime_seconds", self.uptime_seconds)
-            .u64("events_published", self.events_published)
-            .u64("events_dropped", self.events_dropped)
-            .f64("queue_wait_p50_ms", self.queue_wait_p50_ms)
-            .f64("queue_wait_p99_ms", self.queue_wait_p99_ms);
-        o.finish()
-    }
-
-    /// Prometheus text exposition of the same counters (the
-    /// `/metrics` body under content negotiation), with `prefix`
-    /// (`sprout_serve_` or `sprout_fleet_`) naming the backend.
-    pub fn to_prometheus(&self, prefix: &str) -> String {
-        use sprout_telemetry::prom::PromText;
-        let mut p = PromText::new();
-        let n = |name: &str| format!("{prefix}{name}");
-        p.gauge(
-            &n("queue_depth"),
-            "jobs waiting in the queue",
-            self.queue_depth as f64,
-        )
-        .gauge(&n("running"), "jobs currently routing", self.running as f64)
-        .gauge(
-            &n("workers_live"),
-            "worker processes alive",
-            self.workers_live as f64,
-        )
-        .gauge(
-            &n("leased"),
-            "jobs out under a process lease",
-            self.leased as f64,
-        )
-        .gauge(
-            &n("uptime_seconds"),
-            "seconds since service start",
-            self.uptime_seconds,
-        )
-        .counter(&n("accepted_total"), "jobs accepted", self.accepted)
-        .counter(&n("rejected_total"), "submissions rejected", self.rejected)
-        .counter(&n("completed_total"), "jobs completed", self.completed)
-        .counter(
-            &n("best_so_far_total"),
-            "partial results shipped",
-            self.best_so_far,
-        )
-        .counter(&n("failed_total"), "jobs failed", self.failed)
-        .counter(&n("shed_total"), "jobs shed under saturation", self.shed)
-        .counter(
-            &n("expired_total"),
-            "jobs past their deadline",
-            self.expired,
-        )
-        .counter(&n("cancelled_total"), "jobs cancelled", self.cancelled)
-        .counter(&n("retries_total"), "service-level retries", self.retries)
-        .counter(
-            &n("recovered_total"),
-            "jobs re-admitted by recovery",
-            self.recovered,
-        )
-        .counter(&n("killed_total"), "workers killed mid-job", self.killed)
-        .counter(
-            &n("worker_panics_total"),
-            "worker panics contained",
-            self.worker_panics,
-        )
-        .counter(
-            &n("terminal_violations_total"),
-            "exactly-once violations (must stay 0)",
-            self.terminal_violations,
-        )
-        .counter(
-            &n("redispatches_total"),
-            "leases re-dispatched",
-            self.redispatches,
-        )
-        .counter(
-            &n("events_published_total"),
-            "observability events published",
-            self.events_published,
-        )
-        .counter(
-            &n("events_dropped_total"),
-            "observability events dropped",
-            self.events_dropped,
-        )
-        .summary(
-            &n("latency_ms"),
-            "admission to terminal latency (ms)",
-            &[(0.5, self.latency_p50_ms), (0.99, self.latency_p99_ms)],
-            self.terminal_total(),
-            self.latency_sum_ms,
-        )
-        .summary(
-            &n("queue_wait_ms"),
-            "admission to start queue wait (ms)",
-            &[
-                (0.5, self.queue_wait_p50_ms),
-                (0.99, self.queue_wait_p99_ms),
-            ],
-            self.queue_wait_count,
-            self.queue_wait_sum_ms,
-        );
-        // Per-stage wall time and everything else the routing layer
-        // observes into the global registry rides along with the
-        // workspace prefix.
-        p.registry("sprout_", telemetry::metrics::global());
-        p.finish()
-    }
-
-    fn terminal_total(&self) -> u64 {
-        self.completed + self.best_so_far + self.failed + self.shed + self.expired + self.cancelled
-    }
-}
-
-/// One job's full record, owned by the service.
-#[derive(Debug)]
-struct JobRecord {
-    id: u64,
-    spec: JobSpec,
-    state: JobState,
-    priority: Priority,
-    attempts: usize,
-    submitted: Instant,
-    deadline_ms: Option<f64>,
-    queue_ms: f64,
-    run_ms: f64,
-    rails_total: usize,
-    rails_complete: usize,
-    resumed: usize,
-    recovered: bool,
-    killed: bool,
-    cancel_requested: bool,
-    cancel: CancelToken,
-    solves: u64,
-    area_mm2: f64,
-    error: Option<String>,
-    terminal_transitions: usize,
-}
-
-impl JobRecord {
-    fn snapshot(&self) -> JobSnapshot {
-        JobSnapshot {
-            id: self.id,
-            tag: self.spec.tag.clone(),
-            state: self.state,
-            priority: self.priority,
-            attempts: self.attempts,
-            rails_total: self.rails_total,
-            rails_complete: self.rails_complete,
-            resumed: self.resumed,
-            recovered: self.recovered,
-            killed: self.killed,
-            queue_ms: self.queue_ms,
-            run_ms: self.run_ms,
-            solves: self.solves,
-            area_mm2: self.area_mm2,
-            error: self.error.clone(),
-            terminal_transitions: self.terminal_transitions,
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    best_so_far: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    expired: AtomicU64,
-    cancelled: AtomicU64,
-    retries: AtomicU64,
-    recovered: AtomicU64,
-    killed: AtomicU64,
-    worker_panics: AtomicU64,
-    terminal_violations: AtomicU64,
-}
-
-#[derive(Debug)]
-struct Shared {
+pub struct Threads {
+    core: Arc<Core>,
     config: ServiceConfig,
-    queue: BoundedQueue,
-    jobs: Mutex<HashMap<u64, JobRecord>>,
-    next_id: AtomicU64,
-    draining: AtomicBool,
-    running: AtomicUsize,
-    counters: Counters,
-    latencies: Mutex<Vec<f64>>,
-    queue_waits: Mutex<Vec<f64>>,
-    reports: Mutex<Vec<RunReport>>,
-    started: Instant,
-    bus: Arc<EventBus>,
-    // Latest attempt's performance profile per job, served over
+    slots: Mutex<Vec<JoinHandle<()>>>,
+    // Latest attempt's profile per job, served over
     // `GET /jobs/<id>/profile`. Rendered JSON, bounded by job count.
     profiles: Mutex<HashMap<u64, String>>,
+    reports: Mutex<Vec<RunReport>>,
 }
 
-/// The running service. Cheap to clone handles are not provided —
-/// share it behind an `Arc` if multiple frontends need it (the HTTP
-/// server does exactly that).
-#[derive(Debug)]
-pub struct RoutingService {
-    shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+/// The running in-process service. Share it behind an `Arc` if multiple
+/// frontends need it — the HTTP server does exactly that.
+pub type RoutingService = Ledger<Threads>;
+
+impl Executor for Threads {
+    const PREFIX: &'static str = "sprout_serve_";
+    const CANCELS_RUNNING: bool = true;
+
+    fn profile(&self, id: u64) -> Option<String> {
+        lock(&self.profiles).get(&id).cloned()
+    }
+
+    fn stop(&self) {
+        // A dropped service stops accepting and lets its slots drain
+        // the queue; killed jobs stay journaled for the next instance.
+        self.core.start_draining();
+        self.core.queue.close();
+        self.join();
+    }
 }
 
-impl RoutingService {
+impl Ledger<Threads> {
     /// Starts the service: prepares the data directory, re-admits every
     /// journaled job without a terminal record (crash recovery), and
-    /// spawns the worker pool.
+    /// spawns the slot threads.
     ///
     /// # Errors
     ///
@@ -491,965 +146,180 @@ impl RoutingService {
                 "a service needs at least one worker or a queue",
             ));
         }
-        if let Some(dir) = &config.data_dir {
-            std::fs::create_dir_all(dir).map_err(|e| ServeError::Io(e.to_string()))?;
-        }
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
-            jobs: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            draining: AtomicBool::new(false),
-            running: AtomicUsize::new(0),
-            counters: Counters::default(),
-            latencies: Mutex::new(Vec::new()),
-            queue_waits: Mutex::new(Vec::new()),
-            reports: Mutex::new(Vec::new()),
-            started: Instant::now(),
-            bus: Arc::new(EventBus::default()),
-            profiles: Mutex::new(HashMap::new()),
+        let core = Core::open(Policy {
+            queue_capacity: config.queue_capacity,
+            max_job_retries: config.max_job_retries,
+            backoff: config.backoff,
+            default_deadline_ms: config.default_deadline_ms,
+            data_dir: config.data_dir.clone(),
+            overload_watermark: config.overload_watermark,
+        })?;
+        let exec = Arc::new(Threads {
+            core: Arc::clone(&core),
             config,
+            slots: Mutex::new(Vec::new()),
+            profiles: Mutex::new(HashMap::new()),
+            reports: Mutex::new(Vec::new()),
         });
-
-        let service = RoutingService {
-            shared: Arc::clone(&shared),
-            workers: Mutex::new(Vec::new()),
-        };
-        service.recover_journal()?;
-
+        // Built before any slot starts, so an early error return still
+        // stops the slots already running.
+        let service = Ledger { core, exec };
         let recorder = telemetry::current();
-        let mut workers = service.workers.lock().unwrap_or_else(|e| e.into_inner());
-        for w in 0..shared.config.workers {
-            let shared = Arc::clone(&shared);
+        for w in 0..service.exec.config.workers {
+            let slot = Arc::clone(&service.exec);
             let recorder = recorder.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("sprout-serve-{w}"))
-                    .spawn(move || {
-                        let _telemetry = recorder.map(telemetry::RecorderScope::install);
-                        worker_loop(&shared);
-                    })
-                    .map_err(|e| ServeError::Io(e.to_string()))?,
-            );
+            let handle = std::thread::Builder::new()
+                .name(format!("sprout-serve-{w}"))
+                .spawn(move || {
+                    let _telemetry = recorder.map(telemetry::RecorderScope::install);
+                    slot.slot_loop();
+                })
+                .map_err(|e| ServeError::Io(e.to_string()))?;
+            lock(&service.exec.slots).push(handle);
         }
-        drop(workers);
         Ok(service)
     }
 
-    /// Submits a job. Returns its id once the job is journaled and
-    /// queued — from that point on the service guarantees exactly one
-    /// terminal state.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] with the HTTP-facing rejection reason.
-    pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        let s = &self.shared;
-        if s.draining.load(Ordering::SeqCst) {
-            return Err(SubmitError::Draining);
-        }
-        // Validate the board reference and rail list up front: an
-        // unresolvable job must be rejected, not accepted-then-failed.
-        let board = spec.resolve_board().map_err(SubmitError::Invalid)?;
-        spec.requests(&board).map_err(SubmitError::Invalid)?;
-
-        let id = s.next_id.fetch_add(1, Ordering::SeqCst);
-        let priority = spec.priority;
-        let deadline_ms = spec.deadline_ms.or(s.config.default_deadline_ms);
-        let record = JobRecord {
-            id,
-            rails_total: spec.rails.len(),
-            spec,
-            state: JobState::Queued,
-            priority,
-            attempts: 0,
-            submitted: Instant::now(),
-            deadline_ms,
-            queue_ms: 0.0,
-            run_ms: 0.0,
-            rails_complete: 0,
-            resumed: 0,
-            recovered: false,
-            killed: false,
-            cancel_requested: false,
-            cancel: CancelToken::new(),
-            solves: 0,
-            area_mm2: 0.0,
-            error: None,
-            terminal_transitions: 0,
-        };
-
-        // Journal before queueing: a job is "accepted" only once it
-        // would survive a crash.
-        if let Err(e) = self.journal_admit(&record) {
-            return Err(SubmitError::Journal(e));
-        }
-
-        {
-            let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            jobs.insert(id, record);
-        }
-
-        match s.queue.admit(id, priority) {
-            Ok(Admitted::Queued) => {}
-            Ok(Admitted::Shed { victim }) => {
-                telemetry::counter!("serve.sheds");
-                self.finalize_external(
-                    victim,
-                    JobState::Shed,
-                    Some("shed by higher-priority arrival".into()),
-                );
-            }
-            Err(_) => {
-                // Rejected: roll the journal and record back — the job
-                // was never accepted.
-                let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-                jobs.remove(&id);
-                drop(jobs);
-                self.journal_remove(id);
-                s.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter!("serve.rejected");
-                let retry_after_ms = s.config.backoff.delay_ms(id, 0);
-                return Err(if s.draining.load(Ordering::SeqCst) {
-                    SubmitError::Draining
-                } else {
-                    SubmitError::Saturated { retry_after_ms }
-                });
-            }
-        }
-        s.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter!("serve.accepted");
-        telemetry::gauge!("serve.queue_depth", s.queue.len() as i64);
-        Ok(id)
-    }
-
-    /// The snapshot of one job, if known.
-    pub fn status(&self, id: u64) -> Option<JobSnapshot> {
-        let jobs = self.shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.get(&id).map(JobRecord::snapshot)
-    }
-
-    /// Snapshots of every known job, ordered by id.
-    pub fn jobs(&self) -> Vec<JobSnapshot> {
-        let jobs = self.shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<JobSnapshot> = jobs.values().map(JobRecord::snapshot).collect();
-        out.sort_by_key(|j| j.id);
-        out
-    }
-
-    /// Cancels a job: queued jobs finalize immediately; running jobs
-    /// get their cancel token triggered and finalize when the
-    /// supervisor yields. `false` when the id is unknown or already
-    /// terminal.
-    pub fn cancel(&self, id: u64) -> bool {
-        let s = &self.shared;
-        let token = {
-            let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            let Some(rec) = jobs.get_mut(&id) else {
-                return false;
-            };
-            if rec.state.is_terminal() {
-                return false;
-            }
-            rec.cancel_requested = true;
-            rec.cancel.clone()
-        };
-        token.cancel();
-        if s.queue.remove(id) {
-            self.finalize_external(
-                id,
-                JobState::Cancelled,
-                Some("cancelled while queued".into()),
-            );
-        }
-        true
-    }
-
-    /// Current health/readiness.
-    pub fn ready(&self) -> Readiness {
-        let s = &self.shared;
-        if s.draining.load(Ordering::SeqCst) {
-            return Readiness::Draining;
-        }
-        if overloaded(s) {
-            Readiness::Overloaded
-        } else {
-            Readiness::Ready
-        }
-    }
-
-    /// The per-job event bus feeding `GET /jobs/:id/events`.
-    pub fn events(&self) -> Arc<EventBus> {
-        Arc::clone(&self.shared.bus)
-    }
-
-    /// The latest attempt's performance profile for `id` (rendered
-    /// JSON: timeline summary plus
-    /// [`sprout_telemetry::prof::ScalingDiagnosis`]), once a routing
-    /// attempt has run. Feeds `GET /jobs/<id>/profile`.
-    pub fn profile(&self, id: u64) -> Option<String> {
-        let profiles = self
-            .shared
-            .profiles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        profiles.get(&id).cloned()
-    }
-
-    /// Current counters and latency percentiles.
-    pub fn metrics(&self) -> ServiceMetrics {
-        let s = &self.shared;
-        let c = &s.counters;
-        let (p50, p99, lat_sum) = {
-            let lat = s.latencies.lock().unwrap_or_else(|e| e.into_inner());
-            let (p50, p99) = percentiles(&lat);
-            (p50, p99, lat.iter().sum())
-        };
-        let (qw50, qw99, qw_count, qw_sum) = {
-            let qw = s.queue_waits.lock().unwrap_or_else(|e| e.into_inner());
-            let (p50, p99) = percentiles(&qw);
-            (p50, p99, qw.len() as u64, qw.iter().sum())
-        };
-        ServiceMetrics {
-            queue_depth: s.queue.len(),
-            running: s.running.load(Ordering::SeqCst),
-            accepted: c.accepted.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            best_so_far: c.best_so_far.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            expired: c.expired.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            recovered: c.recovered.load(Ordering::Relaxed),
-            killed: c.killed.load(Ordering::Relaxed),
-            worker_panics: c.worker_panics.load(Ordering::Relaxed),
-            terminal_violations: c.terminal_violations.load(Ordering::Relaxed),
-            latency_p50_ms: p50,
-            latency_p99_ms: p99,
-            workers_live: 0,
-            leased: 0,
-            redispatches: 0,
-            uptime_seconds: s.started.elapsed().as_secs_f64(),
-            events_published: s.bus.events_published(),
-            events_dropped: s.bus.events_dropped(),
-            queue_wait_p50_ms: qw50,
-            queue_wait_p99_ms: qw99,
-            queue_wait_count: qw_count,
-            queue_wait_sum_ms: qw_sum,
-            latency_sum_ms: lat_sum,
-        }
-    }
-
-    /// Blocks until every accepted job is terminal (killed jobs — which
-    /// only a restart can finish — are excluded) or the timeout passes.
-    /// `true` when idle was reached.
-    pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.is_idle() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return self.is_idle();
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        let s = &self.shared;
-        if !s.queue.is_empty() || s.running.load(Ordering::SeqCst) > 0 {
-            return false;
-        }
-        let jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.values().all(|r| r.state.is_terminal() || r.killed)
-    }
-
-    /// Stops the service. With `drain` the queue is emptied by the
-    /// workers first; without it, queued jobs are finalized as
-    /// cancelled (their journals stay, so a later service instance
-    /// could still recover them — cancelled is terminal, though, so the
-    /// terminal record prevents that). Killed jobs are left
-    /// non-terminal on purpose: only a restart may finish them.
+    /// Stops the service. With `drain` the slots empty the queue first;
+    /// without it, queued jobs are finalized as cancelled. Killed jobs
+    /// are left non-terminal on purpose: only a restart may finish them.
     pub fn shutdown(&self, drain: bool) {
-        let s = &self.shared;
-        s.draining.store(true, Ordering::SeqCst);
+        self.core.start_draining();
         if drain {
-            s.queue.close();
+            self.core.queue.close();
         } else {
-            let dropped = s.queue.close_and_clear();
-            for entry in dropped {
-                self.finalize_external(
+            for entry in self.core.queue.close_and_clear() {
+                self.core.finalize(
                     entry.id,
                     JobState::Cancelled,
                     Some("service shut down before the job ran".into()),
                 );
             }
         }
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-        for h in workers.drain(..) {
-            let _ = h.join();
-        }
+        self.exec.join();
     }
 
     /// Takes the retained per-attempt [`RunReport`]s (empty unless
     /// [`ServiceConfig::keep_reports`] is set).
     pub fn take_reports(&self) -> Vec<RunReport> {
-        let mut reports = self
-            .shared
-            .reports
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut *reports)
-    }
-
-    // ---- journal -------------------------------------------------------
-
-    fn journal_admit(&self, record: &JobRecord) -> Result<(), String> {
-        let Some(dir) = &self.shared.config.data_dir else {
-            return Ok(());
-        };
-        let mut o = Obj::new();
-        o.u64("id", record.id).raw("spec", &record.spec.to_json());
-        if let Some(d) = record.deadline_ms {
-            o.f64("deadline_ms", d);
-        }
-        let body = o.finish();
-        let tmp = dir.join(format!("job-{}.tmp", record.id));
-        let path = dir.join(format!("job-{}.json", record.id));
-        std::fs::write(&tmp, body).map_err(|e| e.to_string())?;
-        std::fs::rename(&tmp, &path).map_err(|e| e.to_string())
-    }
-
-    fn journal_remove(&self, id: u64) {
-        if let Some(dir) = &self.shared.config.data_dir {
-            let _ = std::fs::remove_file(dir.join(format!("job-{id}.json")));
-        }
-    }
-
-    /// Re-admits journaled jobs that never reached a terminal record.
-    fn recover_journal(&self) -> Result<(), ServeError> {
-        let s = &self.shared;
-        let Some(dir) = s.config.data_dir.clone() else {
-            return Ok(());
-        };
-        let entries = std::fs::read_dir(&dir).map_err(|e| ServeError::Io(e.to_string()))?;
-        let mut max_id = 0u64;
-        let mut pending: Vec<(u64, JobSpec, Option<f64>)> = Vec::new();
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(id) = name
-                .strip_prefix("job-")
-                .and_then(|r| r.strip_suffix(".json"))
-                .and_then(|r| r.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            max_id = max_id.max(id);
-            if dir.join(format!("done-{id}.json")).exists() {
-                continue;
-            }
-            // A journal this service cannot parse is a warning, not a
-            // crash: log and move on.
-            let Ok(text) = std::fs::read_to_string(entry.path()) else {
-                continue;
-            };
-            let Ok(root) = sprout_telemetry::json::parse(&text) else {
-                telemetry::counter!("serve.journal_unreadable");
-                continue;
-            };
-            let spec_json = match root.get("spec") {
-                Some(v) => render_json(v),
-                None => continue,
-            };
-            let Ok(spec) = JobSpec::parse(&spec_json) else {
-                telemetry::counter!("serve.journal_unreadable");
-                continue;
-            };
-            let deadline = root.get("deadline_ms").and_then(|v| v.as_f64());
-            pending.push((id, spec, deadline));
-        }
-        s.next_id.store(max_id + 1, Ordering::SeqCst);
-        pending.sort_by_key(|(id, _, _)| *id);
-        for (id, spec, deadline_ms) in pending {
-            let priority = spec.priority;
-            let record = JobRecord {
-                id,
-                rails_total: spec.rails.len(),
-                spec,
-                state: JobState::Queued,
-                priority,
-                attempts: 0,
-                // The original admission clock died with the original
-                // process; a recovered job's deadline restarts here.
-                submitted: Instant::now(),
-                deadline_ms,
-                queue_ms: 0.0,
-                run_ms: 0.0,
-                rails_complete: 0,
-                resumed: 0,
-                recovered: true,
-                killed: false,
-                cancel_requested: false,
-                cancel: CancelToken::new(),
-                solves: 0,
-                area_mm2: 0.0,
-                error: None,
-                terminal_transitions: 0,
-            };
-            {
-                let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-                jobs.insert(id, record);
-            }
-            s.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            s.counters.recovered.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("serve.recovered");
-            s.queue.reenter(id, priority, 0, Duration::ZERO);
-        }
-        Ok(())
-    }
-
-    /// Finalizes a job that is not currently owned by a worker (shed
-    /// victims, cancelled-while-queued, non-drain shutdown).
-    fn finalize_external(&self, id: u64, state: JobState, error: Option<String>) {
-        finalize(&self.shared, id, state, error, 0.0);
+        std::mem::take(&mut *lock(&self.exec.reports))
     }
 }
 
-impl Drop for RoutingService {
-    fn drop(&mut self) {
-        // A dropped service stops accepting and drains workers; jobs
-        // still queued stay journaled for the next instance.
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-        for h in workers.drain(..) {
+impl Threads {
+    fn join(&self) {
+        let slots = std::mem::take(&mut *lock(&self.slots));
+        for h in slots {
             let _ = h.join();
         }
     }
-}
 
-fn overloaded(s: &Shared) -> bool {
-    let cap = s.queue.capacity().max(1);
-    let watermark = (s.config.overload_watermark.clamp(0.0, 1.0) * cap as f64).ceil() as usize;
-    s.queue.len() >= watermark.max(1)
-}
-
-/// Renders a parsed [`sprout_telemetry::json::Json`] back to text —
-/// the journal embeds the spec as a nested object and `JobSpec::parse`
-/// wants the text form. Shared with the fleet journal and protocol,
-/// which embed specs the same way.
-pub(crate) fn render_json(v: &sprout_telemetry::json::Json) -> String {
-    use sprout_telemetry::json::{array, escape_into, fmt_f64, Json};
-    match v {
-        Json::Null => "null".into(),
-        Json::Bool(b) => (if *b { "true" } else { "false" }).into(),
-        Json::Num(n) => {
-            let mut s = String::new();
-            fmt_f64(&mut s, *n);
-            s
-        }
-        Json::Str(s) => {
-            let mut out = String::from("\"");
-            escape_into(&mut out, s);
-            out.push('"');
-            out
-        }
-        Json::Arr(items) => array(items.iter().map(render_json)),
-        Json::Obj(members) => {
-            let mut o = Obj::new();
-            for (k, v) in members {
-                o.raw(k, &render_json(v));
-            }
-            o.finish()
-        }
-    }
-}
-
-pub(crate) fn percentiles(latencies: &[f64]) -> (f64, f64) {
-    if latencies.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let pick = |q: f64| {
-        let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    };
-    (pick(0.50), pick(0.99))
-}
-
-// ---- worker side -------------------------------------------------------
-
-fn worker_loop(s: &Arc<Shared>) {
-    loop {
-        match s.queue.pop(Duration::from_millis(50)) {
-            Popped::Closed => break,
-            Popped::Timeout => continue,
-            Popped::Entry(entry) => {
-                s.running.fetch_add(1, Ordering::SeqCst);
-                // The worker's own panic boundary: whatever run_one
-                // does — including injected panics — the loop survives
-                // and the job gets a typed outcome.
-                let id = entry.id;
-                let attempt = entry.attempt;
-                let result = catch_unwind(AssertUnwindSafe(|| run_one(s, entry)));
-                if result.is_err() {
-                    s.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter!("serve.worker_panics");
-                    handle_worker_panic(s, id, attempt);
-                }
-                s.running.fetch_sub(1, Ordering::SeqCst);
-                telemetry::gauge!("serve.queue_depth", s.queue.len() as i64);
-            }
-        }
-    }
-}
-
-/// A worker panicked while holding job `id`: convert to a retryable
-/// typed error, exactly as the supervisor does for rail panics.
-fn handle_worker_panic(s: &Arc<Shared>, id: u64, attempt: usize) {
-    let retry = {
-        let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        match jobs.get_mut(&id) {
-            Some(rec) if !rec.state.is_terminal() => {
-                rec.attempts = rec.attempts.max(attempt + 1);
-                if rec.attempts <= s.config.max_job_retries && !rec.cancel_requested {
-                    rec.state = JobState::Queued;
-                    Some((rec.priority, rec.attempts))
-                } else {
-                    None
-                }
-            }
-            _ => return,
-        }
-    };
-    match retry {
-        Some((priority, attempts)) => {
-            s.counters.retries.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("serve.retries");
-            let delay = s.config.backoff.delay_ms(id, (attempts - 1) as u32);
-            s.bus.publish(id, EventKind::Retry, |o| {
-                o.str("reason", "worker_panic")
-                    .u64("attempt", attempts as u64)
-                    .f64("backoff_ms", delay);
-            });
-            s.queue
-                .reenter(id, priority, attempts, Duration::from_secs_f64(delay / 1e3));
-        }
-        None => finalize(
-            s,
-            id,
-            JobState::Failed,
-            Some("worker panicked and the retry budget is exhausted".into()),
-            0.0,
-        ),
-    }
-}
-
-fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
-    let id = entry.id;
-    let (spec, cancel, deadline_ms, submitted, cancel_requested, queue_ms) = {
-        let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(rec) = jobs.get_mut(&id) else { return };
-        if rec.state.is_terminal() {
-            return;
-        }
-        rec.state = JobState::Running;
-        rec.attempts = entry.attempt + 1;
-        rec.queue_ms = rec.submitted.elapsed().as_secs_f64() * 1e3 - rec.run_ms;
-        (
-            rec.spec.clone(),
-            rec.cancel.clone(),
-            rec.deadline_ms,
-            rec.submitted,
-            rec.cancel_requested,
-            rec.queue_ms,
-        )
-    };
-    {
-        let mut qw = s.queue_waits.lock().unwrap_or_else(|e| e.into_inner());
-        qw.push(queue_ms.max(0.0));
-    }
-    telemetry::histogram!("serve.queue_wait_ms", queue_ms.max(0.0) as u64);
-
-    if cancel_requested {
-        finalize(s, id, JobState::Cancelled, Some("cancelled".into()), 0.0);
-        return;
-    }
-
-    let fault = s.config.fault;
-    if let Some(plan) = fault {
-        if plan.slows(id, entry.attempt) {
-            std::thread::sleep(Duration::from_millis(plan.slow_ms));
-        }
-        if plan.panics(id, entry.attempt) {
-            telemetry::counter!("serve.injected_panics");
-            panic!(
-                "injected service worker panic (job {id}, attempt {})",
-                entry.attempt
-            );
-        }
-    }
-
-    // Deadline check before spending any routing work.
-    let elapsed_ms = submitted.elapsed().as_secs_f64() * 1e3;
-    let remaining_ms = deadline_ms.map(|d| d - elapsed_ms);
-    if let Some(rem) = remaining_ms {
-        if rem <= 0.0 {
-            let e = SproutError::DeadlineExpired {
-                deadline_ms: deadline_ms.unwrap_or(0.0),
-                elapsed_ms,
+    fn slot_loop(&self) {
+        loop {
+            let lease = match self.core.next_lease(Duration::from_millis(50)) {
+                Next::Lease(lease) => lease,
+                Next::Idle => continue,
+                Next::Closed => break,
             };
-            finalize(s, id, JobState::Expired, Some(e.to_string()), 0.0);
-            return;
-        }
-    }
-
-    // Board + requests were validated at submit; failures here are
-    // internal and terminal.
-    let board = match spec.resolve_board() {
-        Ok(b) => b,
-        Err(e) => {
-            finalize(s, id, JobState::Failed, Some(e.to_string()), 0.0);
-            return;
-        }
-    };
-    let requests = match spec.requests(&board) {
-        Ok(r) => r,
-        Err(e) => {
-            finalize(s, id, JobState::Failed, Some(e.to_string()), 0.0);
-            return;
-        }
-    };
-
-    let mut router = s.config.router;
-    if let Some(pitch) = spec.tile_pitch_mm {
-        router.tile_pitch_mm = pitch;
-    }
-    // Graceful degradation: under queue pressure, prefer shipping a
-    // partial result within a tight budget over queue collapse.
-    let degraded = overloaded(s);
-    if degraded {
-        router.recovery.policy = RecoveryPolicy::BestSoFar;
-        if router.recovery.budget.wall_clock_ms > s.config.degraded_wall_ms {
-            router.recovery.budget.wall_clock_ms = s.config.degraded_wall_ms;
-        }
-        telemetry::counter!("serve.degraded_attempts");
-    }
-
-    let killed = fault.is_some_and(|p| p.kills(id, entry.attempt));
-    // Wave completions go straight onto the event bus; the hook runs on
-    // the supervisor thread after the wave's checkpoint save, so it is
-    // off the rail-routing hot path.
-    let wave_bus = Arc::clone(&s.bus);
-    let on_wave: sprout_core::supervisor::WaveHook = Arc::new(move |p| {
-        wave_bus.publish(id, EventKind::Progress, |o| {
-            o.u64("wave", p.wave as u64)
-                .u64("waves", p.waves as u64)
-                .u64("rails_complete", p.rails_complete as u64)
-                .u64("rails_total", p.rails_total as u64)
-                .f64("elapsed_ms", p.elapsed_ms)
-                .f64("solve_ms", p.solve_ms);
-        });
-    });
-    let sup_config = SupervisorConfig {
-        threads: s.config.supervisor_threads,
-        deadline_ms: remaining_ms,
-        max_retries: s.config.supervisor_retries,
-        checkpoint: s
-            .config
-            .data_dir
-            .as_ref()
-            .map(|d| d.join(format!("ckpt-{id}"))),
-        cancel: cancel.clone(),
-        kill_after_wave: if killed { Some(0) } else { None },
-        on_wave: Some(on_wave),
-        ..SupervisorConfig::default()
-    };
-
-    let run_start = Instant::now();
-    // Stage spans, residual points, retries and panics recorded during
-    // this attempt flow onto the event bus with this job's id attached;
-    // the recorder chains to whatever sink the host installed.
-    let job_recorder = Arc::new(JobRecorder::new(
-        Arc::clone(&s.bus),
-        id,
-        telemetry::current(),
-    ));
-    // A per-job profiler captures this attempt's thread timeline; its
-    // recorder forwards every event to the job recorder so the event
-    // bus sees exactly what it did before.
-    let job_profiler = telemetry::prof::Profiler::with_capacity(8192);
-    let contention_base = telemetry::prof::snapshot();
-    let report = {
-        let _telemetry = telemetry::RecorderScope::install(
-            job_profiler.recorder(Some(job_recorder as Arc<dyn telemetry::Recorder>)),
-        );
-        Supervisor::new(&board, router, sup_config).run(&requests)
-    };
-    let run_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    telemetry::histogram!("serve.attempt_ms", run_ms as u64);
-
-    let timeline = job_profiler.drain();
-    if !timeline.is_empty() {
-        // Lock stats are process-wide, so under concurrent jobs the
-        // delta over-attributes shared-lock waits to each job — fine
-        // for a forensic summary, stated here so nobody sums them.
-        let contention = telemetry::prof::snapshot().delta_since(&contention_base);
-        let diagnosis =
-            telemetry::prof::diagnose(&timeline, &contention, s.config.supervisor_threads);
-        let mut o = Obj::new();
-        o.u64("job", id)
-            .f64("attempt_ms", (run_ms * 1e3).round() / 1e3)
-            .u64("slices", timeline.slice_count() as u64)
-            .raw("diagnosis", &diagnosis.to_json());
-        let mut profiles = s.profiles.lock().unwrap_or_else(|e| e.into_inner());
-        // Latest attempt wins: retries overwrite the failed attempt.
-        profiles.insert(id, o.finish());
-    }
-
-    if s.config.keep_reports {
-        let label = format!("serve-job-{id}");
-        let rr = RunReport::from_job(&label, &report);
-        let mut reports = s.reports.lock().unwrap_or_else(|e| e.into_inner());
-        reports.push(rr);
-    }
-
-    // Harvest attempt results into the record before classification.
-    let rails_complete = report
-        .rails
-        .iter()
-        .filter(|r| r.outcome.is_complete())
-        .count();
-    let solves: u64 = report.results().map(|r| r.timings.solves as u64).sum();
-    let area: f64 = report.shapes().iter().map(|(_, _, sh)| sh.area_mm2()).sum();
-    {
-        let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(rec) = jobs.get_mut(&id) {
-            rec.run_ms += run_ms;
-            rec.rails_complete = rails_complete;
-            rec.resumed += report.resumed;
-            rec.solves += solves;
-            rec.area_mm2 = area;
-        }
-    }
-
-    if killed {
-        // The "process died mid-job" simulation: the first wave's
-        // checkpoint is on disk, nothing is finalized, no terminal
-        // record is journaled. Only a restarted service finishes this
-        // job — recover_journal re-admits it and the supervisor resumes
-        // from the checkpoint.
-        s.counters.killed.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter!("serve.killed");
-        let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(rec) = jobs.get_mut(&id) {
-            rec.killed = true;
-        }
-        return;
-    }
-
-    if report.is_complete() {
-        finalize(s, id, JobState::Completed, None, run_ms);
-        return;
-    }
-
-    // Classify the first failure.
-    let cancel_requested = {
-        let jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.get(&id).is_some_and(|r| r.cancel_requested)
-    };
-    let mut first_error: Option<String> = None;
-    let mut any_retryable = false;
-    let mut all_cancelled = true;
-    let mut any_deadline = false;
-    for (_, e) in report.failures() {
-        if first_error.is_none() {
-            first_error = Some(e.to_string());
-        }
-        if is_retryable(e) {
-            any_retryable = true;
-        }
-        if !matches!(e, SproutError::Cancelled) {
-            all_cancelled = false;
-        }
-        if matches!(e, SproutError::DeadlineExpired { .. }) {
-            any_deadline = true;
-        }
-    }
-
-    if cancel_requested && all_cancelled {
-        finalize(s, id, JobState::Cancelled, Some("cancelled".into()), run_ms);
-        return;
-    }
-
-    let deadline_passed = deadline_ms.is_some_and(|d| submitted.elapsed().as_secs_f64() * 1e3 >= d);
-    if any_deadline || deadline_passed {
-        if rails_complete > 0 {
-            finalize(s, id, JobState::BestSoFar, first_error, run_ms);
-        } else {
-            finalize(
-                s,
-                id,
-                JobState::Expired,
-                first_error.or_else(|| Some("deadline expired".into())),
-                run_ms,
-            );
-        }
-        return;
-    }
-
-    // Retry: the checkpoint is kept, so completed rails restore on the
-    // next attempt instead of re-routing.
-    let attempts = entry.attempt + 1;
-    if any_retryable && attempts <= s.config.max_job_retries && !cancel_requested {
-        let priority = {
-            let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            match jobs.get_mut(&id) {
-                Some(rec) if !rec.state.is_terminal() => {
-                    rec.state = JobState::Queued;
-                    Some(rec.priority)
-                }
-                _ => None,
+            let (job, lease_id) = (lease.job, lease.lease);
+            // The slot's panic boundary: whatever the attempt does —
+            // injected panics included — the loop survives and the job
+            // gets a typed outcome.
+            match catch_unwind(AssertUnwindSafe(|| self.run(lease))) {
+                Ok((done, false)) => self.core.settle(done),
+                Ok((done, true)) => self.core.mark_killed(&done),
+                Err(_) => self.core.lost(job, lease_id, Lost::Panic),
             }
-        };
-        if let Some(priority) = priority {
-            s.counters.retries.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("serve.retries");
-            let delay = s.config.backoff.delay_ms(id, (attempts - 1) as u32);
-            s.bus.publish(id, EventKind::Retry, |o| {
-                o.str("reason", "attempt_failed")
-                    .u64("attempt", attempts as u64)
-                    .f64("backoff_ms", delay);
+            telemetry::gauge!("serve.queue_depth", self.core.queue.len() as i64);
+        }
+    }
+
+    /// Runs one leased attempt; `true` alongside the frame when the
+    /// fault plan killed it.
+    fn run(&self, lease: Lease) -> (DoneFrame, bool) {
+        let (id, attempt) = (lease.job, lease.attempt);
+        let c = &self.config;
+        if let Some(plan) = c.fault {
+            if plan.slows(id, attempt) {
+                std::thread::sleep(Duration::from_millis(plan.slow_ms));
+            }
+            if plan.panics(id, attempt) {
+                telemetry::counter!("serve.injected_panics");
+                panic!("injected service worker panic (job {id}, attempt {attempt})");
+            }
+        }
+        let mut router = c.router;
+        if self.core.overloaded() {
+            router.recovery.policy = RecoveryPolicy::BestSoFar;
+            router.recovery.budget.wall_clock_ms =
+                router.recovery.budget.wall_clock_ms.min(c.degraded_wall_ms);
+            telemetry::counter!("serve.degraded_attempts");
+        }
+        let killed = c.fault.is_some_and(|p| p.kills(id, attempt));
+
+        // Wave completions go straight onto the event bus; the hook runs
+        // on the supervisor thread after the wave's checkpoint save, so
+        // it is off the rail-routing hot path.
+        let bus = Arc::clone(&self.core.bus);
+        let on_wave: WaveHook = Arc::new(move |p| {
+            bus.publish(id, EventKind::Progress, |o| {
+                o.u64("wave", p.wave as u64)
+                    .u64("waves", p.waves as u64)
+                    .u64("rails_complete", p.rails_complete as u64)
+                    .u64("rails_total", p.rails_total as u64)
+                    .f64("elapsed_ms", p.elapsed_ms)
+                    .f64("solve_ms", p.solve_ms);
             });
-            s.queue
-                .reenter(id, priority, attempts, Duration::from_secs_f64(delay / 1e3));
-            return;
-        }
-    }
+        });
+        // Stage spans, residual points, retries and panics flow onto the
+        // bus with this job's id through the job recorder; the profiler
+        // in front of it captures the attempt's thread timeline.
+        let job_recorder = JobRecorder::new(Arc::clone(&self.core.bus), id, telemetry::current());
+        let profiler = telemetry::prof::Profiler::with_capacity(8192);
+        let contention_base = telemetry::prof::snapshot();
+        let (done, report) = run_attempt(Attempt {
+            job: id,
+            lease: lease.lease,
+            spec: &lease.spec,
+            router,
+            supervisor_threads: c.supervisor_threads,
+            supervisor_retries: c.supervisor_retries,
+            deadline_ms: lease.remaining_ms(),
+            checkpoint: lease.checkpoint.clone(),
+            cancel: lease.cancel.clone(),
+            kill_after_wave: killed.then_some(0),
+            on_wave,
+            recorder: profiler.recorder(Some(Arc::new(job_recorder))),
+        });
+        telemetry::histogram!("serve.attempt_ms", done.run_ms as u64);
 
-    if rails_complete > 0 {
-        finalize(s, id, JobState::BestSoFar, first_error, run_ms);
-    } else {
-        finalize(
-            s,
-            id,
-            JobState::Failed,
-            first_error.or_else(|| Some("no rail completed".into())),
-            run_ms,
-        );
-    }
-}
-
-/// The single terminal transition. Updates the record, bumps exactly
-/// one terminal counter, journals the terminal record with
-/// `create_new` (a pre-existing record means a double finalize — the
-/// violation counter records it), and drops the job's checkpoint.
-fn finalize(s: &Arc<Shared>, id: u64, state: JobState, error: Option<String>, _run_ms: f64) {
-    debug_assert!(state.is_terminal());
-    let latency_ms = {
-        let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(rec) = jobs.get_mut(&id) else { return };
-        rec.terminal_transitions += 1;
-        if rec.terminal_transitions > 1 {
-            s.counters
-                .terminal_violations
-                .fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("serve.terminal_violations");
-            return;
+        let timeline = profiler.drain();
+        if !timeline.is_empty() {
+            // Lock stats are process-wide, so under concurrent jobs the
+            // delta over-attributes shared-lock waits to each job — fine
+            // for a forensic summary, stated here so nobody sums them.
+            let contention = telemetry::prof::snapshot().delta_since(&contention_base);
+            let diagnosis = telemetry::prof::diagnose(&timeline, &contention, c.supervisor_threads);
+            let mut o = Obj::new();
+            o.u64("job", id)
+                .f64("attempt_ms", (done.run_ms * 1e3).round() / 1e3)
+                .u64("slices", timeline.slice_count() as u64)
+                .raw("diagnosis", &diagnosis.to_json());
+            // Latest attempt wins: retries overwrite the failed attempt.
+            lock(&self.profiles).insert(id, o.finish());
         }
-        rec.state = state;
-        if rec.error.is_none() {
-            rec.error = error;
+        if let Some(report) = report.filter(|_| c.keep_reports) {
+            lock(&self.reports).push(RunReport::from_job(&format!("serve-job-{id}"), &report));
         }
-        rec.submitted.elapsed().as_secs_f64() * 1e3
-    };
-
-    let counter = match state {
-        JobState::Completed => &s.counters.completed,
-        JobState::BestSoFar => &s.counters.best_so_far,
-        JobState::Failed => &s.counters.failed,
-        JobState::Shed => &s.counters.shed,
-        JobState::Expired => &s.counters.expired,
-        JobState::Cancelled => &s.counters.cancelled,
-        JobState::Queued | JobState::Running => return,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    telemetry::point("job_terminal")
-        .field("job", id)
-        .field("state", state.name())
-        .field("latency_ms", latency_ms)
-        .emit();
-    // Exactly one Terminal event per job: this runs only after the
-    // terminal_transitions guard above admitted the first transition.
-    let terminal_error = {
-        let jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.get(&id).and_then(|r| r.error.clone())
-    };
-    s.bus.publish(id, EventKind::Terminal, |o| {
-        o.str("state", state.name()).f64("latency_ms", latency_ms);
-        if let Some(e) = &terminal_error {
-            o.str("error", e);
-        }
-    });
-    {
-        let mut lat = s.latencies.lock().unwrap_or_else(|e| e.into_inner());
-        lat.push(latency_ms);
-    }
-
-    if let Some(dir) = &s.config.data_dir {
-        let mut o = Obj::new();
-        o.u64("id", id)
-            .str("state", state.name())
-            .f64("latency_ms", latency_ms);
-        let body = o.finish();
-        let path = dir.join(format!("done-{id}.json"));
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut f) => {
-                use std::io::Write as _;
-                let _ = f.write_all(body.as_bytes());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                // A terminal record already exists for this job: the
-                // exactly-once invariant broke across restarts.
-                s.counters
-                    .terminal_violations
-                    .fetch_add(1, Ordering::Relaxed);
-                telemetry::counter!("serve.terminal_violations");
-            }
-            Err(_) => {}
-        }
-        let _ = std::fs::remove_file(dir.join(format!("ckpt-{id}")));
+        (done, killed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobSpec;
-    use sprout_core::recovery::{RecoveryConfig, StageBudget};
-
-    fn fast_router() -> RouterConfig {
-        RouterConfig {
-            tile_pitch_mm: 0.5,
-            grow_iterations: 8,
-            refine_iterations: 2,
-            reheat: None,
-            recovery: RecoveryConfig {
-                policy: RecoveryPolicy::BestSoFar,
-                budget: StageBudget::default(),
-                fault: None,
-            },
-            ..RouterConfig::default()
-        }
-    }
+    use crate::job::{JobSpec, Priority};
+    use crate::worker::fast_router;
 
     fn fast_config() -> ServiceConfig {
         ServiceConfig {

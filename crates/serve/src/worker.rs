@@ -1,19 +1,22 @@
-//! Fleet worker: one process, one job at a time, heartbeats always.
+//! Routing attempts, and the fleet worker process that runs them.
 //!
-//! [`run_worker`] is the whole worker: it announces itself with a
-//! `hello` frame, starts a heartbeat thread, and then serves
-//! [`CoordFrame::Lease`] frames from its input until EOF or a
-//! [`CoordFrame::Drain`]. Each leased job runs under the supervisor
-//! with the lease's checkpoint path, so a job re-dispatched from a
-//! dead worker resumes from whatever waves the dead worker finished —
-//! the checkpoint file in the coordinator's data directory is the
-//! cross-process handoff.
+//! `run_attempt` is the one place a job's rails go through the
+//! supervisor. Both executors call it — the in-thread slots of
+//! [`crate::service`] directly, the fleet's worker processes through
+//! [`run_worker`] — and both get back the same [`DoneFrame`]: the
+//! attempt *classified* (completed / expired / cancelled / failed +
+//! retryable). The job ledger owns the retry decision.
 //!
-//! The worker *classifies* its outcome (completed / expired / failed +
-//! retryable) in a [`DoneFrame`]; the coordinator owns the retry
-//! decision. Heartbeats run on their own thread, so they keep flowing
-//! while a long job routes — only an injected blackout, a SIGSTOP, or
-//! real death silences them.
+//! [`run_worker`] is the whole worker process: it announces itself
+//! with a `hello` frame and a first heartbeat, starts a heartbeat
+//! thread, and then serves [`CoordFrame::Lease`] frames from its input
+//! until EOF or a [`CoordFrame::Drain`]. Each leased job runs with the
+//! lease's checkpoint path, so a job re-dispatched from a dead worker
+//! resumes from whatever waves the dead worker finished — the
+//! checkpoint file in the coordinator's data directory is the
+//! cross-process handoff. Heartbeats run on their own thread, so they
+//! keep flowing while a long job routes — only an injected blackout, a
+//! SIGSTOP, or real death silences them.
 //!
 //! Process-level faults ([`FleetFaultPlan`]) are drawn *inside* the
 //! worker from `(seed, job, attempt)` carried by the lease, so a chaos
@@ -26,9 +29,11 @@ use crate::chaos::FleetFaultPlan;
 use crate::events::STAGE_SPANS;
 use crate::job::JobSpec;
 use crate::proto::{CoordFrame, DoneFrame, WorkerFrame};
-use sprout_core::recovery::{RecoveryConfig, RecoveryPolicy, StageBudget};
+use sprout_core::recovery::{CancelToken, RecoveryConfig, RecoveryPolicy, StageBudget};
 use sprout_core::router::RouterConfig;
-use sprout_core::supervisor::{is_retryable, Supervisor, SupervisorConfig, WaveProgress};
+use sprout_core::supervisor::{
+    is_retryable, JobReport, Supervisor, SupervisorConfig, WaveHook, WaveProgress,
+};
 use sprout_core::SproutError;
 use sprout_telemetry::{self as telemetry, Event, Recorder};
 use std::io::{BufRead, Write};
@@ -82,6 +87,105 @@ pub fn fast_router() -> RouterConfig {
         },
         ..RouterConfig::default()
     }
+}
+
+/// One routing attempt, as an executor hands it to [`run_attempt`].
+pub(crate) struct Attempt<'a> {
+    pub job: u64,
+    pub lease: u64,
+    pub spec: &'a JobSpec,
+    /// Router settings; the spec's pitch override is applied on top.
+    pub router: RouterConfig,
+    pub supervisor_threads: usize,
+    pub supervisor_retries: usize,
+    /// Wall budget left before the job's deadline (ms).
+    pub deadline_ms: Option<f64>,
+    pub checkpoint: Option<PathBuf>,
+    pub cancel: CancelToken,
+    /// Stop after this wave as if the process died (the in-thread kill).
+    pub kill_after_wave: Option<usize>,
+    pub on_wave: WaveHook,
+    /// Installed around the supervisor run.
+    pub recorder: Arc<dyn Recorder>,
+}
+
+/// Runs one attempt of a job and classifies it. The supervisor report
+/// comes back too, when the supervisor ran.
+pub(crate) fn run_attempt(a: Attempt<'_>) -> (DoneFrame, Option<JobReport>) {
+    let mut done = DoneFrame::unrun(a.job, a.lease, a.spec.rails.len());
+    if let Some(left) = a.deadline_ms.filter(|ms| *ms <= 0.0) {
+        done.state = "expired".into();
+        done.error = Some(format!(
+            "deadline passed {:.0} ms before the attempt started",
+            -left
+        ));
+        return (done, None);
+    }
+    // Board + requests were validated at submit; failures here are
+    // internal and terminal.
+    let resolved = a
+        .spec
+        .resolve_board()
+        .and_then(|board| a.spec.requests(&board).map(|requests| (board, requests)));
+    let (board, requests) = match resolved {
+        Ok(r) => r,
+        Err(e) => {
+            done.error = Some(e.to_string());
+            return (done, None);
+        }
+    };
+    let mut router = a.router;
+    if let Some(pitch) = a.spec.tile_pitch_mm {
+        router.tile_pitch_mm = pitch;
+    }
+    let sup_config = SupervisorConfig {
+        threads: a.supervisor_threads,
+        deadline_ms: a.deadline_ms,
+        max_retries: a.supervisor_retries,
+        checkpoint: a.checkpoint,
+        cancel: a.cancel,
+        kill_after_wave: a.kill_after_wave,
+        on_wave: Some(a.on_wave),
+        ..SupervisorConfig::default()
+    };
+
+    let start = Instant::now();
+    let report = {
+        let _telemetry = telemetry::RecorderScope::install(a.recorder);
+        Supervisor::new(&board, router, sup_config).run(&requests)
+    };
+    done.run_ms = start.elapsed().as_secs_f64() * 1e3;
+    done.resumed = report.resumed;
+    done.rails_complete = report
+        .rails
+        .iter()
+        .filter(|r| r.outcome.is_complete())
+        .count();
+    done.solves = report.results().map(|r| r.timings.solves as u64).sum();
+    done.area_mm2 = report.shapes().iter().map(|(_, _, sh)| sh.area_mm2()).sum();
+
+    if report.is_complete() {
+        done.state = "completed".into();
+        return (done, Some(report));
+    }
+    let (mut any_deadline, mut all_cancelled) = (false, true);
+    for (_, e) in report.failures() {
+        if done.error.is_none() {
+            done.error = Some(e.to_string());
+        }
+        done.retryable |= is_retryable(e);
+        any_deadline |= matches!(e, SproutError::DeadlineExpired { .. });
+        all_cancelled &= matches!(e, SproutError::Cancelled);
+    }
+    done.state = if done.error.is_some() && all_cancelled {
+        "cancelled"
+    } else if any_deadline {
+        "expired"
+    } else {
+        "failed"
+    }
+    .into();
+    (done, Some(report))
 }
 
 struct Outbound<W: Write> {
@@ -193,8 +297,11 @@ where
     out.send(&WorkerFrame::Hello {
         pid: std::process::id(),
     });
+    // The first beat goes out before anything else can happen, so even
+    // a worker whose input closes at once has announced its liveness.
+    out.send(&WorkerFrame::Heartbeat { seq: 0 });
 
-    // Heartbeats flow on their own thread for the whole process
+    // Further heartbeats flow on their own thread for the whole process
     // lifetime; `blackout` silences them without stopping the clock.
     let stop = Arc::new(AtomicBool::new(false));
     let blackout = Arc::new(AtomicBool::new(false));
@@ -203,15 +310,15 @@ where
         let stop = Arc::clone(&stop);
         let blackout = Arc::clone(&blackout);
         let period = Duration::from_millis(config.heartbeat_ms.max(1));
-        let seq = AtomicU64::new(0);
         std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                if !blackout.load(Ordering::SeqCst) {
-                    out.send(&WorkerFrame::Heartbeat {
-                        seq: seq.fetch_add(1, Ordering::SeqCst),
-                    });
-                }
+            for seq in 1.. {
                 std::thread::sleep(period);
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                if !blackout.load(Ordering::SeqCst) {
+                    out.send(&WorkerFrame::Heartbeat { seq });
+                }
             }
         })
     };
@@ -272,20 +379,6 @@ fn run_lease<W>(
 where
     W: Write + Send + 'static,
 {
-    let mut done = DoneFrame {
-        job,
-        lease,
-        state: "failed".into(),
-        resumed: 0,
-        rails_complete: 0,
-        rails_total: spec.rails.len(),
-        area_mm2: 0.0,
-        solves: 0,
-        run_ms: 0.0,
-        error: None,
-        retryable: false,
-    };
-
     // Injected process faults, decided from (seed, job, attempt) so the
     // schedule is identical whichever worker the job lands on.
     let mut kill = false;
@@ -304,27 +397,7 @@ where
         kill = plan.kills(job, attempt);
     }
 
-    let board = match spec.resolve_board() {
-        Ok(b) => b,
-        Err(e) => {
-            done.error = Some(e.to_string());
-            return done;
-        }
-    };
-    let requests = match spec.requests(&board) {
-        Ok(r) => r,
-        Err(e) => {
-            done.error = Some(e.to_string());
-            return done;
-        }
-    };
-
-    let mut router = config.router;
-    if let Some(pitch) = spec.tile_pitch_mm {
-        router.tile_pitch_mm = pitch;
-    }
-
-    let on_wave: sprout_core::supervisor::WaveHook = {
+    let on_wave: WaveHook = {
         let out = Arc::clone(out);
         Arc::new(move |p: WaveProgress| {
             out.send(&WorkerFrame::Progress {
@@ -346,21 +419,10 @@ where
             }
         })
     };
-
-    let sup_config = SupervisorConfig {
-        threads: config.supervisor_threads,
-        deadline_ms,
-        max_retries: config.supervisor_retries,
-        checkpoint,
-        on_wave: Some(on_wave),
-        ..SupervisorConfig::default()
-    };
-
-    let start = Instant::now();
     // Stage spans flow out as enriched progress frames for the
     // coordinator's event bus; the scope chains to whatever recorder
     // was already current so nothing is hidden from existing sinks.
-    let stage_recorder = Arc::new(StageRecorder {
+    let recorder = Arc::new(StageRecorder {
         out: Arc::clone(out),
         job,
         lease,
@@ -368,39 +430,21 @@ where
         waves: AtomicU64::new(0),
         inner: telemetry::current(),
     });
-    let report = {
-        let _telemetry = telemetry::RecorderScope::install(stage_recorder);
-        Supervisor::new(&board, router, sup_config).run(&requests)
-    };
-    done.run_ms = start.elapsed().as_secs_f64() * 1e3;
-    done.resumed = report.resumed;
-    done.rails_complete = report
-        .rails
-        .iter()
-        .filter(|r| r.outcome.is_complete())
-        .count();
-    done.solves = report.results().map(|r| r.timings.solves as u64).sum();
-    done.area_mm2 = report.shapes().iter().map(|(_, _, sh)| sh.area_mm2()).sum();
-
-    if report.is_complete() {
-        done.state = "completed".into();
-        return done;
-    }
-
-    let mut any_deadline = false;
-    for (_, e) in report.failures() {
-        if done.error.is_none() {
-            done.error = Some(e.to_string());
-        }
-        if is_retryable(e) {
-            done.retryable = true;
-        }
-        if matches!(e, SproutError::DeadlineExpired { .. }) {
-            any_deadline = true;
-        }
-    }
-    done.state = if any_deadline { "expired" } else { "failed" }.into();
-    done
+    run_attempt(Attempt {
+        job,
+        lease,
+        spec,
+        router: config.router,
+        supervisor_threads: config.supervisor_threads,
+        supervisor_retries: config.supervisor_retries,
+        deadline_ms,
+        checkpoint,
+        cancel: CancelToken::new(),
+        kill_after_wave: None,
+        on_wave,
+        recorder,
+    })
+    .0
 }
 
 /// The `sprout_fleet_worker` entry point: parses the worker command
@@ -440,29 +484,12 @@ pub fn worker_main() {
                     "--supervisor-retries",
                 )
             }
-            "--chaos-seed" => {
-                fault.seed = parse(&take(&args, &mut i, "--chaos-seed"), "--chaos-seed");
-                have_fault = true;
-            }
-            "--kill-rate" => {
-                fault.kill_rate = parse(&take(&args, &mut i, "--kill-rate"), "--kill-rate");
-                have_fault = true;
-            }
-            "--stall-rate" => {
-                fault.stall_rate = parse(&take(&args, &mut i, "--stall-rate"), "--stall-rate");
-                have_fault = true;
-            }
-            "--stall-ms" => {
-                fault.stall_ms = parse(&take(&args, &mut i, "--stall-ms"), "--stall-ms");
-                have_fault = true;
-            }
-            "--blackout-rate" => {
-                fault.blackout_rate =
-                    parse(&take(&args, &mut i, "--blackout-rate"), "--blackout-rate");
-                have_fault = true;
-            }
-            "--blackout-ms" => {
-                fault.blackout_ms = parse(&take(&args, &mut i, "--blackout-ms"), "--blackout-ms");
+            flag if FleetFaultPlan::FLAGS.contains(&flag) => {
+                let value = take(&args, &mut i, flag);
+                if let Err(e) = fault.set_flag(flag, &value) {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                }
                 have_fault = true;
             }
             "--help" | "-h" => {

@@ -166,16 +166,19 @@ pub fn str_array<'a, I: IntoIterator<Item = &'a str>>(items: I) -> String {
 
 /// A parsed JSON value.
 ///
-/// Numbers are kept as `f64`; integral values round-trip exactly up to
-/// 2^53, which covers every count and millisecond figure the pipeline
-/// emits.
+/// Non-negative integer literals that fit a `u64` are kept exactly, so
+/// seeds and 64-bit fingerprints round-trip bit for bit; every other
+/// number is an `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// A non-negative integer literal (no sign, fraction or exponent)
+    /// that fits a `u64`.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -197,14 +200,17 @@ impl Json {
     /// The value as a float, if numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(v) => Some(*v as f64),
             Json::Num(v) => Some(*v),
             _ => None,
         }
     }
 
     /// The value as a non-negative integer, if numeric and integral.
+    /// Exact for integer literals of any `u64` size.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(v) => Some(*v),
             Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
                 Some(*v as u64)
             }
@@ -439,6 +445,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("invalid number at byte {start}"))?;
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Json::Int(v));
+            }
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number '{text}' at byte {start}"))
@@ -541,5 +552,23 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
         assert_eq!(parse("3").unwrap().as_u64(), Some(3));
+    }
+
+    #[test]
+    fn integers_parse_exactly_and_floats_as_before() {
+        let big = (1u64 << 53) + 1;
+        assert_eq!(parse(&big.to_string()).unwrap().as_u64(), Some(big));
+        assert_eq!(
+            parse(&u64::MAX.to_string()).unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
+        assert_eq!(parse("2.5").unwrap().as_f64(), Some(2.5));
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+        // Past u64 the literal is still a number, just not an exact one.
+        assert_eq!(
+            parse("18446744073709551616").unwrap().as_f64(),
+            Some(2f64.powi(64))
+        );
     }
 }

@@ -122,7 +122,10 @@ fn main() {
     let config = demo_config("restart");
     let fleet = FleetCoordinator::start(config.clone()).expect("fleet starts");
     let ids = submit_sweep(&fleet, 4);
-    std::thread::sleep(Duration::from_millis(60));
+    // Crash as soon as work is out with the workers.
+    while fleet.metrics().leased == 0 {
+        std::thread::sleep(Duration::from_micros(200));
+    }
     fleet.shutdown_abrupt(); // SIGKILL the workers, finalize nothing
     drop(fleet);
     println!("coordinator died with work in flight…");

@@ -9,12 +9,14 @@
 //! completed wave rather than from scratch.**
 
 use sprout_serve::chaos::FleetFaultPlan;
+use sprout_serve::events::EventKind;
 use sprout_serve::fleet::{FleetConfig, FleetCoordinator};
 use sprout_serve::job::{JobSpec, JobState};
+use sprout_serve::ledger::JOURNAL_FILE;
 use sprout_telemetry::json::{parse, Json};
 use std::path::PathBuf;
 use std::process::Command;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A per-test data directory under the system temp dir, wiped first.
 fn data_dir(name: &str) -> PathBuf {
@@ -69,7 +71,7 @@ fn assert_fleet_contract(fleet: &FleetCoordinator, ids: &[u64]) {
 /// Every done record in the journal, as `(id, state)` — the on-disk
 /// half of the exactly-once contract.
 fn journal_dones(dir: &std::path::Path) -> Vec<(u64, String)> {
-    let text = std::fs::read_to_string(dir.join("fleet.journal")).unwrap_or_default();
+    let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap_or_default();
     text.lines()
         .filter_map(|line| {
             let root = parse(line).ok()?;
@@ -82,6 +84,30 @@ fn journal_dones(dir: &std::path::Path) -> Vec<(u64, String)> {
             ))
         })
         .collect()
+}
+
+/// Blocks until `ready` holds, polling observable fleet state; fails
+/// the test if that takes longer than any healthy run could.
+fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !ready() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+/// `true` once some job in `ids` has reported its wave-0 progress.
+fn wave0_reported(fleet: &FleetCoordinator, ids: &[u64]) -> bool {
+    let bus = fleet.events();
+    ids.iter().any(|&id| {
+        bus.snapshot_since(id, 0).events.iter().any(|e| {
+            e.kind == EventKind::Progress
+                && parse(&e.line)
+                    .ok()
+                    .and_then(|l| l.get("wave").and_then(Json::as_u64))
+                    == Some(0)
+        })
+    })
 }
 
 #[test]
@@ -157,9 +183,10 @@ fn real_sigkill_redistributes_leased_work() {
     let fleet = FleetCoordinator::start(config).expect("fleet start");
     let ids = submit_all(&fleet, 4);
 
-    // Give the dispatcher a moment to lease work out, then kill one
-    // worker for real — kernel SIGKILL, no injected cooperation.
-    std::thread::sleep(Duration::from_millis(60));
+    // Once the dispatcher has leased work out (the first lease goes to
+    // the first worker), kill that worker for real — kernel SIGKILL, no
+    // injected cooperation.
+    wait_until("a lease", || fleet.metrics().leased >= 1);
     let pids = fleet.worker_pids();
     assert!(!pids.is_empty(), "no live workers to kill");
     let status = Command::new("kill")
@@ -199,7 +226,7 @@ fn sigstop_stall_times_out_heartbeats_and_redistributes() {
     let fleet = FleetCoordinator::start(config).expect("fleet start");
     let ids = submit_all(&fleet, 4);
 
-    std::thread::sleep(Duration::from_millis(60));
+    wait_until("a lease", || fleet.metrics().leased >= 1);
     let pids = fleet.worker_pids();
     assert!(!pids.is_empty(), "no live workers to stall");
     let status = Command::new("kill")
@@ -295,9 +322,10 @@ fn coordinator_crash_and_restart_finishes_every_job_exactly_once() {
 
     let fleet = FleetCoordinator::start(config.clone()).expect("fleet start");
     let ids = submit_all(&fleet, 6);
-    // Crash the coordinator while work is in flight: SIGKILL every
-    // worker, finalize nothing, leave journal + checkpoints as-is.
-    std::thread::sleep(Duration::from_millis(120));
+    // Crash the coordinator while work is in flight — once the first
+    // wave-0 checkpoint is reported: SIGKILL every worker, finalize
+    // nothing, leave journal + checkpoints as-is.
+    wait_until("a wave-0 progress event", || wave0_reported(&fleet, &ids));
     fleet.shutdown_abrupt();
     drop(fleet);
 

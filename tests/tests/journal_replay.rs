@@ -9,8 +9,9 @@
 //! two.**
 
 use sprout_serve::fleet::{replay_journal, FleetConfig, FleetCoordinator};
-use sprout_serve::job::{JobSpec, JobState};
-use sprout_serve::proto::spec_fingerprint;
+use sprout_serve::job::{BoardSpec, JobSpec, JobState};
+use sprout_serve::ledger::JOURNAL_FILE;
+use sprout_serve::proto::{spec_fingerprint, CoordFrame};
 use sprout_telemetry::json::Obj;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -19,7 +20,7 @@ fn admit_line(id: u64, spec: &JobSpec) -> String {
     let mut o = Obj::new();
     o.str("kind", "admit")
         .u64("id", id)
-        .str("fp", &format!("{:016x}", spec_fingerprint(spec)))
+        .u64("fp", spec_fingerprint(spec))
         .raw("spec", &spec.to_json());
     o.finish()
 }
@@ -28,7 +29,7 @@ fn done_line(id: u64, spec: &JobSpec, state: &str) -> String {
     let mut o = Obj::new();
     o.str("kind", "done")
         .u64("id", id)
-        .str("fp", &format!("{:016x}", spec_fingerprint(spec)))
+        .u64("fp", spec_fingerprint(spec))
         .str("state", state);
     o.finish()
 }
@@ -89,8 +90,8 @@ fn garbage_and_mismatched_fingerprints_are_ignored() {
     // An admit whose fingerprint belongs to a different spec: the
     // record is internally inconsistent and must not be trusted.
     tampered = tampered.replace(
-        &format!("{:016x}", spec_fingerprint(&spec)),
-        &format!("{:016x}", spec_fingerprint(&other)),
+        &spec_fingerprint(&spec).to_string(),
+        &spec_fingerprint(&other).to_string(),
     );
     let journal = [
         admit_line(1, &spec),
@@ -134,7 +135,7 @@ fn restarted_coordinator_replays_duplicates_to_one_terminal_state() {
     ]
     .join("\n")
         + "\n";
-    std::fs::write(dir.join("fleet.journal"), &journal).expect("write journal");
+    std::fs::write(dir.join(JOURNAL_FILE), &journal).expect("write journal");
 
     let config = FleetConfig {
         workers: 1,
@@ -165,7 +166,7 @@ fn restarted_coordinator_replays_duplicates_to_one_terminal_state() {
     fleet.drain(Duration::from_secs(30));
     drop(fleet);
 
-    let text = std::fs::read_to_string(dir.join("fleet.journal")).expect("journal readable");
+    let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal readable");
     let dones_for_2 = text
         .lines()
         .filter(|l| l.contains("\"kind\":\"done\"") && l.contains("\"id\":2"))
@@ -175,4 +176,34 @@ fn restarted_coordinator_replays_duplicates_to_one_terminal_state() {
         "job 2 must gain exactly one terminal record"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn seeds_past_two_to_the_53_round_trip_exactly() {
+    // JSON numbers were once all f64, which rounds 2^53 + 1 to 2^53 and
+    // silently routes a different random board.
+    let mut spec = JobSpec::two_rail(20.0);
+    spec.board = BoardSpec::Random {
+        seed: (1 << 53) + 1,
+        nets: 2,
+    };
+    assert_eq!(JobSpec::parse(&spec.to_json()).expect("spec parses"), spec);
+
+    let lease = CoordFrame::Lease {
+        job: 1,
+        lease: 1,
+        attempt: 0,
+        spec: spec.clone(),
+        deadline_ms: None,
+        checkpoint: None,
+    };
+    match CoordFrame::parse(&lease.to_json()).expect("lease parses") {
+        CoordFrame::Lease { spec: leased, .. } => assert_eq!(leased, spec),
+        other => panic!("expected a lease, got {other:?}"),
+    }
+
+    let r = replay_journal(&admit_line(1, &spec));
+    assert_eq!(r.malformed, 0, "the fingerprint must survive the journal");
+    assert_eq!(r.pending.len(), 1);
+    assert_eq!(r.pending[0].1, spec);
 }

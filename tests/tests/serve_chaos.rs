@@ -14,8 +14,9 @@ use sprout_core::recovery::{RecoveryConfig, RecoveryPolicy, StageBudget};
 use sprout_core::router::RouterConfig;
 use sprout_serve::chaos::ServeFaultPlan;
 use sprout_serve::job::{JobSpec, JobState, Priority};
+use sprout_serve::ledger::{replay_journal, JournalReplay, JOURNAL_FILE};
 use sprout_serve::service::{RoutingService, ServiceConfig, SubmitError};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn fast_router() -> RouterConfig {
@@ -48,6 +49,11 @@ fn data_dir(name: &str) -> PathBuf {
     p.push(format!("sprout-serve-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&p);
     p
+}
+
+/// The service's journal under `dir`, replayed.
+fn journal(dir: &Path) -> JournalReplay {
+    replay_journal(&std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap_or_default())
 }
 
 /// Asserts the service-level contract over a finished service: every
@@ -229,11 +235,11 @@ fn mid_job_kill_resumes_from_checkpoint_after_restart() {
     svc.shutdown(true);
     drop(svc);
     assert!(
-        dir.join(format!("job-{id}.json")).exists(),
+        journal(&dir).pending.iter().any(|(j, _, _)| *j == id),
         "journal must survive the crash"
     );
     assert!(
-        !dir.join(format!("done-{id}.json")).exists(),
+        !journal(&dir).terminal.contains_key(&id),
         "no terminal record may exist for a killed job"
     );
 
@@ -261,7 +267,7 @@ fn mid_job_kill_resumes_from_checkpoint_after_restart() {
     svc2.shutdown(true);
     assert_terminal_contract(&svc2);
     assert!(
-        dir.join(format!("done-{id}.json")).exists(),
+        journal(&dir).terminal.contains_key(&id),
         "the recovered job must journal its terminal state"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -293,7 +299,11 @@ fn restart_without_crash_recovers_nothing() {
         0,
         "a cleanly finished job must not be re-run"
     );
-    assert!(svc2.status(id).is_none(), "no record re-admitted");
+    // The finished job is remembered as terminal, once, and not re-run.
+    let done = svc2.status(id).expect("finished job stays queryable");
+    assert_eq!(done.state, JobState::Completed, "remembered as terminal");
+    assert_eq!(done.terminal_transitions, 1);
+    assert_eq!(done.attempts, 0, "a finished job is not re-run");
     // Ids keep increasing across restarts — no collision with journals.
     let id2 = svc2.submit(JobSpec::two_rail(18.0)).expect("accepted");
     assert!(id2 > id, "recovered id space must advance past {id}");
