@@ -66,6 +66,7 @@ pub mod session;
 pub mod space;
 pub mod supervisor;
 pub mod tile;
+pub mod tile_cache;
 pub mod tile_session;
 
 pub use graph::{NodeId, RoutingGraph, Subgraph};
@@ -79,9 +80,23 @@ pub use session::{Engine, NodalSession, SessionStats, SolverConfig, SolverEngine
 pub use supervisor::{
     JobReport, RailOutcome, RailReport, RestoredRail, Supervisor, SupervisorConfig,
 };
+pub use tile_cache::{TileSessionCache, TILE_CACHE_CAP};
 pub use tile_session::{TileConfig, TileMode, TileOutcome, TileSessionStats, TilingSession};
 
 use std::fmt;
+use std::sync::OnceLock;
+
+/// The host's available parallelism, read once per process. The
+/// standard-library query reads cgroup files on every call, which is
+/// too slow for once-per-job and once-per-lattice-build call sites.
+pub(crate) fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
 
 /// Errors from the SPROUT pipeline.
 #[derive(Debug)]

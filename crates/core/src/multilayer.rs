@@ -376,7 +376,7 @@ pub fn route_multilayer_report(
         .field("budget_per_layer_mm2", budget_per_layer_mm2)
         .enter();
     let plan = plan_multilayer_impl(board, net, layers, config, |spec, opts, layer| {
-        router.tiled_graph(spec, net, layer, opts).map(|(g, _)| g)
+        router.session_graph(spec, net, layer, opts).map(|(g, _)| g)
     })?;
     plan_span.record("layers_used", plan.layers_used.len());
     plan_span.record("vias", plan.vias.len());

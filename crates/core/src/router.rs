@@ -30,13 +30,12 @@ use crate::seed::{seed_subgraph, SeedOptions};
 use crate::session::{Engine, SolverConfig};
 use crate::space::{SpaceSpec, TerminalShape};
 use crate::tile::{identify_terminals, space_to_graph, Terminal, TileOptions};
+use crate::tile_cache::{TileKey, TileSessionCache};
 use crate::tile_session::{TileConfig, TileMode, TileOutcome, TilingSession};
 use crate::SproutError;
 use sprout_board::{Board, ElementRole, NetId};
 use sprout_geom::{Point, Polygon};
 use sprout_telemetry as telemetry;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Router configuration (the paper's design variables of §II-H).
@@ -68,7 +67,7 @@ pub struct RouterConfig {
     /// bit-identical routes at the default settings.
     pub solver: SolverConfig,
     /// Tiling backend: persistent [`TilingSession`]s keyed by
-    /// `(net, layer, pitch)` with incremental re-clipping, or a
+    /// `(board, net, layer, pitch)` with incremental re-clipping, or a
     /// from-scratch build per call. Both yield bit-identical graphs.
     pub tile: TileConfig,
 }
@@ -177,49 +176,49 @@ pub struct RouteResult {
     pub diagnostics: RouteDiagnostics,
 }
 
-/// Cache key for persistent tiling sessions: one session per
-/// `(net, layer, dx, dy, sliver threshold)`. Pitches are keyed by their
-/// bit patterns so distinct configurations never alias.
-pub(crate) type TileKey = (usize, usize, u64, u64, u64);
-
-/// The shared persistent-tiling-session store a [`Router`] draws from.
-pub(crate) type TileCache = Arc<Mutex<HashMap<TileKey, TilingSession>>>;
-
 /// The SPROUT router bound to a board.
 #[derive(Debug, Clone)]
 pub struct Router<'b> {
     board: &'b Board,
     config: RouterConfig,
-    /// Persistent tiling sessions, shared across clones of this router
-    /// (the supervisor clones the router per worker but schedules each
-    /// `(net, layer)` on at most one thread at a time, so a session is
-    /// checked out of the map, mutated privately, and put back).
-    tile_cache: TileCache,
+    /// Persistent tiling sessions, shared across clones of this router.
+    /// A session is checked out of the cache while a route uses it, so
+    /// concurrent routes never share one.
+    tile_cache: TileSessionCache,
+    /// The board's part of every tiling key. A router's own cache only
+    /// ever sees its own board, so `Router::new` leaves it at 0.
+    board_fp: u64,
 }
 
 impl<'b> Router<'b> {
-    /// Creates a router over `board` with `config`.
+    /// Creates a router over `board` with `config` and a private tiling
+    /// cache.
     pub fn new(board: &'b Board, config: RouterConfig) -> Self {
         Router {
             board,
             config,
-            tile_cache: Arc::new(Mutex::new(HashMap::new())),
+            tile_cache: TileSessionCache::new(),
+            board_fp: 0,
         }
     }
 
-    /// Creates a router whose tiling sessions live in `cache` — the
-    /// supervisor constructs one router per attempt but shares a single
-    /// cache across the whole job, so retries and later waves reuse the
-    /// lattices already built for their `(net, layer, pitch)`.
+    /// Creates a router whose tiling sessions live in `cache`, which may
+    /// hold sessions of other boards: `board_fp` (the board's
+    /// [`board_fingerprint`](sprout_board::io::board_fingerprint)) keeps
+    /// them apart. The supervisor builds one router per attempt over
+    /// the job's cache (or its executor's), so retries, later waves and
+    /// repeat boards reuse the lattices already built.
     pub(crate) fn with_tile_cache(
         board: &'b Board,
         config: RouterConfig,
-        cache: TileCache,
+        cache: TileSessionCache,
+        board_fp: u64,
     ) -> Self {
         Router {
             board,
             config,
             tile_cache: cache,
+            board_fp,
         }
     }
 
@@ -234,28 +233,19 @@ impl<'b> Router<'b> {
     }
 
     /// Snapshot of the persistent tiling sessions' lifetime counters,
-    /// summed across every `(net, layer, pitch)` session this router
-    /// (and its clones) created. Empty-cache snapshots are all zeros.
+    /// summed across every session this router's cache holds (see
+    /// [`TileSessionCache::stats`]). Empty-cache snapshots are all zeros.
     pub fn tile_stats(&self) -> crate::tile_session::TileSessionStats {
-        let cache = self.tile_cache.lock().unwrap_or_else(|e| e.into_inner());
-        let mut total = crate::tile_session::TileSessionStats::default();
-        for session in cache.values() {
-            let s = session.stats();
-            total.rebuilds += s.rebuilds;
-            total.incremental_updates += s.incremental_updates;
-            total.reuse_hits += s.reuse_hits;
-            total.cells_reclipped += s.cells_reclipped;
-        }
-        total
+        self.tile_cache.stats()
     }
 
     /// Builds the routing graph for `spec`, honouring the configured
     /// [`TileMode`]: `Scratch` tiles from scratch every call; `Session`
-    /// checks a persistent [`TilingSession`] out of the shared cache,
-    /// diffs the spec against it (blocker prefix match → verbatim reuse
-    /// or incremental re-clip of the delta cells), and puts it back.
+    /// checks a persistent [`TilingSession`] out of the cache, diffs the
+    /// spec against it (blocker prefix match → verbatim reuse or
+    /// incremental re-clip of the delta cells), and checks it back in.
     /// Both paths produce bit-identical graphs by construction.
-    pub(crate) fn tiled_graph(
+    pub(crate) fn session_graph(
         &self,
         spec: &SpaceSpec,
         net: NetId,
@@ -265,18 +255,8 @@ impl<'b> Router<'b> {
         match self.config.tile.mode {
             TileMode::Scratch => Ok((space_to_graph(spec, opts)?, TileOutcome::Rebuilt)),
             TileMode::Session => {
-                let key: TileKey = (
-                    net.0,
-                    layer,
-                    opts.dx.to_bits(),
-                    opts.dy.to_bits(),
-                    opts.min_cell_fraction.to_bits(),
-                );
-                let checked_out = {
-                    let mut cache = self.tile_cache.lock().unwrap_or_else(|e| e.into_inner());
-                    cache.remove(&key)
-                };
-                let (mut session, outcome) = match checked_out {
+                let key = TileKey::new(self.board_fp, net, layer, opts);
+                let (mut session, outcome) = match self.tile_cache.check_out(&key) {
                     Some(mut s) => {
                         let outcome = s.update_to(spec);
                         (s, outcome)
@@ -287,11 +267,56 @@ impl<'b> Router<'b> {
                     ),
                 };
                 let graph = session.graph();
-                let mut cache = self.tile_cache.lock().unwrap_or_else(|e| e.into_inner());
-                cache.insert(key, session);
+                self.tile_cache.check_in(key, session);
                 Ok((graph, outcome))
             }
         }
+    }
+
+    /// The tile stage of both routing paths: the graph for `spec` at the
+    /// configured pitch. This is the one place a tiling outcome is
+    /// counted: in `timings`, in the `tile.rebuilds` /
+    /// `tile.incremental` / `tile.reuse_hits` counters, and as the
+    /// `outcome` field of the `tile` span.
+    fn tiled_graph(
+        &self,
+        spec: &SpaceSpec,
+        net: NetId,
+        layer: usize,
+        timings: &mut StageTimings,
+    ) -> Result<RoutingGraph, SproutError> {
+        let t = Instant::now();
+        let mut span = telemetry::span("tile")
+            .field("pitch_mm", self.config.tile_pitch_mm)
+            .enter();
+        let opts = TileOptions {
+            dx: self.config.tile_pitch_mm,
+            dy: self.config.tile_pitch_mm,
+            min_cell_fraction: self.config.min_cell_fraction,
+        };
+        let (graph, outcome) = self.session_graph(spec, net, layer, opts)?;
+        match outcome {
+            TileOutcome::Rebuilt => {
+                telemetry::counter!("tile.rebuilds");
+                timings.tile_rebuilds += 1;
+                span.record("outcome", "rebuilt");
+            }
+            TileOutcome::Patched => {
+                telemetry::counter!("tile.incremental");
+                timings.tile_reuses += 1;
+                span.record("outcome", "patched");
+            }
+            TileOutcome::Reused => {
+                telemetry::counter!("tile.reuse_hits");
+                timings.tile_reuses += 1;
+                span.record("outcome", "reused");
+            }
+        }
+        span.record("nodes", graph.node_count());
+        span.record("edges", graph.edge_count());
+        drop(span);
+        timings.tile_ms = t.elapsed().as_secs_f64() * 1e3;
+        Ok(graph)
     }
 
     /// Routes one net on one layer under an area budget (mm²).
@@ -374,38 +399,7 @@ impl<'b> Router<'b> {
         timings.space_ms = t.elapsed().as_secs_f64() * 1e3;
 
         // Stage 2: tiling (Algorithm 1).
-        let t = Instant::now();
-        let mut tile_span = telemetry::span("tile")
-            .field("pitch_mm", self.config.tile_pitch_mm)
-            .enter();
-        let (graph, outcome) = self.tiled_graph(
-            &spec,
-            net,
-            layer,
-            TileOptions {
-                dx: self.config.tile_pitch_mm,
-                dy: self.config.tile_pitch_mm,
-                min_cell_fraction: self.config.min_cell_fraction,
-            },
-        )?;
-        match outcome {
-            TileOutcome::Rebuilt => {
-                telemetry::counter!("tile.rebuilds");
-                timings.tile_rebuilds += 1;
-            }
-            TileOutcome::Patched => {
-                telemetry::counter!("tile.incremental");
-                timings.tile_reuses += 1;
-            }
-            TileOutcome::Reused => {
-                telemetry::counter!("tile.reuse_hits");
-                timings.tile_reuses += 1;
-            }
-        }
-        tile_span.record("nodes", graph.node_count());
-        tile_span.record("edges", graph.edge_count());
-        drop(tile_span);
-        timings.tile_ms = t.elapsed().as_secs_f64() * 1e3;
+        let graph = self.tiled_graph(&spec, net, layer, &mut timings)?;
 
         let terminals = identify_terminals(&graph, &spec, net)?;
         if terminals.len() < 2 {
@@ -469,21 +463,8 @@ impl<'b> Router<'b> {
         if spec.terminals.is_empty() {
             return Err(SproutError::NoTerminals { net, layer });
         }
-        let (graph, outcome) = self.tiled_graph(
-            &spec,
-            net,
-            layer,
-            TileOptions {
-                dx: self.config.tile_pitch_mm,
-                dy: self.config.tile_pitch_mm,
-                min_cell_fraction: self.config.min_cell_fraction,
-            },
-        )?;
         let mut base_timings = StageTimings::default();
-        match outcome {
-            TileOutcome::Rebuilt => base_timings.tile_rebuilds += 1,
-            TileOutcome::Patched | TileOutcome::Reused => base_timings.tile_reuses += 1,
-        }
+        let graph = self.tiled_graph(&spec, net, layer, &mut base_timings)?;
         let terminals = identify_terminals(&graph, &spec, net)?;
 
         // Group terminals by connected component of the graph.
@@ -1062,6 +1043,7 @@ mod tests {
     use super::*;
     use crate::drc::check_route;
     use sprout_board::presets;
+    use std::sync::{Arc, Mutex};
 
     fn fast_config() -> RouterConfig {
         RouterConfig {
@@ -1074,6 +1056,58 @@ mod tests {
             }),
             ..RouterConfig::default()
         }
+    }
+
+    /// Keeps every event recorded on the installing thread.
+    #[derive(Default)]
+    struct Capture(Mutex<Vec<telemetry::Event>>);
+
+    impl telemetry::Recorder for Capture {
+        fn record(&self, event: &telemetry::Event) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
+
+    #[test]
+    fn each_tiling_outcome_is_counted_once() {
+        let board = presets::two_rail();
+        let router = Router::new(&board, fast_config());
+        let (vdd1, _) = board.power_nets().next().unwrap();
+        let layer = presets::TWO_RAIL_ROUTE_LAYER;
+        let claim = Polygon::rectangle(Point::new(5.0, 4.0), Point::new(8.0, 6.5)).unwrap();
+        let capture = Arc::new(Capture::default());
+        let runs = {
+            let _scope = telemetry::RecorderScope::install(capture.clone());
+            [
+                router.route_net(vdd1, layer, 20.0).unwrap(),
+                router.route_net(vdd1, layer, 20.0).unwrap(),
+                router
+                    .route_net_with(vdd1, layer, 20.0, std::slice::from_ref(&claim), &[])
+                    .unwrap(),
+            ]
+        };
+        let counts: Vec<(usize, usize)> = runs
+            .iter()
+            .map(|r| (r.timings.tile_rebuilds, r.timings.tile_reuses))
+            .collect();
+        assert_eq!(counts, [(1, 0), (0, 1), (0, 1)]);
+        let outcomes: Vec<String> = capture
+            .0
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|e| matches!(e, telemetry::Event::SpanEnd { name: "tile", .. }))
+            .map(|e| match e.field("outcome") {
+                Some(telemetry::Value::Str(s)) => s.to_string(),
+                other => panic!("tile span without an outcome: {other:?}"),
+            })
+            .collect();
+        assert_eq!(outcomes, ["rebuilt", "reused", "patched"]);
+        let stats = router.tile_stats();
+        assert_eq!(
+            (stats.rebuilds, stats.reuse_hits, stats.incremental_updates),
+            (1, 1, 1)
+        );
     }
 
     #[test]

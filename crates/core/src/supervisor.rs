@@ -41,6 +41,7 @@
 use crate::backconv::RoutedShape;
 use crate::recovery::{CancelScope, CancelToken, RecoveryPolicy};
 use crate::router::{RouteResult, Router, RouterConfig};
+use crate::tile_cache::TileSessionCache;
 use crate::SproutError;
 use sprout_board::io::{board_fingerprint, fnv1a64};
 use sprout_board::{Board, NetId};
@@ -220,9 +221,7 @@ impl fmt::Debug for SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1),
+            threads: crate::available_threads().min(8),
             deadline_ms: None,
             max_retries: 0,
             retry_budget_relax: 2.0,
@@ -412,26 +411,37 @@ pub struct Supervisor<'b> {
     board: &'b Board,
     router_config: RouterConfig,
     config: SupervisorConfig,
-    /// One tiling-session cache for the whole job: every attempt's
-    /// router draws from it, so retries and later same-rail work reuse
-    /// the lattice instead of re-tiling from scratch. Wave scheduling
-    /// never runs the same `(net, layer)` on two threads at once, and
-    /// sessions are checked out of the map while in use, so sharing is
-    /// safe at any thread count.
-    tile_cache: crate::router::TileCache,
+    /// The tiling sessions every attempt's router draws from, so retries
+    /// and later same-rail work reuse the lattice instead of re-tiling
+    /// from scratch. Sessions are checked out while in use, so sharing
+    /// is safe at any thread count.
+    tile_cache: TileSessionCache,
+    /// Checkpoint guard and the board's part of every tiling key.
+    board_fp: u64,
 }
 
 impl<'b> Supervisor<'b> {
     /// Creates a supervisor over `board`, routing every rail with
     /// `router_config` (possibly escalated on retries) under the job
-    /// policy in `config`.
+    /// policy in `config`. The job tiles through a cache of its own,
+    /// dropped with the supervisor.
     pub fn new(board: &'b Board, router_config: RouterConfig, config: SupervisorConfig) -> Self {
         Supervisor {
             board,
             router_config,
             config,
-            tile_cache: Arc::new(std::sync::Mutex::new(HashMap::new())),
+            tile_cache: TileSessionCache::new(),
+            board_fp: board_fingerprint(board),
         }
+    }
+
+    /// Tiles through `cache` instead of a per-job one. A serving
+    /// executor passes the one cache it keeps for its lifetime, so a
+    /// board it has seen before skips tiling; sessions are keyed by
+    /// board fingerprint, so boards never mix.
+    pub fn with_tile_cache(mut self, cache: TileSessionCache) -> Self {
+        self.tile_cache = cache;
+        self
     }
 
     /// The active supervisor configuration.
@@ -460,7 +470,7 @@ impl<'b> Supervisor<'b> {
 
         // Resume: restore completed rails from a fingerprint-matched
         // checkpoint; a stale or corrupt file is ignored with a warning.
-        let board_fp = board_fingerprint(self.board);
+        let board_fp = self.board_fp;
         let job_fp = job_fingerprint(requests);
         if let Some(path) = &self.config.checkpoint {
             let mut load_span = telemetry::span("checkpoint_load").enter();
@@ -704,7 +714,7 @@ impl<'b> Supervisor<'b> {
                         );
                     }
                 }
-                Router::with_tile_cache(self.board, config, Arc::clone(&self.tile_cache))
+                Router::with_tile_cache(self.board, config, self.tile_cache.clone(), self.board_fp)
                     .route_net_with(net, layer, budget, blockers, &[])
             }));
 

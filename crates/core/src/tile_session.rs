@@ -103,7 +103,8 @@ pub enum TileOutcome {
 /// One blocker polygon with its cached convex decomposition. Slots are
 /// tombstoned rather than reused so live slot order always equals
 /// insertion order — exactly the order a fresh [`SpaceSpec`] would
-/// present the same blockers in.
+/// present the same blockers in — and compacted in that order once the
+/// tombstones outnumber the live slots.
 #[derive(Debug, Clone)]
 struct BlockerSlot {
     poly: Polygon,
@@ -252,7 +253,6 @@ impl TilingSession {
         }
         if common == self.order.len() && common == spec.blockers.len() {
             self.stats.reuse_hits += 1;
-            telemetry::counter!("tile.reuse_hits");
             return TileOutcome::Reused;
         }
         let mut span = telemetry::span("tile.incremental")
@@ -268,7 +268,6 @@ impl TilingSession {
         let reclipped = self.flush();
         span.record("cells_reclipped", reclipped);
         self.stats.incremental_updates += 1;
-        telemetry::counter!("tile.reuse_hits");
         TileOutcome::Patched
     }
 
@@ -321,6 +320,34 @@ impl TilingSession {
                     }
                 }
             }
+        }
+        self.compact_if_sparse();
+    }
+
+    /// Drops the tombstoned blocker slots once they outnumber the live
+    /// ones, so a long-lived session patched on every job holds memory
+    /// for its live blockers only. Live slots are renumbered in spec
+    /// order, which keeps every cell's blocker list in the same order:
+    /// no cell needs a re-clip.
+    fn compact_if_sparse(&mut self) {
+        let live = self.order.len();
+        if self.blockers.len() - live <= live {
+            return;
+        }
+        let mut renumber = vec![u32::MAX; self.blockers.len()];
+        for (new, &old) in self.order.iter().enumerate() {
+            renumber[old as usize] = new as u32;
+        }
+        // `order` is ascending, so the surviving slots keep its order.
+        self.blockers.retain(|b| b.alive);
+        for list in &mut self.cell_blockers {
+            for slot in list.iter_mut() {
+                *slot = renumber[*slot as usize];
+                debug_assert_ne!(*slot, u32::MAX, "cells list live blockers only");
+            }
+        }
+        for (new, slot) in self.order.iter_mut().enumerate() {
+            *slot = new as u32;
         }
     }
 
@@ -633,9 +660,7 @@ impl CellGeometry {
 
 fn effective_threads(threads: usize) -> usize {
     if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        crate::available_threads()
     } else {
         threads
     }
@@ -966,6 +991,39 @@ mod tests {
         assert!(after < before, "{after} vs {before}");
         session.note_blocker_removed(session.blocker_count() - 1);
         assert_eq!(session.graph().node_count(), before);
+    }
+
+    #[test]
+    fn patched_sessions_compact_their_tombstones() {
+        let opts = TileOptions::square(0.4);
+        let (base, _) = spec_with(&[]);
+        let mut session = TilingSession::new(&base, opts, 1).unwrap();
+        let mut grown = base.clone();
+        for step in 0..500 {
+            if step % 2 == 0 {
+                let x = 4.0 + (step % 7) as f64 * 0.45;
+                let claim =
+                    Polygon::rectangle(Point::new(x, 4.0), Point::new(x + 2.5, 6.5)).unwrap();
+                grown = spec_with(std::slice::from_ref(&claim)).0;
+                assert_eq!(session.update_to(&grown), TileOutcome::Patched);
+            } else {
+                assert_eq!(session.update_to(&base), TileOutcome::Patched);
+            }
+            assert!(
+                session.blockers.len() <= 2 * session.blocker_count(),
+                "step {step}: {} slots for {} live blockers",
+                session.blockers.len(),
+                session.blocker_count()
+            );
+            if step % 50 == 0 || step >= 498 {
+                let spec = if step % 2 == 0 { &grown } else { &base };
+                assert!(
+                    graphs_bit_equal(&session.graph(), &space_to_graph(spec, opts).unwrap()),
+                    "step {step}"
+                );
+            }
+        }
+        assert_eq!(session.stats().rebuilds, 1);
     }
 
     #[test]

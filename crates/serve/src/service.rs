@@ -21,6 +21,8 @@
 //! * **Forensics** — a per-job thread-timeline profile
 //!   ([`RoutingService::profile`]) and, with
 //!   [`ServiceConfig::keep_reports`], a [`RunReport`] per attempt.
+//! * **Tiling reuse** — the slots share one [`TileSessionCache`] for the
+//!   service's lifetime, so a board seen before skips tiling.
 
 use crate::backoff::BackoffConfig;
 use crate::chaos::ServeFaultPlan;
@@ -34,6 +36,7 @@ use sprout_core::recovery::RecoveryPolicy;
 use sprout_core::report::RunReport;
 use sprout_core::router::RouterConfig;
 use sprout_core::supervisor::WaveHook;
+use sprout_core::TileSessionCache;
 use sprout_telemetry::{self as telemetry, json::Obj};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -108,6 +111,7 @@ pub struct Threads {
     // `GET /jobs/<id>/profile`. Rendered JSON, bounded by job count.
     profiles: Mutex<HashMap<u64, String>>,
     reports: Mutex<Vec<RunReport>>,
+    tiles: TileSessionCache,
 }
 
 /// The running in-process service. Share it behind an `Arc` if multiple
@@ -160,6 +164,7 @@ impl Ledger<Threads> {
             slots: Mutex::new(Vec::new()),
             profiles: Mutex::new(HashMap::new()),
             reports: Mutex::new(Vec::new()),
+            tiles: TileSessionCache::new(),
         });
         // Built before any slot starts, so an early error return still
         // stops the slots already running.
@@ -203,6 +208,11 @@ impl Ledger<Threads> {
     /// [`ServiceConfig::keep_reports`] is set).
     pub fn take_reports(&self) -> Vec<RunReport> {
         std::mem::take(&mut *lock(&self.exec.reports))
+    }
+
+    /// The tiling sessions the slots share.
+    pub fn tile_cache(&self) -> &TileSessionCache {
+        &self.exec.tiles
     }
 }
 
@@ -290,6 +300,7 @@ impl Threads {
             kill_after_wave: killed.then_some(0),
             on_wave,
             recorder: profiler.recorder(Some(Arc::new(job_recorder))),
+            tiles: &self.tiles,
         });
         telemetry::histogram!("serve.attempt_ms", done.run_ms as u64);
 

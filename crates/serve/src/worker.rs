@@ -34,7 +34,7 @@ use sprout_core::router::RouterConfig;
 use sprout_core::supervisor::{
     is_retryable, JobReport, Supervisor, SupervisorConfig, WaveHook, WaveProgress,
 };
-use sprout_core::SproutError;
+use sprout_core::{SproutError, TileSessionCache};
 use sprout_telemetry::{self as telemetry, Event, Recorder};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -107,6 +107,8 @@ pub(crate) struct Attempt<'a> {
     pub on_wave: WaveHook,
     /// Installed around the supervisor run.
     pub recorder: Arc<dyn Recorder>,
+    /// The executor's tiling sessions, shared by all its attempts.
+    pub tiles: &'a TileSessionCache,
 }
 
 /// Runs one attempt of a job and classifies it. The supervisor report
@@ -138,6 +140,13 @@ pub(crate) fn run_attempt(a: Attempt<'_>) -> (DoneFrame, Option<JobReport>) {
     if let Some(pitch) = a.spec.tile_pitch_mm {
         router.tile_pitch_mm = pitch;
     }
+    // The executor's other slots keep the rest of the host busy: tile
+    // with no more threads than this attempt's own share.
+    let share = a.supervisor_threads.max(1);
+    router.tile.threads = match router.tile.threads {
+        0 => share,
+        n => n.min(share),
+    };
     let sup_config = SupervisorConfig {
         threads: a.supervisor_threads,
         deadline_ms: a.deadline_ms,
@@ -152,7 +161,9 @@ pub(crate) fn run_attempt(a: Attempt<'_>) -> (DoneFrame, Option<JobReport>) {
     let start = Instant::now();
     let report = {
         let _telemetry = telemetry::RecorderScope::install(a.recorder);
-        Supervisor::new(&board, router, sup_config).run(&requests)
+        Supervisor::new(&board, router, sup_config)
+            .with_tile_cache(a.tiles.clone())
+            .run(&requests)
     };
     done.run_ms = start.elapsed().as_secs_f64() * 1e3;
     done.resumed = report.resumed;
@@ -323,6 +334,9 @@ where
         })
     };
 
+    // One tiling cache for the process lifetime: a board this worker
+    // has routed before skips tiling.
+    let tiles = TileSessionCache::new();
     let mut served = 0usize;
     for line in input.lines() {
         let Ok(line) = line else { break };
@@ -342,6 +356,7 @@ where
                     &config,
                     &out,
                     &blackout,
+                    &tiles,
                     job,
                     lease,
                     attempt,
@@ -369,6 +384,7 @@ fn run_lease<W>(
     config: &WorkerConfig,
     out: &Arc<Outbound<W>>,
     blackout: &Arc<AtomicBool>,
+    tiles: &TileSessionCache,
     job: u64,
     lease: u64,
     attempt: usize,
@@ -443,6 +459,7 @@ where
         kill_after_wave: None,
         on_wave,
         recorder,
+        tiles,
     })
     .0
 }

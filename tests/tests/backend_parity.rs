@@ -1,6 +1,8 @@
 //! Backend parity: the in-process service and a one-worker fleet share
 //! one job ledger, so the same specs must end the same way on both, and
-//! `/metrics` must expose the same fields whichever executor runs.
+//! `/metrics` must expose the same fields whichever executor runs. The
+//! last spec repeats the first board, so each executor serves it from
+//! its tiling cache and must still match the first, freshly tiled run.
 
 use sprout_board::presets::TWO_RAIL_ROUTE_LAYER;
 use sprout_serve::fleet::{FleetConfig, FleetCoordinator};
@@ -27,7 +29,13 @@ fn specs() -> Vec<JobSpec> {
         }],
         ..JobSpec::two_rail(0.0)
     };
-    vec![JobSpec::two_rail(20.0), random(11), random(12), random(13)]
+    vec![
+        JobSpec::two_rail(20.0),
+        random(11),
+        random(12),
+        random(13),
+        JobSpec::two_rail(20.0),
+    ]
 }
 
 /// How a job ended: `(state, rails_complete, solves, area_mm2)`.
@@ -85,6 +93,9 @@ fn service_and_fleet_end_every_job_alike() {
     let (in_fleet, fleet_keys) = run(&fleet);
     fleet.drain(Duration::from_secs(30));
 
+    let repeat = in_process.len() - 1;
+    assert_eq!(in_process[repeat], in_process[0], "service repeat differs");
+    assert_eq!(in_fleet[repeat], in_fleet[0], "fleet repeat differs");
     assert_eq!(in_process, in_fleet, "per-job outcomes differ");
     assert_eq!(service_keys, fleet_keys, "/metrics key sets differ");
 }

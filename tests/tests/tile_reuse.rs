@@ -1,0 +1,103 @@
+//! Tiling reuse across served jobs: a `RoutingService` keeps one tiling
+//! cache for its lifetime, so a repeat board skips tiling, routes
+//! exactly as a fresh supervisor does, and the cache stays within its
+//! entry cap however many distinct boards pass through.
+
+use sprout_board::presets::TWO_RAIL_ROUTE_LAYER;
+use sprout_core::supervisor::{Supervisor, SupervisorConfig};
+use sprout_core::TILE_CACHE_CAP;
+use sprout_serve::job::{BoardSpec, JobSpec, JobState, RailSpec};
+use sprout_serve::service::{RoutingService, ServiceConfig};
+use sprout_serve::worker::fast_router;
+use std::time::Duration;
+
+fn random_job(seed: u64) -> JobSpec {
+    JobSpec {
+        board: BoardSpec::Random { seed, nets: 1 },
+        rails: vec![RailSpec {
+            net: 0,
+            layer: TWO_RAIL_ROUTE_LAYER,
+            budget_mm2: 22.0,
+        }],
+        ..JobSpec::two_rail(0.0)
+    }
+}
+
+#[test]
+fn a_repeat_board_skips_tiling_and_routes_as_a_fresh_supervisor() {
+    let svc = RoutingService::start(ServiceConfig {
+        workers: 2,
+        router: fast_router(),
+        keep_reports: true,
+        ..ServiceConfig::default()
+    })
+    .expect("service start");
+    // One at a time: a job's sessions are checked out while it routes.
+    let mut ids = Vec::new();
+    for _ in 0..2 {
+        ids.push(svc.submit(JobSpec::two_rail(20.0)).expect("accepted"));
+        assert!(
+            svc.wait_idle(Duration::from_secs(120)),
+            "job did not settle"
+        );
+    }
+    let reports = svc.take_reports();
+    svc.shutdown(true);
+
+    assert_eq!(reports.len(), 2);
+    let tiling = |i: usize| -> Vec<(usize, usize)> {
+        reports[i]
+            .rails
+            .iter()
+            .map(|r| (r.tile_rebuilds, r.tile_reuses))
+            .collect()
+    };
+    assert_eq!(tiling(0), [(1, 0), (1, 0)], "first job tiles both rails");
+    assert_eq!(tiling(1), [(0, 1), (0, 1)], "repeat job reuses both");
+
+    let spec = JobSpec::two_rail(20.0);
+    let board = spec.resolve_board().unwrap();
+    let requests = spec.requests(&board).unwrap();
+    let fresh = Supervisor::new(
+        &board,
+        fast_router(),
+        SupervisorConfig {
+            threads: 1,
+            ..SupervisorConfig::default()
+        },
+    )
+    .run(&requests);
+    assert!(fresh.is_complete());
+    let area: f64 = fresh.shapes().iter().map(|(_, _, s)| s.area_mm2()).sum();
+    let solves: u64 = fresh.results().map(|r| r.timings.solves as u64).sum();
+    for id in ids {
+        let snap = svc.status(id).expect("known job");
+        assert_eq!(snap.state, JobState::Completed);
+        assert_eq!(
+            (snap.area_mm2.to_bits(), snap.solves),
+            (area.to_bits(), solves),
+            "job {id}"
+        );
+    }
+}
+
+#[test]
+fn distinct_boards_keep_the_cache_within_its_cap() {
+    let svc = RoutingService::start(ServiceConfig {
+        workers: 2,
+        queue_capacity: 256,
+        router: fast_router(),
+        ..ServiceConfig::default()
+    })
+    .expect("service start");
+    for seed in 0..200 {
+        svc.submit(random_job(1_000 + seed)).expect("accepted");
+        assert!(svc.tile_cache().len() <= TILE_CACHE_CAP);
+    }
+    assert!(
+        svc.wait_idle(Duration::from_secs(300)),
+        "jobs did not settle"
+    );
+    assert_eq!(svc.tile_cache().len(), TILE_CACHE_CAP);
+    svc.shutdown(true);
+}
