@@ -2,11 +2,11 @@
 //! 90 % of the total runtime"). Plain harness (no `criterion` offline).
 
 use sprout_bench::timing::bench;
-use sprout_linalg::bicgstab::{solve_bicgstab, BiCgStabOptions};
 use sprout_linalg::cg::{solve_cg, CgOptions};
 use sprout_linalg::cholesky::SparseCholesky;
 use sprout_linalg::fallback::{build_grounded_solver, FallbackOptions};
 use sprout_linalg::laplacian::GraphLaplacian;
+use sprout_linalg::ldlt::EnvelopeLdlt;
 use sprout_linalg::{Complex, Csr, Triplets};
 
 /// Grounded Laplacian of a w×w grid (the tile-graph structure).
@@ -67,7 +67,7 @@ fn bench_cg() {
     }
 }
 
-fn bench_bicgstab_complex() {
+fn bench_ldlt_complex() {
     for n in [256usize, 1024] {
         let mut t = Triplets::<Complex>::new(n, n);
         let y = Complex::new(1.0, 0.4);
@@ -83,8 +83,10 @@ fn bench_bicgstab_complex() {
         let b: Vec<Complex> = (0..n)
             .map(|i| Complex::new((i as f64).cos(), 0.2))
             .collect();
-        bench(&format!("bicgstab_complex/{n}"), || {
-            solve_bicgstab(&a, &b, BiCgStabOptions::default()).expect("converges")
+        bench(&format!("ldlt_complex/{n}"), || {
+            EnvelopeLdlt::factor(&a)
+                .and_then(|f| f.solve(&b))
+                .expect("nonsingular")
         });
     }
 }
@@ -93,5 +95,5 @@ fn main() {
     bench_cholesky();
     bench_fallback_ladder();
     bench_cg();
-    bench_bicgstab_complex();
+    bench_ldlt_complex();
 }

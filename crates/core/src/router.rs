@@ -941,12 +941,17 @@ impl<'b> Router<'b> {
     /// discards the whole job: every rail's outcome — including typed
     /// panic containment — is reported. Use
     /// [`JobReport::into_results`] for the old all-or-first-error shape.
+    ///
+    /// The job tiles through this router's own cache, so repeated calls
+    /// (the prototypes of an exploration sweep) reuse the lattices
+    /// earlier calls built.
     pub fn route_all(&self, requests: &[(NetId, usize, f64)]) -> crate::supervisor::JobReport {
         crate::supervisor::Supervisor::new(
             self.board,
             self.config,
             crate::supervisor::SupervisorConfig::sequential(),
         )
+        .with_tile_cache(self.tile_cache.clone())
         .run(requests)
     }
 

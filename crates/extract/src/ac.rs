@@ -5,12 +5,17 @@
 //! decaps shunt their node to the return plane through
 //! `ESR + jωESL + 1/(jωC)`. The reported effective loop inductance is
 //! `Im{Z(jω)}/ω` — what a quasi-static extractor quotes at 25 MHz.
+//!
+//! The grounded admittance matrix is complex symmetric with a positive
+//! definite real part (every branch has `R > 0`), so it is solved
+//! exactly by one envelope `L·D·Lᵀ` factorization
+//! ([`EnvelopeLdlt`]) — no iteration, no tolerance.
 
 use crate::network::RailNetwork;
 use crate::ExtractError;
 use sprout_board::units::EXTRACTION_FREQUENCY_HZ;
-use sprout_linalg::bicgstab::{solve_bicgstab, BiCgStabOptions};
-use sprout_linalg::{Complex, Triplets};
+use sprout_linalg::ldlt::EnvelopeLdlt;
+use sprout_linalg::{Complex, Csr, Triplets};
 
 /// An AC extraction result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,7 +44,8 @@ pub fn ac_impedance_25mhz(network: &RailNetwork) -> Result<AcExtraction, Extract
 /// # Errors
 ///
 /// * [`ExtractError::InvalidParameter`] — non-positive frequency.
-/// * [`ExtractError::Linalg`] — solver breakdown (disconnected network).
+/// * [`ExtractError::Linalg`] — singular admittance matrix (disconnected
+///   network).
 pub fn ac_impedance(
     network: &RailNetwork,
     frequency_hz: f64,
@@ -48,21 +54,50 @@ pub fn ac_impedance(
         return Err(ExtractError::InvalidParameter("frequency must be positive"));
     }
     let omega = std::f64::consts::TAU * frequency_hz;
+    let (matrix, rhs) = admittance_system(network, omega);
+    let v = EnvelopeLdlt::factor(&matrix)?.solve(&rhs)?;
+    let z = port_impedance(network, omega, &v);
+    Ok(AcExtraction {
+        frequency_hz,
+        impedance: z,
+        resistance_ohm: z.re,
+        inductance_h: z.im / omega,
+    })
+}
+
+/// The port impedance from the solved node voltages `v` (grounded
+/// indexing): the mean source-pad voltage per ampere plus the source via.
+fn port_impedance(network: &RailNetwork, omega: f64, v: &[Complex]) -> Complex {
+    let ground = network.reference();
+    let v_port = network
+        .sources
+        .iter()
+        .filter_map(|&s| reduced(s, ground))
+        .fold(Complex::ZERO, |acc, i| acc + v[i])
+        / network.sources.len() as f64;
+    v_port + Complex::new(network.source_via.0, omega * network.source_via.1)
+}
+
+/// Index of node `i` in the system grounded at `ground` (`None` for the
+/// ground node itself, which is dropped).
+fn reduced(i: usize, ground: usize) -> Option<usize> {
+    use std::cmp::Ordering;
+    match i.cmp(&ground) {
+        Ordering::Less => Some(i),
+        Ordering::Equal => None,
+        Ordering::Greater => Some(i - 1),
+    }
+}
+
+/// The complex admittance Laplacian at angular frequency `omega`,
+/// grounded at the network's reference node, and the injection of 1 A
+/// into the source pads (split equally) returned at the reference.
+fn admittance_system(network: &RailNetwork, omega: f64) -> (Csr<Complex>, Vec<Complex>) {
     let n = network.node_count;
     let ground = network.reference();
-
-    // Complex admittance Laplacian, grounded at the reference.
-    let reduced = |i: usize| -> Option<usize> {
-        use std::cmp::Ordering;
-        match i.cmp(&ground) {
-            Ordering::Less => Some(i),
-            Ordering::Equal => None,
-            Ordering::Greater => Some(i - 1),
-        }
-    };
     let mut t = Triplets::<Complex>::new(n - 1, n - 1);
     let mut stamp = |a: usize, b: usize, y: Complex| {
-        let (ra, rb) = (reduced(a), reduced(b));
+        let (ra, rb) = (reduced(a, ground), reduced(b, ground));
         if let Some(ia) = ra {
             t.push(ia, ia, y).expect("in bounds");
         }
@@ -83,35 +118,14 @@ pub fn ac_impedance(
         stamp(d.node, ground, z.recip());
     }
 
-    // Inject 1 A into the source pads (split equally), return at ref.
     let mut rhs = vec![Complex::ZERO; n - 1];
     let share = Complex::from_real(1.0 / network.sources.len() as f64);
     for &s in &network.sources {
-        if let Some(i) = reduced(s) {
+        if let Some(i) = reduced(s, ground) {
             rhs[i] += share;
         }
     }
-    let matrix = t.to_csr();
-    let opts = BiCgStabOptions {
-        tolerance: 1e-9,
-        max_iterations: 20 * n + 500,
-    };
-    let sol = solve_bicgstab(&matrix, &rhs, opts)?;
-    let v_port = network
-        .sources
-        .iter()
-        .filter_map(|&s| reduced(s))
-        .fold(Complex::ZERO, |acc, i| acc + sol.x[i])
-        / network.sources.len() as f64;
-
-    let z_src = Complex::new(network.source_via.0, omega * network.source_via.1);
-    let z = v_port + z_src;
-    Ok(AcExtraction {
-        frequency_hz,
-        impedance: z,
-        resistance_ohm: z.re,
-        inductance_h: z.im / omega,
-    })
+    (t.to_csr(), rhs)
 }
 
 /// An impedance profile `Z(f)` over a frequency grid — the quantity
@@ -134,7 +148,7 @@ pub struct ImpedanceProfile {
 /// # Errors
 ///
 /// * [`ExtractError::InvalidParameter`] — bad grid bounds.
-/// * [`ExtractError::Linalg`] — solver breakdown at some point.
+/// * [`ExtractError::Linalg`] — singular admittance matrix at some point.
 pub fn impedance_profile(
     network: &RailNetwork,
     f_start_hz: f64,
@@ -300,6 +314,138 @@ mod tests {
         thick.source_via.1 *= 2.0;
         let double = ac_impedance_25mhz(&thick).unwrap();
         assert!((double.inductance_h / base.inductance_h - 2.0).abs() < 1e-9);
+    }
+}
+
+#[cfg(test)]
+mod direct_tests {
+    use super::*;
+    use crate::network::{Branch, RailNetwork};
+    use sprout_board::presets::{self, RandomBoardConfig};
+    use sprout_board::{Board, NetId};
+    use sprout_core::router::{Router, RouterConfig};
+    use sprout_linalg::dense::{DenseMatrix, LuFactors};
+
+    fn coarse(pitch_mm: f64) -> RouterConfig {
+        RouterConfig {
+            tile_pitch_mm: pitch_mm,
+            grow_iterations: 5,
+            refine_iterations: 0,
+            reheat: None,
+            ..RouterConfig::default()
+        }
+    }
+
+    /// Every rail of `board` routed on `layer` in one job.
+    fn rail_networks(
+        board: &Board,
+        config: RouterConfig,
+        rails: &[(NetId, usize, f64)],
+    ) -> Vec<RailNetwork> {
+        Router::new(board, config)
+            .route_all(rails)
+            .into_results()
+            .unwrap_or_else(|e| panic!("{}: {e}", board.name()))
+            .iter()
+            .map(|r| RailNetwork::build(board, r).expect("network"))
+            .collect()
+    }
+
+    fn omega() -> f64 {
+        std::f64::consts::TAU * EXTRACTION_FREQUENCY_HZ
+    }
+
+    #[test]
+    fn direct_solve_matches_a_dense_lu_oracle() {
+        let layer = presets::TWO_RAIL_ROUTE_LAYER;
+        let two_rail = presets::two_rail();
+        let rails: Vec<_> = two_rail
+            .power_nets()
+            .map(|(id, _)| (id, layer, 24.0))
+            .collect();
+        let mut networks = rail_networks(&two_rail, coarse(0.5), &rails);
+        for seed in [3, 17, 5] {
+            let cfg = RandomBoardConfig {
+                nets: 1,
+                ..RandomBoardConfig::default()
+            };
+            let board = presets::random_board(seed, cfg);
+            let rails: Vec<_> = board
+                .power_nets()
+                .map(|(id, _)| (id, layer, 22.0))
+                .collect();
+            networks.extend(rail_networks(&board, coarse(0.5), &rails));
+        }
+        assert!(networks.len() >= 4);
+        for (k, network) in networks.iter().enumerate() {
+            let (y, b) = admittance_system(network, omega());
+            let mut dense = DenseMatrix::<Complex>::zeros(y.rows(), y.cols());
+            for r in 0..y.rows() {
+                for (c, v) in y.row(r) {
+                    dense.set(r, c, v);
+                }
+            }
+            let v = LuFactors::factor(&dense).unwrap().solve(&b).unwrap();
+            let oracle = port_impedance(network, omega(), &v);
+            let z = ac_impedance_25mhz(network).unwrap().impedance;
+            let rel = (z - oracle).abs() / oracle.abs();
+            assert!(
+                rel <= 1e-12,
+                "network {k} (n = {}): relative error {rel:e}",
+                y.rows()
+            );
+        }
+    }
+
+    #[test]
+    fn three_rail_residual_is_at_rounding_level() {
+        let board = presets::three_rail();
+        let layer = presets::TEN_LAYER_ROUTE_LAYER;
+        let nets: Vec<NetId> = board.power_nets().map(|(id, _)| id).collect();
+        let rails = [
+            (nets[0], layer, 32.0),
+            (nets[1], layer, 32.0),
+            (nets[2], layer, 7.0),
+        ];
+        let networks = rail_networks(&board, coarse(0.3), &rails);
+        assert_eq!(networks.len(), 3);
+        for network in &networks {
+            let (y, b) = admittance_system(network, omega());
+            let v = EnvelopeLdlt::factor(&y).unwrap().solve(&b).unwrap();
+            let yv = y.mul_vec(&v).unwrap();
+            let inf =
+                |x: &mut dyn Iterator<Item = Complex>| x.map(Complex::abs).fold(0.0, f64::max);
+            let residual = inf(&mut yv.iter().zip(&b).map(|(p, q)| *p - *q));
+            let rel = residual / inf(&mut b.iter().copied());
+            assert!(rel <= 1e-12, "n = {}: relative residual {rel:e}", y.rows());
+        }
+    }
+
+    #[test]
+    fn disconnected_network_is_a_linalg_error() {
+        // Source 0 — 1 (sink) — via — reference 4; nodes 2 and 3 are
+        // joined only to each other.
+        let branch = |a, b| Branch {
+            a,
+            b,
+            resistance_ohm: 0.1,
+            inductance_h: 1e-9,
+        };
+        let network = RailNetwork {
+            node_count: 5,
+            mesh: vec![branch(0, 1), branch(2, 3)],
+            sink_vias: vec![branch(1, 4)],
+            decaps: vec![],
+            sources: vec![0],
+            sinks: vec![1],
+            source_via: (0.02, 0.1e-9),
+            sheet_resistance: 5e-4,
+            inductance_per_sq: 1e-10,
+        };
+        assert!(matches!(
+            ac_impedance_25mhz(&network),
+            Err(ExtractError::Linalg(_))
+        ));
     }
 }
 

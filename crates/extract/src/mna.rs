@@ -123,14 +123,44 @@ impl Circuit {
     }
 }
 
+/// Node voltages over a run, stored as one flat buffer: one row of
+/// `width` (the circuit's node count, at least 1) values per sample,
+/// ground included as 0.
+#[derive(Debug, Clone)]
+pub struct Samples {
+    width: usize,
+    data: Vec<f64>,
+}
+
+impl Samples {
+    /// Node voltages of each sample in time order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.data.chunks_exact(self.width)
+    }
+
+    /// Node voltages of the last sample.
+    pub fn last(&self) -> Option<&[f64]> {
+        self.iter().next_back()
+    }
+}
+
+impl<'a> IntoIterator for &'a Samples {
+    type Item = &'a [f64];
+    type IntoIter = std::slice::ChunksExact<'a, f64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Result of a transient run.
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     /// Sample times (s).
     pub times_s: Vec<f64>,
-    /// Node voltages per sample (`voltages[k][node]`, ground included
-    /// as 0).
-    pub voltages: Vec<Vec<f64>>,
+    /// Node voltages per sample (`voltages` yields one `&[f64]` indexed
+    /// by node per sample, ground included as 0).
+    pub voltages: Samples,
 }
 
 impl TransientResult {
@@ -290,15 +320,16 @@ pub fn simulate(
             _ => (0.0, 0.0),
         })
         .collect();
-    let mut v_prev = vec![0.0f64; n];
-    let mut times = Vec::new();
-    let mut voltages = Vec::new();
-
     let steps = (t_end_s / h_s).ceil() as usize;
+    let mut times = Vec::with_capacity(steps + 1);
+    let mut voltages = Vec::with_capacity((steps + 1) * n);
+    let mut rhs = vec![0.0f64; dim];
+    let mut x = Vec::with_capacity(dim);
+
     for step in 0..=steps {
         let t = step as f64 * h_s;
         // RHS with companion sources.
-        let mut rhs = vec![0.0f64; dim];
+        rhs.fill(0.0);
         let mut vs = 0usize;
         for (k, e) in circuit.elements.iter().enumerate() {
             match *e {
@@ -338,9 +369,11 @@ pub fn simulate(
                 }
             }
         }
-        let x = lu.solve(&rhs)?;
-        let mut v_now = vec![0.0f64; n];
-        v_now[1..n].copy_from_slice(&x[..(n - 1)]);
+        lu.solve_into(&rhs, &mut x)?;
+        let row = voltages.len();
+        voltages.push(0.0);
+        voltages.extend_from_slice(&x[..(n - 1)]);
+        let v_now = &voltages[row..];
         // Update element states.
         for (k, e) in circuit.elements.iter().enumerate() {
             match *e {
@@ -359,14 +392,14 @@ pub fn simulate(
                 _ => {}
             }
         }
-        v_prev = v_now.clone();
         times.push(t);
-        voltages.push(v_now);
     }
-    let _ = v_prev;
     Ok(TransientResult {
         times_s: times,
-        voltages,
+        voltages: Samples {
+            width: n,
+            data: voltages,
+        },
     })
 }
 

@@ -96,12 +96,11 @@ impl RailPdn {
         let t_end = (t_start + rise_s + 10.0 * tau).max(t_start + 5.0 * rise_s);
         let h = (rise_s / 200.0).min(tau / 20.0).max(t_end / 200_000.0);
         let out = simulate(&c, h, t_end)?;
-        let v_min = out.min_voltage(load);
         Ok(DroopResult {
-            v_min,
+            v_min: out.min_voltage(load),
             v_steady: self.supply_v - self.load_a * self.resistance_ohm,
-            times_s: out.times_s.clone(),
             load_v: out.trace(load),
+            times_s: out.times_s,
         })
     }
 }

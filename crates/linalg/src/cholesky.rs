@@ -17,7 +17,7 @@
 
 use crate::rcm::reverse_cuthill_mckee;
 use crate::sparse::Csr;
-use crate::LinalgError;
+use crate::{LinalgError, Scalar};
 
 /// Number of right-hand-side columns eliminated together by the blocked
 /// substitution kernel. Each column keeps its own accumulator, so the
@@ -45,6 +45,52 @@ fn dot4(xs: &[f64], ys: &[f64]) -> f64 {
         tail += x * y;
     }
     ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
+}
+
+/// Rejects non-square and empty matrices.
+pub(crate) fn check_square<T: Scalar>(a: &Csr<T>) -> Result<(), LinalgError> {
+    let n = a.rows();
+    if a.cols() != n {
+        return Err(LinalgError::DimensionMismatch {
+            expected: n,
+            got: a.cols(),
+        });
+    }
+    if n == 0 {
+        return Err(LinalgError::Empty);
+    }
+    Ok(())
+}
+
+/// First column (in permuted indices) of permuted row `new_row`'s
+/// envelope under the ordering `perm[new] = old`, `inv[old] = new`.
+fn envelope_first<T: Scalar>(a: &Csr<T>, perm: &[usize], inv: &[usize], new_row: usize) -> usize {
+    a.row(perm[new_row])
+        .map(|(c, _)| inv[c])
+        .filter(|&c| c <= new_row)
+        .min()
+        .unwrap_or(new_row)
+}
+
+/// The envelope structure of `a` under an ordering: `first[i]` is the
+/// first column of permuted row `i`'s envelope, and `start[i]` the
+/// offset of that row in a flat buffer holding `L[i][first[i]..=i]` for
+/// every row (`start` has `n + 1` entries; `start[n]` is the total).
+/// Shared by [`SparseCholesky`] and [`crate::ldlt::EnvelopeLdlt`].
+pub(crate) fn envelope<T: Scalar>(
+    a: &Csr<T>,
+    perm: &[usize],
+    inv: &[usize],
+    first: &mut [usize],
+    start: &mut [usize],
+) {
+    for (new_row, f) in first.iter_mut().enumerate() {
+        *f = envelope_first(a, perm, inv, new_row);
+    }
+    start[0] = 0;
+    for (i, &f) in first.iter().enumerate() {
+        start[i + 1] = start[i] + (i - f + 1);
+    }
 }
 
 /// Sparse envelope Cholesky factorization `P·A·Pᵀ = L·Lᵀ` of a symmetric
@@ -87,7 +133,7 @@ impl SparseCholesky {
     /// * [`LinalgError::Empty`] — zero-dimension input.
     /// * [`LinalgError::SingularMatrix`] — non-positive pivot (not SPD).
     pub fn factor(a: &Csr<f64>) -> Result<Self, LinalgError> {
-        Self::check_square(a)?;
+        check_square(a)?;
         let perm = reverse_cuthill_mckee(a);
         Self::factor_with_ordering(a, perm)
     }
@@ -101,7 +147,7 @@ impl SparseCholesky {
     /// [`LinalgError::DimensionMismatch`] when `perm` is not a
     /// permutation of `0..n`.
     pub fn factor_with_ordering(a: &Csr<f64>, perm: Vec<usize>) -> Result<Self, LinalgError> {
-        Self::check_square(a)?;
+        check_square(a)?;
         let n = a.rows();
         if perm.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -149,7 +195,7 @@ impl SparseCholesky {
         a: &Csr<f64>,
         ws: &mut crate::rcm::RcmWorkspace,
     ) -> Result<(), LinalgError> {
-        Self::check_square(a)?;
+        check_square(a)?;
         let n = a.rows();
         crate::rcm::reverse_cuthill_mckee_into(a, ws, &mut self.perm);
         self.inv.clear();
@@ -188,13 +234,7 @@ impl SparseCholesky {
         // ordering must equal the stored envelope exactly, so that the
         // refactor is bit-identical to a fresh factor with this ordering.
         for new_row in 0..self.n {
-            let implied = a
-                .row(self.perm[new_row])
-                .map(|(c, _)| self.inv[c])
-                .filter(|&c| c <= new_row)
-                .min()
-                .unwrap_or(new_row);
-            if implied != self.first[new_row] {
+            if envelope_first(a, &self.perm, &self.inv, new_row) != self.first[new_row] {
                 return Ok(false);
             }
         }
@@ -202,37 +242,11 @@ impl SparseCholesky {
         Ok(true)
     }
 
-    fn check_square(a: &Csr<f64>) -> Result<(), LinalgError> {
-        let n = a.rows();
-        if a.cols() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: n,
-                got: a.cols(),
-            });
-        }
-        if n == 0 {
-            return Err(LinalgError::Empty);
-        }
-        Ok(())
-    }
-
     /// Computes `first` and `start` (envelope structure) for the current
     /// ordering and sizes `vals`.
     fn symbolic(&mut self, a: &Csr<f64>) {
         let n = self.n;
-        for new_row in 0..n {
-            let old_row = self.perm[new_row];
-            self.first[new_row] = a
-                .row(old_row)
-                .map(|(c, _)| self.inv[c])
-                .filter(|&c| c <= new_row)
-                .min()
-                .unwrap_or(new_row);
-        }
-        self.start[0] = 0;
-        for i in 0..n {
-            self.start[i + 1] = self.start[i] + (i - self.first[i] + 1);
-        }
+        envelope(a, &self.perm, &self.inv, &mut self.first, &mut self.start);
         // No need to zero the envelope: the numeric sweep zero-fills
         // every row before scattering into it, so stale contents from a
         // previous factorization are never observable.

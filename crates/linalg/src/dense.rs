@@ -218,6 +218,19 @@ impl<T: Scalar> LuFactors<T> {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] for the wrong `b` length.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>, LinalgError> {
+        let mut x = Vec::new();
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`LuFactors::solve`] writing into a caller-owned buffer, which is
+    /// cleared and refilled; a time-stepping loop that solves once per
+    /// step reuses one buffer and allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] for the wrong `b` length.
+    pub fn solve_into(&self, b: &[T], x: &mut Vec<T>) -> Result<(), LinalgError> {
         if b.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
                 expected: self.n,
@@ -226,7 +239,8 @@ impl<T: Scalar> LuFactors<T> {
         }
         let n = self.n;
         // Apply the permutation, then forward/backward substitution.
-        let mut x: Vec<T> = self.perm.iter().map(|&p| b[p]).collect();
+        x.clear();
+        x.extend(self.perm.iter().map(|&p| b[p]));
         for r in 1..n {
             let mut acc = x[r];
             for c in 0..r {
@@ -241,7 +255,7 @@ impl<T: Scalar> LuFactors<T> {
             }
             x[r] = acc / self.lu[r * n + r];
         }
-        Ok(x)
+        Ok(())
     }
 }
 
@@ -376,6 +390,29 @@ mod tests {
             assert!((back[0] - rhs[0]).abs() < 1e-12);
             assert!((back[1] - rhs[1]).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn lu_solve_into_is_bitwise_solve() {
+        let a = DenseMatrix::from_rows(&[
+            &[0.3, 2.0, 1.0, -0.7][..],
+            &[1.0, -2.0, -3.0, 0.1][..],
+            &[-1.0, 1.0, 2.0, 5.0][..],
+            &[0.25, -4.0, 1.5, 2.0][..],
+        ])
+        .unwrap();
+        let lu = LuFactors::factor(&a).unwrap();
+        let mut x = vec![9.0; 7]; // stale contents and length
+        for k in 0..5 {
+            let b: Vec<f64> = (0..4).map(|i| ((i * 7 + k) as f64 * 0.61).sin()).collect();
+            lu.solve_into(&b, &mut x).unwrap();
+            let want = lu.solve(&b).unwrap();
+            assert_eq!(x.len(), want.len());
+            for (p, q) in x.iter().zip(&want) {
+                assert_eq!(p.to_bits(), q.to_bits());
+            }
+        }
+        assert!(lu.solve_into(&[1.0], &mut x).is_err());
     }
 
     #[test]

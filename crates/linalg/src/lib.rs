@@ -12,10 +12,11 @@
 //!   matrix–vector products.
 //! * [`cg`] — Jacobi-preconditioned conjugate gradients for symmetric
 //!   positive-definite systems (grounded Laplacians).
-//! * [`bicgstab`] — BiCGSTAB for the complex-valued AC extraction systems.
 //! * [`cholesky`] — envelope (skyline) Cholesky factorization with
 //!   reverse Cuthill–McKee ordering ([`rcm`]); the right tool when one
 //!   Laplacian must be solved against many injection columns.
+//! * [`ldlt`] — envelope `L·D·Lᵀ` over the same ordering and envelope,
+//!   the direct solver for the complex-symmetric AC extraction systems.
 //! * [`smw`] — Sherman–Morrison–Woodbury low-rank corrections over a
 //!   cached Cholesky factor, for the incremental nodal-analysis session.
 //! * [`dense`] — small dense LU / Cholesky for tests and tiny systems.
@@ -35,13 +36,13 @@
 //! assert!((r - 2.0).abs() < 1e-9);
 //! ```
 
-pub mod bicgstab;
 pub mod cg;
 pub mod cholesky;
 pub mod complex;
 pub mod dense;
 pub mod fallback;
 pub mod laplacian;
+pub mod ldlt;
 pub mod rcm;
 pub mod scalar;
 pub mod smw;

@@ -91,7 +91,8 @@ pub fn dot<T: Scalar>(a: &[T], b: &[T]) -> T {
     acc
 }
 
-/// Unconjugated dot product `Σ a_i·b_i` (used by BiCGSTAB).
+/// Unconjugated dot product `Σ a_i·b_i` (the bilinear form of a
+/// complex-symmetric factorization).
 pub fn dot_unconjugated<T: Scalar>(a: &[T], b: &[T]) -> T {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = T::ZERO;

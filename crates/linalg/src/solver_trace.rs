@@ -1,6 +1,6 @@
 //! Per-solve residual-curve capture for the convergence observatory.
 //!
-//! Iterative solvers (CG, BiCGStab) call [`ResidualTrace::start`]
+//! The iterative solver (CG) calls [`ResidualTrace::start`]
 //! before the iteration loop, [`push`](ResidualTrace::push) once per
 //! iteration, and [`emit`](ResidualTrace::emit) on convergence. With no
 //! recorder listening the whole thing is a single branch and no

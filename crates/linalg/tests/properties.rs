@@ -3,11 +3,11 @@
 //! Seeded deterministic sweeps (the offline crate set has no
 //! `proptest`); each case prints its seed on failure.
 
-use sprout_linalg::bicgstab::{solve_bicgstab, BiCgStabOptions};
 use sprout_linalg::cg::{solve_cg, CgOptions};
 use sprout_linalg::cholesky::SparseCholesky;
 use sprout_linalg::dense::DenseMatrix;
 use sprout_linalg::laplacian::GraphLaplacian;
+use sprout_linalg::ldlt::EnvelopeLdlt;
 use sprout_linalg::{Csr, Triplets};
 use sprout_rng::SproutRng;
 
@@ -77,26 +77,24 @@ fn cg_matches_cholesky() {
 }
 
 #[test]
-fn bicgstab_solves_spd_too() {
+fn ldlt_solves_spd_too() {
     for case in 0..CASES {
         let mut rng = SproutRng::seed_from_u64(200 + case);
         let (n, edges) = random_connected_graph(&mut rng);
         let lap = GraphLaplacian::from_edges(n, &edges).expect("valid edges");
         let grounded = lap.grounded(n / 2).expect("valid ground");
         let b: Vec<f64> = (0..n - 1).map(|i| ((i % 3) as f64) - 1.0).collect();
-        let opts = BiCgStabOptions {
-            tolerance: 1e-9,
-            max_iterations: 20 * n + 200,
-        };
-        if let Ok(sol) = solve_bicgstab(&grounded, &b, opts) {
-            let back = grounded.mul_vec(&sol.x).expect("spmv");
-            let err = back
-                .iter()
-                .zip(&b)
-                .map(|(p, q)| (p - q).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-5, "case {case}: residual {err}");
-        }
+        let x = EnvelopeLdlt::factor(&grounded)
+            .expect("grounded Laplacian is SPD")
+            .solve(&b)
+            .expect("solve");
+        let back = grounded.mul_vec(&x).expect("spmv");
+        let err = back
+            .iter()
+            .zip(&b)
+            .map(|(p, q)| (p - q).abs())
+            .fold(0.0, f64::max);
+        assert!(err < 1e-9, "case {case}: residual {err}");
     }
 }
 

@@ -8,10 +8,10 @@
 //! * **Convergence traces** ([`trace`]) — a [`TraceSink`] recorder
 //!   captures the per-iteration points the router emits (`grow_iter`,
 //!   `refine_iter`, `reheat_iter`, `route_final`) and the per-solve
-//!   residual curves from `sprout-linalg` (`cg_solve`,
-//!   `bicgstab_solve`), tags each with the rail (net, layer) of its
-//!   enclosing `route` span, and exports the lot as JSONL for offline
-//!   plotting of objective-vs-iteration and residual decay.
+//!   residual curves from `sprout-linalg` (`cg_solve`), tags each with
+//!   the rail (net, layer) of its enclosing `route` span, and exports
+//!   the lot as JSONL for offline plotting of objective-vs-iteration and
+//!   residual decay.
 //!
 //! * **Spatial maps** ([`heatmap`]) — rasterizes per-tile node current
 //!   (Algorithm 3), node voltage, and IR-drop over the board's tile

@@ -10,15 +10,13 @@ use std::sync::Mutex;
 
 /// Point names the sink captures. Everything else (metrics snapshots,
 /// fault-injection points, …) passes through untouched.
-const CAPTURED: [&str; 8] = [
+const CAPTURED: [&str; 6] = [
     "grow_iter",
     "refine_iter",
     "reheat_iter",
     "route_final",
     "cg_solve",
-    "bicgstab_solve",
     "cg_not_converged",
-    "bicgstab_not_converged",
 ];
 
 /// One captured convergence record.
@@ -274,7 +272,7 @@ mod tests {
         let sink = Arc::new(TraceSink::new());
         {
             let _scope = RecorderScope::install(sink.clone());
-            telemetry::point("bicgstab_solve")
+            telemetry::point("cg_solve")
                 .field("iterations", 4u64)
                 .field("residual", 1e-9)
                 .field("curve", "[1.0,0.5,0.1]".to_owned())
@@ -285,7 +283,7 @@ mod tests {
         let parsed = telemetry::json::parse(line).unwrap();
         assert_eq!(
             parsed.get("event").and_then(|v| v.as_str()),
-            Some("bicgstab_solve")
+            Some("cg_solve")
         );
         let curve = parsed.get("curve").and_then(|v| v.as_array()).unwrap();
         assert_eq!(curve.len(), 3);

@@ -245,12 +245,11 @@ pub const STAGE_SPANS: [&str; 7] = [
 
 /// Points forwarded as [`EventKind::Residual`]: per-iteration
 /// objective samples plus solver incidents.
-const RESIDUAL_POINTS: [&str; 7] = [
+const RESIDUAL_POINTS: [&str; 6] = [
     "grow_iter",
     "refine_iter",
     "reheat_iter",
     "cg_not_converged",
-    "bicgstab_not_converged",
     "solver_fallback",
     "budget_overrun",
 ];

@@ -52,13 +52,8 @@ pub fn level_of(event: &Event) -> Level {
     match event {
         Event::Point { name, .. } => match *name {
             "worker_panic" => Level::Error,
-            "retry"
-            | "budget_overrun"
-            | "solver_fallback"
-            | "ladder_fallback"
-            | "cg_not_converged"
-            | "bicgstab_not_converged"
-            | "edges_sanitized" => Level::Warn,
+            "retry" | "budget_overrun" | "solver_fallback" | "ladder_fallback"
+            | "cg_not_converged" | "edges_sanitized" => Level::Warn,
             _ => Level::Debug,
         },
         Event::SpanStart { depth, .. } | Event::SpanEnd { depth, .. } => {

@@ -1,9 +1,11 @@
-//! Tiling reuse across served jobs: a `RoutingService` keeps one tiling
-//! cache for its lifetime, so a repeat board skips tiling, routes
-//! exactly as a fresh supervisor does, and the cache stays within its
-//! entry cap however many distinct boards pass through.
+//! Tiling reuse across jobs: a `RoutingService` keeps one tiling cache
+//! for its lifetime, so a repeat board skips tiling, routes exactly as a
+//! fresh supervisor does, and the cache stays within its entry cap
+//! however many distinct boards pass through. A `Router` likewise tiles
+//! every `route_all` call through its own cache.
 
-use sprout_board::presets::TWO_RAIL_ROUTE_LAYER;
+use sprout_board::presets::{self, TWO_RAIL_ROUTE_LAYER};
+use sprout_core::router::Router;
 use sprout_core::supervisor::{Supervisor, SupervisorConfig};
 use sprout_core::TILE_CACHE_CAP;
 use sprout_serve::job::{BoardSpec, JobSpec, JobState, RailSpec};
@@ -100,4 +102,42 @@ fn distinct_boards_keep_the_cache_within_its_cap() {
     );
     assert_eq!(svc.tile_cache().len(), TILE_CACHE_CAP);
     svc.shutdown(true);
+}
+
+#[test]
+fn repeated_route_all_reuses_the_routers_own_tiling() {
+    // Two prototypes of one board, as an exploration sweep routes them:
+    // the second call's first rail starts from the same empty space.
+    let board = presets::two_rail();
+    let nets: Vec<_> = board.power_nets().map(|(id, _)| id).collect();
+    let layer = TWO_RAIL_ROUTE_LAYER;
+    let first = [(nets[0], layer, 20.0), (nets[1], layer, 20.0)];
+    let second = [(nets[0], layer, 24.0), (nets[1], layer, 22.0)];
+
+    let router = Router::new(&board, fast_router());
+    assert!(router.route_all(&first).is_complete());
+    let reused = router.route_all(&second);
+    let fresh = Router::new(&board, fast_router()).route_all(&second);
+    assert!(reused.is_complete() && fresh.is_complete());
+
+    let reused: Vec<_> = reused.results().collect();
+    let fresh: Vec<_> = fresh.results().collect();
+    assert_eq!(
+        (
+            reused[0].timings.tile_rebuilds,
+            reused[0].timings.tile_reuses
+        ),
+        (0, 1),
+        "the second call's first rail reuses the first call's lattice"
+    );
+    assert_eq!(fresh[0].timings.tile_rebuilds, 1);
+    assert_eq!(reused.len(), fresh.len());
+    for (r, f) in reused.iter().zip(&fresh) {
+        assert_eq!(
+            (r.shape.area_mm2().to_bits(), r.timings.solves),
+            (f.shape.area_mm2().to_bits(), f.timings.solves),
+            "net {:?}",
+            r.net
+        );
+    }
 }
