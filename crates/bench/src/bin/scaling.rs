@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tile_pitch_mm: pitch,
             grow_iterations: 12,
             refine_iterations: 4,
-            solver: out.solver_config(),
             tile: out.tile_config(),
             ..RouterConfig::default()
         };

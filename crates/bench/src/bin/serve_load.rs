@@ -38,7 +38,6 @@ fn bench_router(out: &BenchOutput) -> RouterConfig {
             budget: StageBudget::default(),
             fault: None,
         },
-        solver: out.solver_config(),
         tile: out.tile_config(),
         ..RouterConfig::default()
     }

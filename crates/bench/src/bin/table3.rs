@@ -28,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tile_pitch_mm: 0.25,
         grow_iterations: 15,
         refine_iterations: 4,
-        solver: out.solver_config(),
         tile: out.tile_config(),
         ..RouterConfig::default()
     };

@@ -25,7 +25,7 @@ pub mod timing;
 use gate::{GateFailure, GateOptions, PerfBaseline, PerfEntry};
 use sprout_board::Board;
 use sprout_core::router::RouteResult;
-use sprout_core::{RunReport, SolverConfig, SolverEngine, TileConfig, TileMode};
+use sprout_core::{RunReport, TileConfig};
 use sprout_extract::ac::ac_impedance_25mhz;
 use sprout_extract::network::RailNetwork;
 use sprout_extract::resistance::dc_resistance;
@@ -65,17 +65,6 @@ use std::sync::Arc;
 /// * `--slowdown <factor>` — multiply measured wall times and solve
 ///   counts before the gate comparison (self-test hook; see
 ///   [`gate`]).
-/// * `--solver incremental|scratch` — nodal-analysis backend
-///   (default `incremental`; `scratch` rebuilds the factorization on
-///   every metric evaluation, the pre-session behavior).
-/// * `--solver-threads <n>` — worker threads for the multi-RHS solve
-///   (default 1; results are bit-identical at any thread count).
-/// * `--smw-rank <r>` — maximum Sherman-Morrison-Woodbury correction
-///   rank before the incremental session refactorizes (default 0 =
-///   disabled, keeping the engine bit-exact against `scratch`).
-/// * `--tile session|scratch` — tiling backend (default `session`;
-///   `scratch` re-tiles the lattice on every graph build, the
-///   pre-session behavior). Both produce bit-identical graphs.
 /// * `--tile-threads <n>` — worker threads for the initial lattice
 ///   build (default 0 = all cores; results are bit-identical at any
 ///   thread count).
@@ -98,7 +87,6 @@ pub struct BenchOutput {
     update_baseline: bool,
     slowdown: f64,
     wall_tolerance_pct: Option<f64>,
-    solver: SolverConfig,
     tile: TileConfig,
     entries: RefCell<Vec<(String, PerfEntry)>>,
 }
@@ -117,35 +105,12 @@ impl BenchOutput {
         let mut update_baseline = false;
         let mut slowdown = 1.0;
         let mut wall_tolerance_pct = None;
-        let mut solver = SolverConfig::default();
         let mut tile = TileConfig::default();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--tile" => {
-                    tile.mode = match args.next().as_deref() {
-                        Some("scratch") => TileMode::Scratch,
-                        _ => TileMode::Session,
-                    };
-                }
                 "--tile-threads" => {
                     tile.threads = args.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                }
-                "--solver" => {
-                    solver.engine = match args.next().as_deref() {
-                        Some("scratch") => SolverEngine::Scratch,
-                        _ => SolverEngine::Incremental,
-                    };
-                }
-                "--solver-threads" => {
-                    solver.threads = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .unwrap_or(1);
-                }
-                "--smw-rank" => {
-                    solver.smw_max_rank = args.next().and_then(|v| v.parse().ok()).unwrap_or(0);
                 }
                 "--quiet" | "-q" => quiet = true,
                 "--json" => json = true,
@@ -186,7 +151,6 @@ impl BenchOutput {
             update_baseline,
             slowdown,
             wall_tolerance_pct,
-            solver,
             tile,
             entries: RefCell::new(Vec::new()),
         };
@@ -222,16 +186,8 @@ impl BenchOutput {
         self.profile.as_ref()
     }
 
-    /// The nodal-analysis backend selected by `--solver` /
-    /// `--solver-threads` / `--smw-rank` (defaults to the incremental
-    /// session). Experiment binaries assign this to
-    /// `RouterConfig::solver`.
-    pub fn solver_config(&self) -> SolverConfig {
-        self.solver
-    }
-
-    /// The tiling backend selected by `--tile` / `--tile-threads`
-    /// (defaults to persistent sessions with all-core initial builds).
+    /// The tiling threads selected by `--tile-threads` (defaults to
+    /// all-core initial builds).
     /// Experiment binaries assign this to `RouterConfig::tile`.
     pub fn tile_config(&self) -> TileConfig {
         self.tile

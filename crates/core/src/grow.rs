@@ -5,7 +5,7 @@
 
 use crate::current::{InjectionPair, NodeCurrents};
 use crate::graph::{NodeId, RoutingGraph, Subgraph};
-use crate::session::Engine;
+use crate::session::NodalSession;
 use crate::SproutError;
 
 /// Outcome of one SmartGrow step.
@@ -24,35 +24,21 @@ pub struct GrowOutcome {
 }
 
 /// Adds up to `k` boundary nodes next to the highest node-current
-/// regions (Algorithm 4).
+/// regions (Algorithm 4). The metric is evaluated and the insertions
+/// applied through `session`, so it sees every mutation.
 ///
 /// # Errors
 ///
-/// Propagates metric-evaluation errors ([`crate::current::node_current`]).
+/// Propagates metric-evaluation errors ([`NodalSession::eval`]).
 pub fn smart_grow(
+    session: &mut NodalSession,
     graph: &RoutingGraph,
     sub: &mut Subgraph,
     pairs: &[InjectionPair],
     k: usize,
 ) -> Result<GrowOutcome, SproutError> {
-    smart_grow_with(&mut Engine::scratch(), graph, sub, pairs, k)
-}
-
-/// [`smart_grow`] driven through a caller-owned nodal-analysis
-/// [`Engine`], so the incremental session sees every mutation.
-///
-/// # Errors
-///
-/// Propagates metric-evaluation errors ([`Engine::eval`]).
-pub fn smart_grow_with(
-    engine: &mut Engine,
-    graph: &RoutingGraph,
-    sub: &mut Subgraph,
-    pairs: &[InjectionPair],
-    k: usize,
-) -> Result<GrowOutcome, SproutError> {
-    let metric = engine.eval(graph, sub, pairs)?;
-    let added = grow_with_metric_with(engine, graph, sub, &metric, k);
+    let metric = session.eval(graph, sub, pairs)?;
+    let added = grow_with_metric(session, graph, sub, &metric, k);
     Ok(GrowOutcome {
         added,
         resistance_sq: metric.resistance_sq(),
@@ -62,19 +48,10 @@ pub fn smart_grow_with(
 }
 
 /// Frontier expansion given an already-computed metric (shared with the
-/// refinement and reheating stages). Returns the number of nodes added.
+/// refinement and reheating stages), applying the insertions through
+/// `session`. Returns the number of nodes added.
 pub fn grow_with_metric(
-    graph: &RoutingGraph,
-    sub: &mut Subgraph,
-    metric: &NodeCurrents,
-    k: usize,
-) -> usize {
-    grow_with_metric_with(&mut Engine::scratch(), graph, sub, metric, k)
-}
-
-/// [`grow_with_metric`] applying the insertions through `engine`.
-pub fn grow_with_metric_with(
-    engine: &mut Engine,
+    session: &mut NodalSession,
     graph: &RoutingGraph,
     sub: &mut Subgraph,
     metric: &NodeCurrents,
@@ -98,13 +75,14 @@ pub fn grow_with_metric_with(
     scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
     let take = k.min(scored.len());
     for &(_, c) in scored.iter().take(take) {
-        engine.insert(graph, sub, c);
+        session.insert(graph, sub, c);
     }
     take
 }
 
 /// Grows the subgraph until its area reaches `area_budget_mm2`, in steps
-/// of `k` nodes (the ΔV of Eq. 7). Records the objective after each step.
+/// of `k` nodes (the ΔV of Eq. 7), through one fresh [`NodalSession`].
+/// Records the objective after each step.
 ///
 /// # Errors
 ///
@@ -117,6 +95,7 @@ pub fn grow_to_area(
     k: usize,
     area_budget_mm2: f64,
 ) -> Result<Vec<GrowOutcome>, SproutError> {
+    let mut session = NodalSession::new();
     let mut history = Vec::new();
     while sub.area_mm2() < area_budget_mm2 {
         // Don't overshoot by more than one step: shrink the last batch.
@@ -126,7 +105,7 @@ pub fn grow_to_area(
         };
         let remaining = ((area_budget_mm2 - sub.area_mm2()) / cell_area).ceil() as usize;
         let step = k.min(remaining.max(1));
-        let outcome = smart_grow(graph, sub, pairs, step)?;
+        let outcome = smart_grow(&mut session, graph, sub, pairs, step)?;
         let done = outcome.added == 0;
         history.push(outcome);
         if done {
@@ -160,7 +139,7 @@ mod tests {
     fn grow_adds_exactly_k() {
         let (graph, mut sub, pairs) = setup();
         let before = sub.order();
-        let out = smart_grow(&graph, &mut sub, &pairs, 20).unwrap();
+        let out = smart_grow(&mut NodalSession::new(), &graph, &mut sub, &pairs, 20).unwrap();
         assert_eq!(out.added, 20);
         assert_eq!(sub.order(), before + 20);
     }
@@ -213,7 +192,7 @@ mod tests {
         // property): every added node is adjacent to the old subgraph.
         let (graph, mut sub, pairs) = setup();
         let old = sub.clone();
-        smart_grow(&graph, &mut sub, &pairs, 30).unwrap();
+        smart_grow(&mut NodalSession::new(), &graph, &mut sub, &pairs, 30).unwrap();
         for &m in sub.members() {
             if !old.contains(m) {
                 assert!(

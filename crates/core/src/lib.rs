@@ -76,12 +76,12 @@ pub use recovery::{
 };
 pub use report::{HotspotRecord, RailRunRecord, RunReport, StageBreakdown};
 pub use router::{RouteResult, Router, RouterConfig};
-pub use session::{Engine, NodalSession, SessionStats, SolverConfig, SolverEngine};
+pub use session::{NodalSession, SessionStats};
 pub use supervisor::{
     JobReport, RailOutcome, RailReport, RestoredRail, Supervisor, SupervisorConfig,
 };
 pub use tile_cache::{TileSessionCache, TILE_CACHE_CAP};
-pub use tile_session::{TileConfig, TileMode, TileOutcome, TileSessionStats, TilingSession};
+pub use tile_session::{TileConfig, TileOutcome, TileSessionStats, TilingSession};
 
 use std::fmt;
 use std::sync::OnceLock;

@@ -8,8 +8,8 @@
 
 use crate::current::InjectionPair;
 use crate::graph::{NodeId, RemovalCheck, RoutingGraph, Subgraph};
-use crate::grow::grow_with_metric_with;
-use crate::session::Engine;
+use crate::grow::grow_with_metric;
+use crate::session::NodalSession;
 use crate::SproutError;
 
 /// Outcome of one SmartRefine step.
@@ -29,7 +29,7 @@ pub struct RefineOutcome {
 }
 
 /// Moves up to `k` nodes from quiescent zones to hot spots
-/// (Algorithm 5).
+/// (Algorithm 5), evaluating and mutating through `session`.
 ///
 /// `protected` nodes (terminal pads) are never removed; removals that
 /// would disconnect `terminal_nodes` are skipped.
@@ -38,6 +38,7 @@ pub struct RefineOutcome {
 ///
 /// Propagates metric-evaluation errors.
 pub fn smart_refine(
+    session: &mut NodalSession,
     graph: &RoutingGraph,
     sub: &mut Subgraph,
     pairs: &[InjectionPair],
@@ -45,33 +46,7 @@ pub fn smart_refine(
     terminal_nodes: &[NodeId],
     k: usize,
 ) -> Result<RefineOutcome, SproutError> {
-    smart_refine_with(
-        &mut Engine::scratch(),
-        graph,
-        sub,
-        pairs,
-        protected,
-        terminal_nodes,
-        k,
-    )
-}
-
-/// [`smart_refine`] driven through a caller-owned nodal-analysis
-/// [`Engine`], so the incremental session sees every mutation.
-///
-/// # Errors
-///
-/// Propagates metric-evaluation errors.
-pub fn smart_refine_with(
-    engine: &mut Engine,
-    graph: &RoutingGraph,
-    sub: &mut Subgraph,
-    pairs: &[InjectionPair],
-    protected: &[NodeId],
-    terminal_nodes: &[NodeId],
-    k: usize,
-) -> Result<RefineOutcome, SproutError> {
-    let metric = engine.eval(graph, sub, pairs)?;
+    let metric = session.eval(graph, sub, pairs)?;
     let mut solves = metric.solves();
     let resistance_before_sq = metric.resistance_sq();
 
@@ -102,7 +77,7 @@ pub fn smart_refine_with(
         if !check.keeps_connected(graph, sub, id, terminal_nodes) {
             continue;
         }
-        engine.remove(graph, sub, id);
+        session.remove(graph, sub, id);
         removed += 1;
     }
 
@@ -111,10 +86,10 @@ pub fn smart_refine_with(
     let mut resistance_after_sq = resistance_before_sq;
     let mut max_current_a = metric.max_current_a();
     if removed > 0 {
-        let metric_after = engine.eval(graph, sub, pairs)?;
+        let metric_after = session.eval(graph, sub, pairs)?;
         solves += metric_after.solves();
-        grow_with_metric_with(engine, graph, sub, &metric_after, removed);
-        let metric_final = engine.eval(graph, sub, pairs)?;
+        grow_with_metric(session, graph, sub, &metric_after, removed);
+        let metric_final = session.eval(graph, sub, pairs)?;
         solves += metric_final.solves();
         resistance_after_sq = metric_final.resistance_sq();
         max_current_a = metric_final.max_current_a();
@@ -166,6 +141,7 @@ mod tests {
         let (graph, mut sub, pairs, terminals) = setup();
         let order = sub.order();
         let out = smart_refine(
+            &mut NodalSession::new(),
             &graph,
             &mut sub,
             &pairs,
@@ -183,6 +159,7 @@ mod tests {
         let (graph, mut sub, pairs, terminals) = setup();
         for _ in 0..3 {
             smart_refine(
+                &mut NodalSession::new(),
                 &graph,
                 &mut sub,
                 &pairs,
@@ -205,7 +182,16 @@ mod tests {
         let (graph, mut sub, pairs, terminals) = setup();
         let tn = terminal_nodes(&terminals);
         for _ in 0..4 {
-            smart_refine(&graph, &mut sub, &pairs, &protected(&terminals), &tn, 20).unwrap();
+            smart_refine(
+                &mut NodalSession::new(),
+                &graph,
+                &mut sub,
+                &pairs,
+                &protected(&terminals),
+                &tn,
+                20,
+            )
+            .unwrap();
             assert!(sub.connects(&graph, &tn));
         }
     }
@@ -215,10 +201,28 @@ mod tests {
         let (graph, mut sub, pairs, terminals) = setup();
         let tn = terminal_nodes(&terminals);
         let prot = protected(&terminals);
-        let first = smart_refine(&graph, &mut sub, &pairs, &prot, &tn, 12).unwrap();
+        let first = smart_refine(
+            &mut NodalSession::new(),
+            &graph,
+            &mut sub,
+            &pairs,
+            &prot,
+            &tn,
+            12,
+        )
+        .unwrap();
         let mut best = first.resistance_after_sq.min(first.resistance_before_sq);
         for _ in 0..5 {
-            let out = smart_refine(&graph, &mut sub, &pairs, &prot, &tn, 12).unwrap();
+            let out = smart_refine(
+                &mut NodalSession::new(),
+                &graph,
+                &mut sub,
+                &pairs,
+                &prot,
+                &tn,
+                12,
+            )
+            .unwrap();
             best = best.min(out.resistance_after_sq);
         }
         assert!(
@@ -233,6 +237,7 @@ mod tests {
         let (graph, mut sub, pairs, terminals) = setup();
         let before = sub.order();
         let out = smart_refine(
+            &mut NodalSession::new(),
             &graph,
             &mut sub,
             &pairs,

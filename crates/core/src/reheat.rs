@@ -6,7 +6,7 @@
 
 use crate::current::InjectionPair;
 use crate::graph::{NodeId, RemovalCheck, RoutingGraph, Subgraph};
-use crate::session::Engine;
+use crate::session::NodalSession;
 use crate::SproutError;
 
 /// Reheating parameters.
@@ -45,7 +45,7 @@ pub struct ReheatOutcome {
 
 /// Dilates the subgraph `config.dilate_iterations` rings beyond the area
 /// budget, then erodes minimum-current nodes until the budget is
-/// restored.
+/// restored. Every dilation and erosion delta goes through `session`.
 ///
 /// `protected` nodes are never eroded and removals that would disconnect
 /// `terminal_nodes` are skipped.
@@ -53,36 +53,9 @@ pub struct ReheatOutcome {
 /// # Errors
 ///
 /// Propagates metric-evaluation errors.
-pub fn reheat(
-    graph: &RoutingGraph,
-    sub: &mut Subgraph,
-    pairs: &[InjectionPair],
-    protected: &[NodeId],
-    terminal_nodes: &[NodeId],
-    area_budget_mm2: f64,
-    config: ReheatConfig,
-) -> Result<ReheatOutcome, SproutError> {
-    reheat_with(
-        &mut Engine::scratch(),
-        graph,
-        sub,
-        pairs,
-        protected,
-        terminal_nodes,
-        area_budget_mm2,
-        config,
-    )
-}
-
-/// [`reheat`] driven through a caller-owned nodal-analysis [`Engine`],
-/// so the incremental session sees every dilation and erosion delta.
-///
-/// # Errors
-///
-/// Propagates metric-evaluation errors.
 #[allow(clippy::too_many_arguments)]
-pub fn reheat_with(
-    engine: &mut Engine,
+pub fn reheat(
+    session: &mut NodalSession,
     graph: &RoutingGraph,
     sub: &mut Subgraph,
     pairs: &[InjectionPair],
@@ -99,7 +72,7 @@ pub fn reheat_with(
             break;
         }
         for id in ring {
-            engine.insert(graph, sub, id);
+            session.insert(graph, sub, id);
             dilated += 1;
         }
     }
@@ -117,7 +90,7 @@ pub fn reheat_with(
     let mut max_current_a;
     let mut candidates: Vec<NodeId> = Vec::new();
     loop {
-        let metric = engine.eval(graph, sub, pairs)?;
+        let metric = session.eval(graph, sub, pairs)?;
         solves += metric.solves();
         resistance_after_sq = metric.resistance_sq();
         max_current_a = metric.max_current_a();
@@ -162,7 +135,7 @@ pub fn reheat_with(
             if !check.keeps_connected(graph, sub, id, terminal_nodes) {
                 continue;
             }
-            engine.remove(graph, sub, id);
+            session.remove(graph, sub, id);
             removed_this_round += 1;
             eroded += 1;
         }
@@ -216,6 +189,7 @@ mod tests {
         let protected: Vec<NodeId> = terminals.iter().flat_map(|t| t.covered.clone()).collect();
         let tn: Vec<NodeId> = terminals.iter().map(|t| t.node).collect();
         let out = reheat(
+            &mut NodalSession::new(),
             &graph,
             &mut sub,
             &pairs,
@@ -241,6 +215,7 @@ mod tests {
         let protected: Vec<NodeId> = terminals.iter().flat_map(|t| t.covered.clone()).collect();
         let tn: Vec<NodeId> = terminals.iter().map(|t| t.node).collect();
         reheat(
+            &mut NodalSession::new(),
             &graph,
             &mut sub,
             &pairs,
@@ -268,6 +243,7 @@ mod tests {
             .unwrap()
             .resistance_sq();
         let out = reheat(
+            &mut NodalSession::new(),
             &graph,
             &mut sub,
             &pairs,
@@ -294,6 +270,7 @@ mod tests {
         let tn: Vec<NodeId> = terminals.iter().map(|t| t.node).collect();
         let order = sub.order();
         let out = reheat(
+            &mut NodalSession::new(),
             &graph,
             &mut sub,
             &pairs,

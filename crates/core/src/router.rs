@@ -20,18 +20,18 @@
 use crate::backconv::{back_convert, RoutedShape};
 use crate::current::{injection_pairs, InjectionPair, PairPolicy};
 use crate::graph::{NodeId, RoutingGraph, Subgraph};
-use crate::grow::smart_grow_with;
+use crate::grow::smart_grow;
 use crate::recovery::{
     self, Degradation, RecoveryConfig, RecoveryPolicy, RouteDiagnostics, Stage, StageGuard,
 };
-use crate::refine::smart_refine_with;
-use crate::reheat::{reheat_with, ReheatConfig};
+use crate::refine::smart_refine;
+use crate::reheat::{reheat, ReheatConfig};
 use crate::seed::{seed_subgraph, SeedOptions};
-use crate::session::{Engine, SolverConfig};
+use crate::session::NodalSession;
 use crate::space::{SpaceSpec, TerminalShape};
-use crate::tile::{identify_terminals, space_to_graph, Terminal, TileOptions};
+use crate::tile::{identify_terminals, Terminal, TileOptions};
 use crate::tile_cache::{TileKey, TileSessionCache};
-use crate::tile_session::{TileConfig, TileMode, TileOutcome, TilingSession};
+use crate::tile_session::{TileConfig, TileOutcome, TilingSession};
 use crate::SproutError;
 use sprout_board::{Board, ElementRole, NetId};
 use sprout_geom::{Point, Polygon};
@@ -62,13 +62,9 @@ pub struct RouterConfig {
     /// Stage-failure policy, per-stage budgets, and (test-only) fault
     /// injection.
     pub recovery: RecoveryConfig,
-    /// Nodal-analysis backend: incremental session (delta factor
-    /// updates, warm starts) or from-scratch per evaluation. Both yield
-    /// bit-identical routes at the default settings.
-    pub solver: SolverConfig,
-    /// Tiling backend: persistent [`TilingSession`]s keyed by
-    /// `(board, net, layer, pitch)` with incremental re-clipping, or a
-    /// from-scratch build per call. Both yield bit-identical graphs.
+    /// Tiling threads. Graphs come from persistent [`TilingSession`]s
+    /// keyed by `(board, net, layer, pitch)` with incremental
+    /// re-clipping, bit-identical to a from-scratch build.
     pub tile: TileConfig,
 }
 
@@ -84,7 +80,6 @@ impl Default for RouterConfig {
             pair_policy: PairPolicy::SourceToSinks,
             seed: SeedOptions { fill_voids: true },
             recovery: RecoveryConfig::default(),
-            solver: SolverConfig::default(),
             tile: TileConfig::default(),
         }
     }
@@ -113,8 +108,8 @@ pub struct StageTimings {
     /// symbolic + numeric factor of the grounded Laplacian).
     pub factorizations: usize,
     /// Metric evaluations served without a full factorization —
-    /// verbatim factor reuses, numeric-only refactorizations on a
-    /// cached elimination plan, and low-rank SMW corrections.
+    /// verbatim factor reuses and numeric-only refactorizations on a
+    /// cached elimination plan.
     pub factor_updates: usize,
     /// Routing graphs built from scratch (full lattice clip).
     pub tile_rebuilds: usize,
@@ -239,12 +234,12 @@ impl<'b> Router<'b> {
         self.tile_cache.stats()
     }
 
-    /// Builds the routing graph for `spec`, honouring the configured
-    /// [`TileMode`]: `Scratch` tiles from scratch every call; `Session`
-    /// checks a persistent [`TilingSession`] out of the cache, diffs the
-    /// spec against it (blocker prefix match → verbatim reuse or
-    /// incremental re-clip of the delta cells), and checks it back in.
-    /// Both paths produce bit-identical graphs by construction.
+    /// Builds the routing graph for `spec`: checks a persistent
+    /// [`TilingSession`] out of the cache, diffs the spec against it
+    /// (blocker prefix match → verbatim reuse or incremental re-clip of
+    /// the delta cells), and checks it back in. The graph is
+    /// bit-identical to a from-scratch
+    /// [`space_to_graph`](crate::tile::space_to_graph).
     pub(crate) fn session_graph(
         &self,
         spec: &SpaceSpec,
@@ -252,25 +247,20 @@ impl<'b> Router<'b> {
         layer: usize,
         opts: TileOptions,
     ) -> Result<(RoutingGraph, TileOutcome), SproutError> {
-        match self.config.tile.mode {
-            TileMode::Scratch => Ok((space_to_graph(spec, opts)?, TileOutcome::Rebuilt)),
-            TileMode::Session => {
-                let key = TileKey::new(self.board_fp, net, layer, opts);
-                let (mut session, outcome) = match self.tile_cache.check_out(&key) {
-                    Some(mut s) => {
-                        let outcome = s.update_to(spec);
-                        (s, outcome)
-                    }
-                    None => (
-                        TilingSession::new(spec, opts, self.config.tile.threads)?,
-                        TileOutcome::Rebuilt,
-                    ),
-                };
-                let graph = session.graph();
-                self.tile_cache.check_in(key, session);
-                Ok((graph, outcome))
+        let key = TileKey::new(self.board_fp, net, layer, opts);
+        let (mut session, outcome) = match self.tile_cache.check_out(&key) {
+            Some(mut s) => {
+                let outcome = s.update_to(spec);
+                (s, outcome)
             }
-        }
+            None => (
+                TilingSession::new(spec, opts, self.config.tile.threads)?,
+                TileOutcome::Rebuilt,
+            ),
+        };
+        let graph = session.graph();
+        self.tile_cache.check_in(key, session);
+        Ok((graph, outcome))
     }
 
     /// The tile stage of both routing paths: the graph for `spec` at the
@@ -583,12 +573,12 @@ impl<'b> Router<'b> {
         let mut best_sub = sub.clone();
         let mut history: Vec<f64> = Vec::new();
 
-        // One nodal-analysis engine spans every optimization stage, so
-        // the incremental session's cached factor survives across
-        // grow/refine/reheat iterations (the tentpole of §II-H's
-        // bottleneck). `best_sub` restores are out-of-band mutations;
-        // the session detects and resyncs from them.
-        let mut engine = Engine::new(self.config.solver);
+        // One nodal-analysis session spans every optimization stage, so
+        // its cached factor survives across grow/refine/reheat
+        // iterations (the solves §II-H names as the bottleneck).
+        // `best_sub` restores are out-of-band mutations; the session
+        // detects and resyncs from them.
+        let mut session = NodalSession::new();
 
         // Cooperative cancellation (supervisor jobs): checked between
         // pipeline stages so a cancelled rail stops within one stage.
@@ -620,7 +610,7 @@ impl<'b> Router<'b> {
             // Don't overshoot by more than one step: shrink the last batch.
             let remaining = ((area_budget_mm2 - sub.area_mm2()) / frame_cell_area).ceil() as usize;
             let step = grow_step.min(remaining.max(1));
-            match smart_grow_with(&mut engine, &graph, &mut sub, &pairs, step) {
+            match smart_grow(&mut session, &graph, &mut sub, &pairs, step) {
                 Ok(out) => {
                     history.push(out.resistance_sq);
                     timings.solves += out.solves;
@@ -661,7 +651,7 @@ impl<'b> Router<'b> {
         }
 
         // Objective after growth; feeds best-seen tracking.
-        match engine.eval(&graph, &sub, &pairs) {
+        match session.eval(&graph, &sub, &pairs) {
             Ok(nc) => {
                 timings.solves += nc.solves();
                 let r = nc.resistance_sq();
@@ -699,8 +689,8 @@ impl<'b> Router<'b> {
             let step = (base_step * (self.config.refine_iterations - i)
                 / self.config.refine_iterations)
                 .max(1);
-            match smart_refine_with(
-                &mut engine,
+            match smart_refine(
+                &mut session,
                 &graph,
                 &mut sub,
                 &pairs,
@@ -769,8 +759,8 @@ impl<'b> Router<'b> {
                 // shrinking back, so abandoning it mid-way must restore
                 // the pre-reheat subgraph rather than ship the overshoot.
                 let pre_reheat = sub.clone();
-                match reheat_with(
-                    &mut engine,
+                match reheat(
+                    &mut session,
                     &graph,
                     &mut sub,
                     &pairs,
@@ -816,8 +806,8 @@ impl<'b> Router<'b> {
                         diagnostics.record(d);
                         break;
                     }
-                    match smart_refine_with(
-                        &mut engine,
+                    match smart_refine(
+                        &mut session,
                         &graph,
                         &mut sub,
                         &pairs,
@@ -867,12 +857,11 @@ impl<'b> Router<'b> {
             timings.reheat_ms = t.elapsed().as_secs_f64() * 1e3;
         }
 
-        // Factorization accounting from the nodal engine (§II-H: full
-        // factors are the bottleneck the incremental session avoids).
-        let solver_stats = engine.stats();
+        // Factorization accounting from the nodal session (§II-H: full
+        // factors are the bottleneck the session avoids).
+        let solver_stats = session.stats();
         timings.factorizations = solver_stats.full_factors;
-        timings.factor_updates =
-            solver_stats.factor_reuses + solver_stats.numeric_refactors + solver_stats.smw_evals;
+        timings.factor_updates = solver_stats.factor_reuses + solver_stats.numeric_refactors;
 
         // Ship the best subgraph seen, not necessarily the last. When no
         // evaluation ever succeeded the current subgraph (at minimum the
@@ -1113,6 +1102,69 @@ mod tests {
             (stats.rebuilds, stats.reuse_hits, stats.incremental_updates),
             (1, 1, 1)
         );
+    }
+
+    /// End-to-end oracle for the nodal session: `two_rail` routed with
+    /// every evaluation answered by the scratch evaluator
+    /// ([`crate::current::node_current`]) must ship the same bits — the
+    /// objective, membership, area and history — at the same number of
+    /// evaluations, while the session factors less often.
+    #[test]
+    fn session_routes_match_the_scratch_oracle_bit_for_bit() {
+        let board = presets::two_rail();
+        let layer = presets::TWO_RAIL_ROUTE_LAYER;
+        let requests: Vec<_> = board
+            .power_nets()
+            .map(|(net, _)| (net, layer, 20.0))
+            .collect();
+        let route = || {
+            Router::new(&board, fast_config())
+                .route_all(&requests)
+                .into_results()
+                .unwrap()
+        };
+        let session = route();
+        let oracle = crate::session::scratch_oracle(route);
+        assert_eq!(session.len(), 2, "two-rail preset routes two rails");
+        let history = |r: &RouteResult| -> Vec<u64> {
+            r.resistance_history_sq
+                .iter()
+                .map(|h| h.to_bits())
+                .collect()
+        };
+        for (s, o) in session.iter().zip(&oracle) {
+            let net = s.net;
+            assert_eq!(net, o.net, "rail order");
+            assert_eq!(
+                s.final_resistance_sq.to_bits(),
+                o.final_resistance_sq.to_bits(),
+                "objective for {net:?}"
+            );
+            assert_eq!(
+                s.subgraph.members(),
+                o.subgraph.members(),
+                "membership for {net:?}"
+            );
+            assert_eq!(
+                s.shape.area_mm2().to_bits(),
+                o.shape.area_mm2().to_bits(),
+                "shipped area for {net:?}"
+            );
+            assert_eq!(history(s), history(o), "history for {net:?}");
+            let (st, ot) = (s.timings, o.timings);
+            assert_eq!(
+                st.factorizations + st.factor_updates,
+                ot.factorizations + ot.factor_updates,
+                "equal evaluation counts for {net:?}"
+            );
+            assert_eq!(ot.factor_updates, 0, "the oracle factors every evaluation");
+            assert!(
+                st.factorizations < ot.factorizations,
+                "the session must avoid full factorizations: {} vs {}",
+                st.factorizations,
+                ot.factorizations
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   intersect the changed geometry (*incremental re-tiling*, the
 //!   [`TilingSession::note_blocker_added`] /
 //!   [`TilingSession::note_blocker_removed`] mirror of the solver's
-//!   `note_insert`/`note_remove`),
+//!   `insert`/`remove`),
 //! * keeps all scratch (convex clip buffers, cross-section interval
 //!   sets, per-blocker convex decompositions) alive across rebuilds so
 //!   the steady state allocates nothing, and
@@ -40,40 +40,14 @@ use sprout_geom::triangulate::convex_parts;
 use sprout_geom::{ConvexClipper, IntervalSet, Point, Polygon, PolygonSet, Rect};
 use sprout_telemetry as telemetry;
 
-/// Tiling engine selection, mirroring
-/// [`SolverEngine`](crate::session::SolverEngine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TileMode {
-    /// Persistent sessions: graphs are reused and patched
-    /// incrementally across retries, rails, and sweep points.
-    #[default]
-    Session,
-    /// Re-tile from scratch on every call (reference behaviour; the
-    /// session and scratch engines share one clip kernel, so their
-    /// graphs are bit-identical).
-    Scratch,
-}
-
 /// Tiling configuration carried by
-/// [`RouterConfig`](crate::router::RouterConfig), mirroring
-/// [`SolverConfig`](crate::session::SolverConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`RouterConfig`](crate::router::RouterConfig).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TileConfig {
-    /// Engine selection.
-    pub mode: TileMode,
     /// Threads for the initial parallel clip of row bands; `0` uses
     /// the machine parallelism. Every cell is a pure function of its
     /// blocker list, so any value yields bit-identical graphs.
     pub threads: usize,
-}
-
-impl Default for TileConfig {
-    fn default() -> Self {
-        TileConfig {
-            mode: TileMode::Session,
-            threads: 0,
-        }
-    }
 }
 
 /// Counters describing how a session served its graphs.

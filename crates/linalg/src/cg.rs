@@ -149,136 +149,6 @@ pub fn solve_cg(a: &Csr<f64>, b: &[f64], opts: CgOptions) -> Result<CgSolution, 
     })
 }
 
-/// Solves `A·x = b` with a caller-supplied preconditioner and an initial
-/// guess (warm start).
-///
-/// This is the iterative rung used by the incremental nodal-analysis
-/// session: after a small subgraph delta the previous iteration's voltage
-/// vector is an excellent `x0`, and the last exact Cholesky factor — even
-/// a slightly stale one — is a near-perfect preconditioner, so the solve
-/// typically converges in a handful of iterations. `precond` must apply
-/// an SPD approximation of `A⁻¹`: `precond(r, z)` writes `M⁻¹·r` into
-/// `z`.
-///
-/// # Errors
-///
-/// * [`LinalgError::DimensionMismatch`] — non-square `A` or wrong-length
-///   `b`/`x0`.
-/// * [`LinalgError::NotConverged`] — iteration cap hit first.
-pub fn solve_pcg_warm<M>(
-    a: &Csr<f64>,
-    b: &[f64],
-    x0: &[f64],
-    precond: M,
-    opts: CgOptions,
-) -> Result<CgSolution, LinalgError>
-where
-    M: Fn(&[f64], &mut [f64]),
-{
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::DimensionMismatch {
-            expected: n,
-            got: a.cols(),
-        });
-    }
-    if b.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            expected: n,
-            got: b.len(),
-        });
-    }
-    if x0.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            expected: n,
-            got: x0.len(),
-        });
-    }
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        return Ok(CgSolution {
-            x: vec![0.0; n],
-            iterations: 0,
-            residual: 0.0,
-        });
-    }
-    let max_iter = if opts.max_iterations == 0 {
-        2 * n + 50
-    } else {
-        opts.max_iterations
-    };
-
-    let mut x = x0.to_vec();
-    // r = b - A·x0.
-    let mut r = vec![0.0; n];
-    a.mul_vec_into(&x, &mut r);
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-    let res0 = norm2(&r) / b_norm;
-    let mut trace = ResidualTrace::start();
-    if res0 <= opts.tolerance {
-        telemetry::counter!("cg.warm_solves");
-        telemetry::histogram!("cg.iterations", 0);
-        trace.push(res0);
-        trace.emit("pcg_warm_solve", 0, res0);
-        return Ok(CgSolution {
-            x,
-            iterations: 0,
-            residual: res0,
-        });
-    }
-    let mut z = vec![0.0; n];
-    precond(&r, &mut z);
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; n];
-
-    for iter in 0..max_iter {
-        a.mul_vec_into(&p, &mut ap);
-        let pap = dot(&p, &ap);
-        if pap.abs() < 1e-300 {
-            return Err(LinalgError::NotConverged {
-                iterations: iter,
-                residual: norm2(&r) / b_norm,
-            });
-        }
-        let alpha = rz / pap;
-        axpy(alpha, &p, &mut x);
-        axpy(-alpha, &ap, &mut r);
-        let res = norm2(&r) / b_norm;
-        trace.push(res);
-        if res <= opts.tolerance {
-            telemetry::counter!("cg.warm_solves");
-            telemetry::histogram!("cg.iterations", (iter + 1) as u64);
-            trace.emit("pcg_warm_solve", iter + 1, res);
-            return Ok(CgSolution {
-                x,
-                iterations: iter + 1,
-                residual: res,
-            });
-        }
-        precond(&r, &mut z);
-        let rz_new = dot(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
-    let residual = norm2(&r) / b_norm;
-    telemetry::counter!("cg.not_converged");
-    telemetry::point("cg_not_converged")
-        .field("iterations", max_iter)
-        .field("residual", residual)
-        .emit();
-    trace.emit("pcg_warm_solve", max_iter, residual);
-    Err(LinalgError::NotConverged {
-        iterations: max_iter,
-        residual,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,67 +220,6 @@ mod tests {
             Err(LinalgError::NotConverged { iterations, .. }) => assert_eq!(iterations, 2),
             other => panic!("expected NotConverged, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn warm_pcg_with_exact_preconditioner_converges_immediately() {
-        use crate::cholesky::SparseCholesky;
-        let a = poisson(40);
-        let chol = SparseCholesky::factor(&a).unwrap();
-        let x_true: Vec<f64> = (0..40).map(|i| (i as f64 * 0.31).cos()).collect();
-        let b = a.mul_vec(&x_true).unwrap();
-        let apply = |r: &[f64], z: &mut [f64]| {
-            let s = chol.solve(r).unwrap();
-            z.copy_from_slice(&s);
-        };
-        // Cold start, exact preconditioner: one or two iterations.
-        let sol = solve_pcg_warm(&a, &b, &vec![0.0; 40], apply, CgOptions::default()).unwrap();
-        assert!(sol.iterations <= 2, "iterations {}", sol.iterations);
-        for (p, q) in sol.x.iter().zip(&x_true) {
-            assert!((p - q).abs() < 1e-9);
-        }
-        // Warm start at the exact solution: zero iterations.
-        let warm = solve_pcg_warm(&a, &b, &sol.x, apply, CgOptions::default()).unwrap();
-        assert_eq!(warm.iterations, 0);
-    }
-
-    #[test]
-    fn warm_pcg_with_stale_preconditioner_tracks_value_drift() {
-        use crate::cholesky::SparseCholesky;
-        // Factor A, then perturb the values (same pattern) and solve the
-        // perturbed system preconditioned by the stale factor.
-        let a = poisson(60);
-        let chol = SparseCholesky::factor(&a).unwrap();
-        let mut t = Triplets::new(60, 60);
-        for r in 0..60 {
-            for (c, v) in a.row(r) {
-                t.push(r, c, if r == c { v * 1.05 } else { v }).unwrap();
-            }
-        }
-        let a2 = t.to_csr();
-        let x_true: Vec<f64> = (0..60).map(|i| ((i * 7 % 11) as f64) / 11.0).collect();
-        let b = a2.mul_vec(&x_true).unwrap();
-        let apply = |r: &[f64], z: &mut [f64]| {
-            let s = chol.solve(r).unwrap();
-            z.copy_from_slice(&s);
-        };
-        let opts = CgOptions {
-            tolerance: 1e-13,
-            max_iterations: 0,
-        };
-        let sol = solve_pcg_warm(&a2, &b, &vec![0.0; 60], apply, opts).unwrap();
-        assert!(sol.iterations < 30, "iterations {}", sol.iterations);
-        for (p, q) in sol.x.iter().zip(&x_true) {
-            assert!((p - q).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn warm_pcg_dimension_checks() {
-        let a = poisson(3);
-        let id = |r: &[f64], z: &mut [f64]| z.copy_from_slice(r);
-        assert!(solve_pcg_warm(&a, &[1.0, 2.0], &[0.0; 3], id, CgOptions::default()).is_err());
-        assert!(solve_pcg_warm(&a, &[1.0; 3], &[0.0; 2], id, CgOptions::default()).is_err());
     }
 
     #[test]

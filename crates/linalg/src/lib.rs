@@ -17,8 +17,6 @@
 //!   Laplacian must be solved against many injection columns.
 //! * [`ldlt`] — envelope `L·D·Lᵀ` over the same ordering and envelope,
 //!   the direct solver for the complex-symmetric AC extraction systems.
-//! * [`smw`] — Sherman–Morrison–Woodbury low-rank corrections over a
-//!   cached Cholesky factor, for the incremental nodal-analysis session.
 //! * [`dense`] — small dense LU / Cholesky for tests and tiny systems.
 //! * [`complex`] — a minimal `Complex` scalar (the offline crate set has
 //!   no `num-complex`).
@@ -45,7 +43,6 @@ pub mod laplacian;
 pub mod ldlt;
 pub mod rcm;
 pub mod scalar;
-pub mod smw;
 pub mod solver_trace;
 pub mod sparse;
 

@@ -15,7 +15,7 @@ use sprout_core::refine::smart_refine;
 use sprout_core::seed::{seed_subgraph, SeedOptions};
 use sprout_core::space::SpaceSpec;
 use sprout_core::tile::{identify_terminals, space_to_graph, TileOptions};
-use sprout_core::NodeId;
+use sprout_core::{NodalSession, NodeId};
 use sprout_examples::out_dir;
 use sprout_render::SvgScene;
 
@@ -76,8 +76,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // (e/f) SmartRefine until the improvement stalls.
     let mut last = r_grown;
+    let mut session = NodalSession::new();
     for i in 0..6 {
-        let out = smart_refine(&graph, &mut sub, &pairs, &protected, &terminal_nodes, 10)?;
+        let out = smart_refine(
+            &mut session,
+            &graph,
+            &mut sub,
+            &pairs,
+            &protected,
+            &terminal_nodes,
+            10,
+        )?;
         println!(
             "refine {}: moved {:>2}, R {:.3} → {:.3} sq",
             i + 1,

@@ -1,27 +1,22 @@
 //! Incremental-vs-scratch nodal-solver equivalence.
 //!
 //! Property sweep: randomized subgraph mutation sequences driven
-//! through a persistent [`Engine`] must reproduce the from-scratch
-//! [`node_current`] metric — bit-for-bit at the default configuration,
-//! and within 1e-9 relative error for the approximating backends
-//! (Sherman-Morrison-Woodbury corrections, warm-started PCG). The
-//! sweep also crosses the SMW rank threshold (forcing a
-//! refactorization) and injects solver faults to prove the session
-//! recovers to exact agreement once the fault scope ends.
+//! through a persistent [`NodalSession`] must reproduce the
+//! from-scratch [`node_current`] metric bit for bit. The sweep also
+//! injects solver faults to prove the session recovers to exact
+//! agreement once the fault scope ends.
 //!
 //! Seeded deterministic sweeps (the offline crate set has no
 //! `proptest`); each case prints its seed on failure.
 
 use sprout_board::presets;
-use sprout_core::current::{
-    injection_pairs, node_current, InjectionPair, NodeCurrents, PairPolicy,
-};
+use sprout_core::current::{injection_pairs, node_current, InjectionPair, PairPolicy};
 use sprout_core::graph::RemovalCheck;
 use sprout_core::recovery::{FaultPlan, FaultScope};
 use sprout_core::seed::{seed_subgraph, SeedOptions};
 use sprout_core::space::SpaceSpec;
 use sprout_core::tile::{identify_terminals, space_to_graph, TileOptions};
-use sprout_core::{Engine, NodeId, RoutingGraph, SolverConfig, Subgraph};
+use sprout_core::{NodalSession, NodeId, RoutingGraph, Subgraph};
 use sprout_rng::SproutRng;
 
 fn setup() -> (RoutingGraph, Subgraph, Vec<InjectionPair>, Vec<NodeId>) {
@@ -37,12 +32,12 @@ fn setup() -> (RoutingGraph, Subgraph, Vec<InjectionPair>, Vec<NodeId>) {
 }
 
 /// One randomized mutation round: a few boundary insertions and a few
-/// connectivity-safe removals, all applied through the engine.
+/// connectivity-safe removals, all applied through the session.
 fn mutate(
     rng: &mut SproutRng,
     graph: &RoutingGraph,
     sub: &mut Subgraph,
-    engine: &mut Engine,
+    session: &mut NodalSession,
     tnodes: &[NodeId],
     check: &mut RemovalCheck,
 ) {
@@ -52,7 +47,7 @@ fn mutate(
         for _ in 0..inserts {
             let id = ring[rng.usize_below(ring.len())];
             if !sub.contains(id) {
-                engine.insert(graph, sub, id);
+                session.insert(graph, sub, id);
             }
         }
     }
@@ -68,7 +63,7 @@ fn mutate(
             continue;
         }
         if check.keeps_connected(graph, sub, id, tnodes) {
-            engine.remove(graph, sub, id);
+            session.remove(graph, sub, id);
             done += 1;
         }
     }
@@ -79,10 +74,10 @@ fn assert_bitwise(
     graph: &RoutingGraph,
     sub: &Subgraph,
     pairs: &[InjectionPair],
-    engine: &mut Engine,
+    session: &mut NodalSession,
 ) {
     let scratch = node_current(graph, sub, pairs).unwrap();
-    let incr = engine.eval(graph, sub, pairs).unwrap();
+    let incr = session.eval(graph, sub, pairs).unwrap();
     assert_eq!(
         scratch.resistance_sq().to_bits(),
         incr.resistance_sq().to_bits(),
@@ -98,29 +93,7 @@ fn assert_bitwise(
     }
 }
 
-fn assert_close(case: u64, scratch: &NodeCurrents, incr: &NodeCurrents, n: usize) {
-    let rel = (scratch.resistance_sq() - incr.resistance_sq()).abs()
-        / scratch.resistance_sq().max(1e-300);
-    assert!(
-        rel <= 1e-9,
-        "case {case}: resistance drift {rel:e} ({} vs {})",
-        scratch.resistance_sq(),
-        incr.resistance_sq()
-    );
-    // Node metrics compared on an absolute scale anchored at the
-    // hotspot: near-zero nodes are dominated by rounding noise.
-    let scale = scratch.max_current_a().max(1e-300);
-    for i in 0..n as u32 {
-        let id = NodeId(i);
-        let d = (scratch.of(id) - incr.of(id)).abs();
-        assert!(
-            d <= 1e-9 * scale,
-            "case {case}: node {i} drift {d:e} vs hotspot {scale:e}"
-        );
-    }
-}
-
-/// 24 seeded mutation sequences: the default incremental engine is
+/// 24 seeded mutation sequences: the session is
 /// bit-identical to from-scratch evaluation at every step, across
 /// factor reuse, numeric refactorization, and resyncs.
 #[test]
@@ -129,103 +102,28 @@ fn randomized_mutation_sequences_match_scratch_bitwise() {
     for case in 0..24u64 {
         let mut rng = SproutRng::seed_from_u64(0x50_1e9 + case);
         let mut sub = seed_sub.clone();
-        let mut engine = Engine::new(SolverConfig::default());
+        let mut session = NodalSession::new();
         let mut check = RemovalCheck::new();
-        assert_bitwise(case, &graph, &sub, &pairs, &mut engine);
+        assert_bitwise(case, &graph, &sub, &pairs, &mut session);
         for _ in 0..5 {
-            mutate(&mut rng, &graph, &mut sub, &mut engine, &tnodes, &mut check);
-            assert_bitwise(case, &graph, &sub, &pairs, &mut engine);
+            mutate(
+                &mut rng,
+                &graph,
+                &mut sub,
+                &mut session,
+                &tnodes,
+                &mut check,
+            );
+            assert_bitwise(case, &graph, &sub, &pairs, &mut session);
         }
-        let stats = engine.stats();
+        let stats = session.stats();
         assert_eq!(
             stats.evals,
             stats.full_factors
                 + stats.numeric_refactors
-                + stats.smw_evals
                 + stats.factor_reuses
                 + stats.ladder_fallbacks,
             "case {case}: every eval must land in exactly one backend"
-        );
-    }
-}
-
-/// With SMW corrections enabled, removals are served from the cached
-/// factor within tolerance; enough removals cross the rank threshold
-/// and force a refactorization, after which agreement continues.
-#[test]
-fn smw_threshold_crossing_stays_within_tolerance() {
-    let (graph, seed_sub, pairs, tnodes) = setup();
-    let cfg = SolverConfig {
-        smw_max_rank: 12,
-        ..SolverConfig::default()
-    };
-    for case in 0..8u64 {
-        let mut rng = SproutRng::seed_from_u64(0x3A_77 + case);
-        let mut sub = seed_sub.clone();
-        let mut engine = Engine::new(cfg);
-        let mut check = RemovalCheck::new();
-        // Grow a margin first so there are plenty of safe removals.
-        for id in sub.boundary(&graph) {
-            engine.insert(&graph, &mut sub, id);
-        }
-        engine.eval(&graph, &sub, &pairs).unwrap();
-        // Removal-only rounds: each eval after a small removal batch is
-        // SMW-eligible; accumulated rank eventually crosses 12.
-        for _ in 0..10 {
-            let members: Vec<NodeId> = sub.members().to_vec();
-            let mut done = 0;
-            for _ in 0..members.len() {
-                if done >= 2 {
-                    break;
-                }
-                let id = members[rng.usize_below(members.len())];
-                if !sub.contains(id) || tnodes.contains(&id) {
-                    continue;
-                }
-                if check.keeps_connected(&graph, &sub, id, &tnodes) {
-                    engine.remove(&graph, &mut sub, id);
-                    done += 1;
-                }
-            }
-            let scratch = node_current(&graph, &sub, &pairs).unwrap();
-            let incr = engine.eval(&graph, &sub, &pairs).unwrap();
-            assert_close(case, &scratch, &incr, graph.node_count());
-        }
-        let stats = engine.stats();
-        assert!(
-            stats.smw_evals > 0,
-            "case {case}: SMW corrections must engage ({stats:?})"
-        );
-        assert!(
-            stats.full_factors >= 2,
-            "case {case}: the rank threshold must force a refactorization ({stats:?})"
-        );
-    }
-}
-
-/// The warm-started iterative backend agrees with scratch within the
-/// PCG tolerance margin across mutations.
-#[test]
-fn warm_iterative_backend_matches_within_tolerance() {
-    let (graph, seed_sub, pairs, tnodes) = setup();
-    let cfg = SolverConfig {
-        force_iterative: true,
-        ..SolverConfig::default()
-    };
-    for case in 0..4u64 {
-        let mut rng = SproutRng::seed_from_u64(0xCC_11 + case);
-        let mut sub = seed_sub.clone();
-        let mut engine = Engine::new(cfg);
-        let mut check = RemovalCheck::new();
-        for _ in 0..4 {
-            mutate(&mut rng, &graph, &mut sub, &mut engine, &tnodes, &mut check);
-            let scratch = node_current(&graph, &sub, &pairs).unwrap();
-            let incr = engine.eval(&graph, &sub, &pairs).unwrap();
-            assert_close(case, &scratch, &incr, graph.node_count());
-        }
-        assert!(
-            engine.stats().warm_solves >= pairs.len(),
-            "case {case}: warm starts must be used"
         );
     }
 }
@@ -238,10 +136,10 @@ fn warm_iterative_backend_matches_within_tolerance() {
 fn session_recovers_exact_agreement_after_faults() {
     let (graph, seed_sub, pairs, tnodes) = setup();
     let mut sub = seed_sub.clone();
-    let mut engine = Engine::new(SolverConfig::default());
+    let mut session = NodalSession::new();
     let mut check = RemovalCheck::new();
     let mut rng = SproutRng::seed_from_u64(0xFA_0175);
-    assert_bitwise(0, &graph, &sub, &pairs, &mut engine);
+    assert_bitwise(0, &graph, &sub, &pairs, &mut session);
 
     // Leg 1: forced solver failure — both paths must error.
     let fail_plan = FaultPlan {
@@ -254,10 +152,17 @@ fn session_recovers_exact_agreement_after_faults() {
     }
     {
         let _scope = FaultScope::install(fail_plan);
-        assert!(engine.eval(&graph, &sub, &pairs).is_err());
+        assert!(session.eval(&graph, &sub, &pairs).is_err());
     }
-    mutate(&mut rng, &graph, &mut sub, &mut engine, &tnodes, &mut check);
-    assert_bitwise(1, &graph, &sub, &pairs, &mut engine);
+    mutate(
+        &mut rng,
+        &graph,
+        &mut sub,
+        &mut session,
+        &tnodes,
+        &mut check,
+    );
+    assert_bitwise(1, &graph, &sub, &pairs, &mut session);
 
     // Leg 2: NaN-corrupted conductances — each path runs under its own
     // scope so the deterministic draws line up; the sanitized degraded
@@ -272,7 +177,7 @@ fn session_recovers_exact_agreement_after_faults() {
     };
     let incr = {
         let _scope = FaultScope::install(nan_plan);
-        engine.eval(&graph, &sub, &pairs)
+        session.eval(&graph, &sub, &pairs)
     };
     match (scratch, incr) {
         (Ok(s), Ok(i)) => assert_eq!(
@@ -288,7 +193,14 @@ fn session_recovers_exact_agreement_after_faults() {
 
     // After the fault scope: the corrupted eval must not have been
     // cached — agreement with the clean scratch metric resumes.
-    assert_bitwise(2, &graph, &sub, &pairs, &mut engine);
-    mutate(&mut rng, &graph, &mut sub, &mut engine, &tnodes, &mut check);
-    assert_bitwise(3, &graph, &sub, &pairs, &mut engine);
+    assert_bitwise(2, &graph, &sub, &pairs, &mut session);
+    mutate(
+        &mut rng,
+        &graph,
+        &mut sub,
+        &mut session,
+        &tnodes,
+        &mut check,
+    );
+    assert_bitwise(3, &graph, &sub, &pairs, &mut session);
 }
