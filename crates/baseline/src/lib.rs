@@ -196,7 +196,7 @@ impl<'b> ManualRouter<'b> {
             net,
             layer,
             shape,
-            graph,
+            graph: std::sync::Arc::new(graph),
             subgraph: sub,
             terminals,
             pairs,

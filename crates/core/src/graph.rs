@@ -2,7 +2,6 @@
 
 use sprout_geom::stitch::GridFrame;
 use sprout_geom::{IntervalSet, Point, PolygonSet, Rect};
-use std::collections::HashMap;
 
 /// Identifier of a node (tile) in a [`RoutingGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -111,29 +110,89 @@ pub struct RoutingGraph {
     frame: GridFrame,
     nodes: Vec<TileNode>,
     edges: Vec<GraphEdge>,
-    adj: Vec<Vec<(NodeId, u32)>>,
-    cell_lookup: HashMap<(i64, i64), NodeId>,
+    /// Compressed adjacency: node `n`'s neighbors (with the connecting
+    /// edge index) are `adj[adj_start[n]..adj_start[n + 1]]`, in edge
+    /// order.
+    adj_start: Vec<u32>,
+    adj: Vec<(NodeId, u32)>,
+    cells: CellIndex,
+}
+
+/// Dense lattice index over the bounding box of the nodes' cells.
+#[derive(Debug, Clone, Default)]
+struct CellIndex {
+    i0: i64,
+    j0: i64,
+    width: i64,
+    height: i64,
+    /// Node per cell, row by row; `u32::MAX` for a cell without one.
+    node: Vec<u32>,
+}
+
+impl CellIndex {
+    fn new(nodes: &[TileNode]) -> CellIndex {
+        let Some(first) = nodes.first() else {
+            return CellIndex::default();
+        };
+        let (mut lo, mut hi) = (first.cell, first.cell);
+        for n in nodes {
+            lo = (lo.0.min(n.cell.0), lo.1.min(n.cell.1));
+            hi = (hi.0.max(n.cell.0), hi.1.max(n.cell.1));
+        }
+        let (width, height) = (hi.0 - lo.0 + 1, hi.1 - lo.1 + 1);
+        let mut node = vec![u32::MAX; (width * height) as usize];
+        for (k, n) in nodes.iter().enumerate() {
+            node[((n.cell.1 - lo.1) * width + n.cell.0 - lo.0) as usize] = k as u32;
+        }
+        CellIndex {
+            i0: lo.0,
+            j0: lo.1,
+            width,
+            height,
+            node,
+        }
+    }
+
+    fn get(&self, (i, j): (i64, i64)) -> Option<NodeId> {
+        let (di, dj) = (i.wrapping_sub(self.i0), j.wrapping_sub(self.j0));
+        if !(0..self.width).contains(&di) || !(0..self.height).contains(&dj) {
+            return None;
+        }
+        match self.node[(dj * self.width + di) as usize] {
+            u32::MAX => None,
+            k => Some(NodeId(k)),
+        }
+    }
 }
 
 impl RoutingGraph {
     /// Assembles a graph from parts (used by the tiling stage).
     pub(crate) fn assemble(frame: GridFrame, nodes: Vec<TileNode>, edges: Vec<GraphEdge>) -> Self {
-        let mut adj: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); nodes.len()];
-        for (k, e) in edges.iter().enumerate() {
-            adj[e.a.index()].push((e.b, k as u32));
-            adj[e.b.index()].push((e.a, k as u32));
+        let mut adj_start = vec![0u32; nodes.len() + 1];
+        for e in &edges {
+            adj_start[e.a.index() + 1] += 1;
+            adj_start[e.b.index() + 1] += 1;
         }
-        let cell_lookup = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.cell, NodeId(i as u32)))
-            .collect();
+        for n in 0..nodes.len() {
+            adj_start[n + 1] += adj_start[n];
+        }
+        let mut fill = adj_start.clone();
+        let mut adj = vec![(NodeId(0), 0u32); 2 * edges.len()];
+        for (k, e) in edges.iter().enumerate() {
+            for (from, to) in [(e.a, e.b), (e.b, e.a)] {
+                let slot = &mut fill[from.index()];
+                adj[*slot as usize] = (to, k as u32);
+                *slot += 1;
+            }
+        }
+        let cells = CellIndex::new(&nodes);
         RoutingGraph {
             frame,
             nodes,
             edges,
+            adj_start,
             adj,
-            cell_lookup,
+            cells,
         }
     }
 
@@ -178,12 +237,13 @@ impl RoutingGraph {
 
     /// Neighbors of a node with the connecting edge index.
     pub fn neighbors(&self, id: NodeId) -> &[(NodeId, u32)] {
-        &self.adj[id.index()]
+        let n = id.index();
+        &self.adj[self.adj_start[n] as usize..self.adj_start[n + 1] as usize]
     }
 
     /// The node occupying lattice cell `(i, j)`, if any.
     pub fn node_at_cell(&self, cell: (i64, i64)) -> Option<NodeId> {
-        self.cell_lookup.get(&cell).copied()
+        self.cells.get(cell)
     }
 
     /// The node whose tile contains `p`, or the nearest node within a

@@ -80,8 +80,8 @@ pub use session::{NodalSession, SessionStats};
 pub use supervisor::{
     JobReport, RailOutcome, RailReport, RestoredRail, Supervisor, SupervisorConfig,
 };
-pub use tile_cache::{TileSessionCache, TILE_CACHE_CAP};
-pub use tile_session::{TileConfig, TileOutcome, TileSessionStats, TilingSession};
+pub use tile_cache::{TileCache, TileOutcome, TILE_CACHE_CAP};
+pub use tile_session::TileConfig;
 
 use std::fmt;
 use std::sync::OnceLock;

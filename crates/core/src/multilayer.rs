@@ -18,6 +18,7 @@ use sprout_geom::Point;
 use sprout_telemetry as telemetry;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Multilayer planning parameters.
@@ -99,15 +100,15 @@ pub fn plan_multilayer(
     layers: &[usize],
     config: MultilayerConfig,
 ) -> Result<MultilayerPlan, SproutError> {
-    plan_multilayer_impl(board, net, layers, config, |spec, opts, _layer| {
-        space_to_graph(spec, opts)
+    plan_multilayer_impl(board, net, layers, config, |spec, opts| {
+        space_to_graph(spec, opts).map(Arc::new)
     })
 }
 
 /// The planner body, generic over how per-layer graphs are produced so
-/// [`route_multilayer_report`] can serve them from the router's
-/// persistent tiling sessions while the free-standing
-/// [`plan_multilayer`] stays a one-shot scratch build.
+/// [`route_multilayer_report`] can share them from the router's tiling
+/// cache while the free-standing [`plan_multilayer`] stays a one-shot
+/// scratch build.
 fn plan_multilayer_impl<F>(
     board: &Board,
     net: NetId,
@@ -116,18 +117,18 @@ fn plan_multilayer_impl<F>(
     mut tile: F,
 ) -> Result<MultilayerPlan, SproutError>
 where
-    F: FnMut(&SpaceSpec, TileOptions, usize) -> Result<RoutingGraph, SproutError>,
+    F: FnMut(&SpaceSpec, TileOptions) -> Result<Arc<RoutingGraph>, SproutError>,
 {
     if layers.is_empty() {
         return Err(SproutError::InvalidConfig("no candidate layers"));
     }
 
     // Per-layer coarse graphs and terminal nodes.
-    let mut graphs: Vec<RoutingGraph> = Vec::with_capacity(layers.len());
+    let mut graphs: Vec<Arc<RoutingGraph>> = Vec::with_capacity(layers.len());
     let mut terminal_nodes: Vec<(usize, NodeId)> = Vec::new(); // (layer pos, node)
     for (pos, &layer) in layers.iter().enumerate() {
         let spec = SpaceSpec::build_transit(board, net, layer, &[])?;
-        let graph = tile(&spec, TileOptions::square(config.via_pitch_mm), layer)?;
+        let graph = tile(&spec, TileOptions::square(config.via_pitch_mm))?;
         for (t_idx, t) in spec.terminals.iter().enumerate() {
             match graph.node_near(t.shape.centroid(), 3) {
                 Some(node) => terminal_nodes.push((pos, node)),
@@ -255,7 +256,7 @@ where
 
 #[allow(clippy::too_many_arguments)]
 fn dijkstra_3d(
-    graphs: &[RoutingGraph],
+    graphs: &[Arc<RoutingGraph>],
     offsets: &[usize],
     via_edges: &HashMap<usize, Vec<usize>>,
     config: MultilayerConfig,
@@ -375,8 +376,8 @@ pub fn route_multilayer_report(
         .field("layers", layers.len())
         .field("budget_per_layer_mm2", budget_per_layer_mm2)
         .enter();
-    let plan = plan_multilayer_impl(board, net, layers, config, |spec, opts, layer| {
-        router.session_graph(spec, net, layer, opts).map(|(g, _)| g)
+    let plan = plan_multilayer_impl(board, net, layers, config, |spec, opts| {
+        router.cached_graph(spec, opts).map(|(g, _)| g)
     })?;
     plan_span.record("layers_used", plan.layers_used.len());
     plan_span.record("vias", plan.vias.len());

@@ -90,8 +90,8 @@ pub struct RailRunRecord {
     pub factor_updates: usize,
     /// Routing graphs tiled from scratch.
     pub tile_rebuilds: usize,
-    /// Routing graphs served from a persistent tiling session (verbatim
-    /// reuse or incremental re-clip).
+    /// Routing graphs shared from the tiling cache (the identical space
+    /// was tiled before).
     pub tile_reuses: usize,
     /// Total rail wall clock (ms).
     pub total_ms: f64,

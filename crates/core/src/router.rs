@@ -30,12 +30,13 @@ use crate::seed::{seed_subgraph, SeedOptions};
 use crate::session::NodalSession;
 use crate::space::{SpaceSpec, TerminalShape};
 use crate::tile::{identify_terminals, Terminal, TileOptions};
-use crate::tile_cache::{TileKey, TileSessionCache};
-use crate::tile_session::{TileConfig, TileOutcome, TilingSession};
+use crate::tile_cache::{TileCache, TileOutcome};
+use crate::tile_session::TileConfig;
 use crate::SproutError;
 use sprout_board::{Board, ElementRole, NetId};
 use sprout_geom::{Point, Polygon};
 use sprout_telemetry as telemetry;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Router configuration (the paper's design variables of §II-H).
@@ -62,9 +63,8 @@ pub struct RouterConfig {
     /// Stage-failure policy, per-stage budgets, and (test-only) fault
     /// injection.
     pub recovery: RecoveryConfig,
-    /// Tiling threads. Graphs come from persistent [`TilingSession`]s
-    /// keyed by `(board, net, layer, pitch)` with incremental
-    /// re-clipping, bit-identical to a from-scratch build.
+    /// Tiling threads. Graphs come from a [`TileCache`] keyed by the
+    /// exact space, bit-identical to a from-scratch build.
     pub tile: TileConfig,
 }
 
@@ -113,8 +113,8 @@ pub struct StageTimings {
     pub factor_updates: usize,
     /// Routing graphs built from scratch (full lattice clip).
     pub tile_rebuilds: usize,
-    /// Routing graphs served from a persistent [`TilingSession`] —
-    /// verbatim reuses and incremental patches of dirty cells only.
+    /// Routing graphs shared from a [`TileCache`]: the identical space
+    /// was tiled before.
     pub tile_reuses: usize,
 }
 
@@ -151,8 +151,8 @@ pub struct RouteResult {
     /// The synthesized shape.
     pub shape: RoutedShape,
     /// The routing graph (kept for extraction: its induced subgraph *is*
-    /// the electrical mesh).
-    pub graph: RoutingGraph,
+    /// the electrical mesh). Routes of one space share it.
+    pub graph: Arc<RoutingGraph>,
     /// The final subgraph.
     pub subgraph: Subgraph,
     /// Terminals mapped onto the graph.
@@ -176,44 +176,32 @@ pub struct RouteResult {
 pub struct Router<'b> {
     board: &'b Board,
     config: RouterConfig,
-    /// Persistent tiling sessions, shared across clones of this router.
-    /// A session is checked out of the cache while a route uses it, so
-    /// concurrent routes never share one.
-    tile_cache: TileSessionCache,
-    /// The board's part of every tiling key. A router's own cache only
-    /// ever sees its own board, so `Router::new` leaves it at 0.
-    board_fp: u64,
+    /// Finished graphs by exact space, shared across clones of this
+    /// router.
+    tile_cache: TileCache,
 }
 
 impl<'b> Router<'b> {
     /// Creates a router over `board` with `config` and a private tiling
     /// cache.
     pub fn new(board: &'b Board, config: RouterConfig) -> Self {
-        Router {
-            board,
-            config,
-            tile_cache: TileSessionCache::new(),
-            board_fp: 0,
-        }
+        Router::with_tile_cache(board, config, TileCache::new())
     }
 
-    /// Creates a router whose tiling sessions live in `cache`, which may
-    /// hold sessions of other boards: `board_fp` (the board's
-    /// [`board_fingerprint`](sprout_board::io::board_fingerprint)) keeps
-    /// them apart. The supervisor builds one router per attempt over
-    /// the job's cache (or its executor's), so retries, later waves and
-    /// repeat boards reuse the lattices already built.
+    /// Creates a router that tiles through `cache`, which may hold
+    /// graphs of other boards: a graph is keyed by its exact space. The
+    /// supervisor builds one router per attempt over the job's cache (or
+    /// its executor's), so retries, later waves and repeat boards share
+    /// the graphs already built.
     pub(crate) fn with_tile_cache(
         board: &'b Board,
         config: RouterConfig,
-        cache: TileSessionCache,
-        board_fp: u64,
+        cache: TileCache,
     ) -> Self {
         Router {
             board,
             config,
             tile_cache: cache,
-            board_fp,
         }
     }
 
@@ -227,54 +215,24 @@ impl<'b> Router<'b> {
         self.board
     }
 
-    /// Snapshot of the persistent tiling sessions' lifetime counters,
-    /// summed across every session this router's cache holds (see
-    /// [`TileSessionCache::stats`]). Empty-cache snapshots are all zeros.
-    pub fn tile_stats(&self) -> crate::tile_session::TileSessionStats {
-        self.tile_cache.stats()
-    }
-
-    /// Builds the routing graph for `spec`: checks a persistent
-    /// [`TilingSession`] out of the cache, diffs the spec against it
-    /// (blocker prefix match → verbatim reuse or incremental re-clip of
-    /// the delta cells), and checks it back in. The graph is
-    /// bit-identical to a from-scratch
-    /// [`space_to_graph`](crate::tile::space_to_graph).
-    pub(crate) fn session_graph(
+    /// The graph of `spec` at `opts` from this router's cache.
+    pub(crate) fn cached_graph(
         &self,
         spec: &SpaceSpec,
-        net: NetId,
-        layer: usize,
         opts: TileOptions,
-    ) -> Result<(RoutingGraph, TileOutcome), SproutError> {
-        let key = TileKey::new(self.board_fp, net, layer, opts);
-        let (mut session, outcome) = match self.tile_cache.check_out(&key) {
-            Some(mut s) => {
-                let outcome = s.update_to(spec);
-                (s, outcome)
-            }
-            None => (
-                TilingSession::new(spec, opts, self.config.tile.threads)?,
-                TileOutcome::Rebuilt,
-            ),
-        };
-        let graph = session.graph();
-        self.tile_cache.check_in(key, session);
-        Ok((graph, outcome))
+    ) -> Result<(Arc<RoutingGraph>, TileOutcome), SproutError> {
+        self.tile_cache.graph(spec, opts, self.config.tile.threads)
     }
 
     /// The tile stage of both routing paths: the graph for `spec` at the
     /// configured pitch. This is the one place a tiling outcome is
-    /// counted: in `timings`, in the `tile.rebuilds` /
-    /// `tile.incremental` / `tile.reuse_hits` counters, and as the
-    /// `outcome` field of the `tile` span.
+    /// counted: in `timings`, in the `tile.rebuilds` / `tile.reuse_hits`
+    /// counters, and as the `outcome` field of the `tile` span.
     fn tiled_graph(
         &self,
         spec: &SpaceSpec,
-        net: NetId,
-        layer: usize,
         timings: &mut StageTimings,
-    ) -> Result<RoutingGraph, SproutError> {
+    ) -> Result<Arc<RoutingGraph>, SproutError> {
         let t = Instant::now();
         let mut span = telemetry::span("tile")
             .field("pitch_mm", self.config.tile_pitch_mm)
@@ -284,17 +242,12 @@ impl<'b> Router<'b> {
             dy: self.config.tile_pitch_mm,
             min_cell_fraction: self.config.min_cell_fraction,
         };
-        let (graph, outcome) = self.session_graph(spec, net, layer, opts)?;
+        let (graph, outcome) = self.cached_graph(spec, opts)?;
         match outcome {
             TileOutcome::Rebuilt => {
                 telemetry::counter!("tile.rebuilds");
                 timings.tile_rebuilds += 1;
                 span.record("outcome", "rebuilt");
-            }
-            TileOutcome::Patched => {
-                telemetry::counter!("tile.incremental");
-                timings.tile_reuses += 1;
-                span.record("outcome", "patched");
             }
             TileOutcome::Reused => {
                 telemetry::counter!("tile.reuse_hits");
@@ -389,7 +342,7 @@ impl<'b> Router<'b> {
         timings.space_ms = t.elapsed().as_secs_f64() * 1e3;
 
         // Stage 2: tiling (Algorithm 1).
-        let graph = self.tiled_graph(&spec, net, layer, &mut timings)?;
+        let graph = self.tiled_graph(&spec, &mut timings)?;
 
         let terminals = identify_terminals(&graph, &spec, net)?;
         if terminals.len() < 2 {
@@ -454,7 +407,7 @@ impl<'b> Router<'b> {
             return Err(SproutError::NoTerminals { net, layer });
         }
         let mut base_timings = StageTimings::default();
-        let graph = self.tiled_graph(&spec, net, layer, &mut base_timings)?;
+        let graph = self.tiled_graph(&spec, &mut base_timings)?;
         let terminals = identify_terminals(&graph, &spec, net)?;
 
         // Group terminals by connected component of the graph.
@@ -477,7 +430,7 @@ impl<'b> Router<'b> {
             // The shared graph build is attributed to the first group so
             // aggregated reports count it exactly once.
             match self.optimize_group(
-                graph.clone(),
+                Arc::clone(&graph),
                 group,
                 net,
                 layer,
@@ -522,7 +475,7 @@ impl<'b> Router<'b> {
     /// connected seed there is nothing to degrade to.
     fn optimize_group(
         &self,
-        graph: RoutingGraph,
+        graph: Arc<RoutingGraph>,
         terminals: Vec<Terminal>,
         net: NetId,
         layer: usize,
@@ -932,8 +885,8 @@ impl<'b> Router<'b> {
     /// [`JobReport::into_results`] for the old all-or-first-error shape.
     ///
     /// The job tiles through this router's own cache, so repeated calls
-    /// (the prototypes of an exploration sweep) reuse the lattices
-    /// earlier calls built.
+    /// (the prototypes of an exploration sweep) share the graphs earlier
+    /// calls built.
     pub fn route_all(&self, requests: &[(NetId, usize, f64)]) -> crate::supervisor::JobReport {
         crate::supervisor::Supervisor::new(
             self.board,
@@ -1069,22 +1022,26 @@ mod tests {
         let (vdd1, _) = board.power_nets().next().unwrap();
         let layer = presets::TWO_RAIL_ROUTE_LAYER;
         let claim = Polygon::rectangle(Point::new(5.0, 4.0), Point::new(8.0, 6.5)).unwrap();
+        let with_claim = || {
+            router
+                .route_net_with(vdd1, layer, 20.0, std::slice::from_ref(&claim), &[])
+                .unwrap()
+        };
         let capture = Arc::new(Capture::default());
         let runs = {
             let _scope = telemetry::RecorderScope::install(capture.clone());
             [
                 router.route_net(vdd1, layer, 20.0).unwrap(),
                 router.route_net(vdd1, layer, 20.0).unwrap(),
-                router
-                    .route_net_with(vdd1, layer, 20.0, std::slice::from_ref(&claim), &[])
-                    .unwrap(),
+                with_claim(),
+                with_claim(),
             ]
         };
         let counts: Vec<(usize, usize)> = runs
             .iter()
             .map(|r| (r.timings.tile_rebuilds, r.timings.tile_reuses))
             .collect();
-        assert_eq!(counts, [(1, 0), (0, 1), (0, 1)]);
+        assert_eq!(counts, [(1, 0), (0, 1), (1, 0), (0, 1)]);
         let outcomes: Vec<String> = capture
             .0
             .lock()
@@ -1096,12 +1053,10 @@ mod tests {
                 other => panic!("tile span without an outcome: {other:?}"),
             })
             .collect();
-        assert_eq!(outcomes, ["rebuilt", "reused", "patched"]);
-        let stats = router.tile_stats();
-        assert_eq!(
-            (stats.rebuilds, stats.reuse_hits, stats.incremental_updates),
-            (1, 1, 1)
-        );
+        assert_eq!(outcomes, ["rebuilt", "reused", "rebuilt", "reused"]);
+        assert!(Arc::ptr_eq(&runs[0].graph, &runs[1].graph));
+        assert!(Arc::ptr_eq(&runs[2].graph, &runs[3].graph));
+        assert!(!Arc::ptr_eq(&runs[0].graph, &runs[2].graph));
     }
 
     /// End-to-end oracle for the nodal session: `two_rail` routed with

@@ -41,7 +41,7 @@
 use crate::backconv::RoutedShape;
 use crate::recovery::{CancelScope, CancelToken, RecoveryPolicy};
 use crate::router::{RouteResult, Router, RouterConfig};
-use crate::tile_cache::TileSessionCache;
+use crate::tile_cache::TileCache;
 use crate::SproutError;
 use sprout_board::io::{board_fingerprint, fnv1a64};
 use sprout_board::{Board, NetId};
@@ -411,12 +411,12 @@ pub struct Supervisor<'b> {
     board: &'b Board,
     router_config: RouterConfig,
     config: SupervisorConfig,
-    /// The tiling sessions every attempt's router draws from, so retries
-    /// and later same-rail work reuse the lattice instead of re-tiling
-    /// from scratch. Sessions are checked out while in use, so sharing
-    /// is safe at any thread count.
-    tile_cache: TileSessionCache,
-    /// Checkpoint guard and the board's part of every tiling key.
+    /// The graphs every attempt's router draws from, so retries and
+    /// repeated spaces share a graph instead of re-tiling from scratch.
+    /// Graphs are immutable and shared by reference, so sharing is safe
+    /// at any thread count.
+    tile_cache: TileCache,
+    /// Checkpoint guard: the board's fingerprint.
     board_fp: u64,
 }
 
@@ -430,16 +430,16 @@ impl<'b> Supervisor<'b> {
             board,
             router_config,
             config,
-            tile_cache: TileSessionCache::new(),
+            tile_cache: TileCache::new(),
             board_fp: board_fingerprint(board),
         }
     }
 
     /// Tiles through `cache` instead of a per-job one. A serving
     /// executor passes the one cache it keeps for its lifetime, so a
-    /// board it has seen before skips tiling; sessions are keyed by
-    /// board fingerprint, so boards never mix.
-    pub fn with_tile_cache(mut self, cache: TileSessionCache) -> Self {
+    /// board it has seen before skips tiling; graphs are keyed by their
+    /// exact space, so only identical spaces share one.
+    pub fn with_tile_cache(mut self, cache: TileCache) -> Self {
         self.tile_cache = cache;
         self
     }
@@ -714,8 +714,8 @@ impl<'b> Supervisor<'b> {
                         );
                     }
                 }
-                Router::with_tile_cache(self.board, config, self.tile_cache.clone(), self.board_fp)
-                    .route_net_with(net, layer, budget, blockers, &[])
+                let router = Router::with_tile_cache(self.board, config, self.tile_cache.clone());
+                router.route_net_with(net, layer, budget, blockers, &[])
             }));
 
             match outcome {

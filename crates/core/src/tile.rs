@@ -8,7 +8,7 @@
 
 use crate::graph::{NodeId, RoutingGraph};
 use crate::space::SpaceSpec;
-use crate::tile_session::TilingSession;
+use crate::tile_session::build_graph;
 use crate::SproutError;
 use sprout_board::{ElementRole, NetId};
 
@@ -39,19 +39,18 @@ impl TileOptions {
 /// Converts the available space into the equivalent graph Γ_n
 /// (Algorithm 1).
 ///
-/// This is the one-shot entry point: it builds a throwaway
-/// [`TilingSession`] and hands out its graph, so the from-scratch and
-/// incremental paths share a single clip kernel and stay bit-identical
-/// by construction. Callers that re-tile the same `(board, layer,
-/// pitch)` repeatedly should hold a [`TilingSession`] instead.
+/// This is the from-scratch, single-threaded build: the oracle the
+/// routers' cached graphs are checked against. Routers tile through a
+/// [`TileCache`](crate::tile_cache::TileCache), which shares one
+/// finished graph per exact space and builds it with the same kernel
+/// ([`build_graph`]).
 ///
 /// # Errors
 ///
 /// Returns [`SproutError::InvalidConfig`] for non-positive pitches or a
 /// threshold outside `[0, 1)`.
 pub fn space_to_graph(spec: &SpaceSpec, opts: TileOptions) -> Result<RoutingGraph, SproutError> {
-    let mut session = TilingSession::new(spec, opts, 1)?;
-    Ok(session.graph())
+    build_graph(spec.design_space, &spec.blockers, opts, 1)
 }
 
 /// A routing terminal mapped onto the graph.

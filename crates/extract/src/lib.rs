@@ -25,8 +25,6 @@
 //!   current ramp) and reports the minimum load voltage (Fig. 12c).
 //! * [`delay`] — alpha-power-law FinFET delay/power model calibrated to
 //!   the paper's quoted sensitivity (36 mV ↔ 7 %, Fig. 12d).
-//! * [`thermal`] — first-order temperature-rise estimate (the Table I
-//!   temperature constraint).
 //! * [`explore`] — the Fig. 2 prototype-evaluate-compare loop as a
 //!   library call.
 //!
@@ -60,7 +58,6 @@ pub mod mna;
 pub mod network;
 pub mod pdn;
 pub mod resistance;
-pub mod thermal;
 
 use std::fmt;
 

@@ -21,7 +21,7 @@
 //! * **Forensics** — a per-job thread-timeline profile
 //!   ([`RoutingService::profile`]) and, with
 //!   [`ServiceConfig::keep_reports`], a [`RunReport`] per attempt.
-//! * **Tiling reuse** — the slots share one [`TileSessionCache`] for the
+//! * **Tiling reuse** — the slots share one [`TileCache`] for the
 //!   service's lifetime, so a board seen before skips tiling.
 
 use crate::backoff::BackoffConfig;
@@ -36,7 +36,7 @@ use sprout_core::recovery::RecoveryPolicy;
 use sprout_core::report::RunReport;
 use sprout_core::router::RouterConfig;
 use sprout_core::supervisor::WaveHook;
-use sprout_core::TileSessionCache;
+use sprout_core::TileCache;
 use sprout_telemetry::{self as telemetry, json::Obj};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -111,7 +111,7 @@ pub struct Threads {
     // `GET /jobs/<id>/profile`. Rendered JSON, bounded by job count.
     profiles: Mutex<HashMap<u64, String>>,
     reports: Mutex<Vec<RunReport>>,
-    tiles: TileSessionCache,
+    tiles: TileCache,
 }
 
 /// The running in-process service. Share it behind an `Arc` if multiple
@@ -164,7 +164,7 @@ impl Ledger<Threads> {
             slots: Mutex::new(Vec::new()),
             profiles: Mutex::new(HashMap::new()),
             reports: Mutex::new(Vec::new()),
-            tiles: TileSessionCache::new(),
+            tiles: TileCache::new(),
         });
         // Built before any slot starts, so an early error return still
         // stops the slots already running.
@@ -210,8 +210,8 @@ impl Ledger<Threads> {
         std::mem::take(&mut *lock(&self.exec.reports))
     }
 
-    /// The tiling sessions the slots share.
-    pub fn tile_cache(&self) -> &TileSessionCache {
+    /// The tiling cache the slots share.
+    pub fn tile_cache(&self) -> &TileCache {
         &self.exec.tiles
     }
 }

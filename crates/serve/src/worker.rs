@@ -34,7 +34,7 @@ use sprout_core::router::RouterConfig;
 use sprout_core::supervisor::{
     is_retryable, JobReport, Supervisor, SupervisorConfig, WaveHook, WaveProgress,
 };
-use sprout_core::{SproutError, TileSessionCache};
+use sprout_core::{SproutError, TileCache};
 use sprout_telemetry::{self as telemetry, Event, Recorder};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -107,8 +107,8 @@ pub(crate) struct Attempt<'a> {
     pub on_wave: WaveHook,
     /// Installed around the supervisor run.
     pub recorder: Arc<dyn Recorder>,
-    /// The executor's tiling sessions, shared by all its attempts.
-    pub tiles: &'a TileSessionCache,
+    /// The executor's tiling cache, shared by all its attempts.
+    pub tiles: &'a TileCache,
 }
 
 /// Runs one attempt of a job and classifies it. The supervisor report
@@ -336,7 +336,7 @@ where
 
     // One tiling cache for the process lifetime: a board this worker
     // has routed before skips tiling.
-    let tiles = TileSessionCache::new();
+    let tiles = TileCache::new();
     let mut served = 0usize;
     for line in input.lines() {
         let Ok(line) = line else { break };
@@ -384,7 +384,7 @@ fn run_lease<W>(
     config: &WorkerConfig,
     out: &Arc<Outbound<W>>,
     blackout: &Arc<AtomicBool>,
-    tiles: &TileSessionCache,
+    tiles: &TileCache,
     job: u64,
     lease: u64,
     attempt: usize,

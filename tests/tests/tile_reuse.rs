@@ -1,8 +1,9 @@
 //! Tiling reuse across jobs: a `RoutingService` keeps one tiling cache
 //! for its lifetime, so a repeat board skips tiling, routes exactly as a
-//! fresh supervisor does, and the cache stays within its entry cap
+//! fresh supervisor does, and the cache stays within its graph cap
 //! however many distinct boards pass through. A `Router` likewise tiles
-//! every `route_all` call through its own cache.
+//! every `route_all` call through its own cache, and a space it has
+//! tiled before gets the very same shared graph.
 
 use sprout_board::presets::{self, TWO_RAIL_ROUTE_LAYER};
 use sprout_core::router::Router;
@@ -11,6 +12,7 @@ use sprout_core::TILE_CACHE_CAP;
 use sprout_serve::job::{BoardSpec, JobSpec, JobState, RailSpec};
 use sprout_serve::service::{RoutingService, ServiceConfig};
 use sprout_serve::worker::fast_router;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn random_job(seed: u64) -> JobSpec {
@@ -34,7 +36,7 @@ fn a_repeat_board_skips_tiling_and_routes_as_a_fresh_supervisor() {
         ..ServiceConfig::default()
     })
     .expect("service start");
-    // One at a time: a job's sessions are checked out while it routes.
+    // One at a time, so the repeat job finds the first job's graphs.
     let mut ids = Vec::new();
     for _ in 0..2 {
         ids.push(svc.submit(JobSpec::two_rail(20.0)).expect("accepted"));
@@ -92,6 +94,7 @@ fn distinct_boards_keep_the_cache_within_its_cap() {
         ..ServiceConfig::default()
     })
     .expect("service start");
+    // Each single-net random board is one space, so one graph.
     for seed in 0..200 {
         svc.submit(random_job(1_000 + seed)).expect("accepted");
         assert!(svc.tile_cache().len() <= TILE_CACHE_CAP);
@@ -138,6 +141,40 @@ fn repeated_route_all_reuses_the_routers_own_tiling() {
             (f.shape.area_mm2().to_bits(), f.timings.solves),
             "net {:?}",
             r.net
+        );
+    }
+}
+
+#[test]
+fn a_repeated_budget_shares_the_first_calls_graphs() {
+    // Budgets A, B, A: the second rail's space holds the first rail's
+    // copper, so it differs between A and B; the third call repeats the
+    // first call's spaces exactly and must share its graphs.
+    let board = presets::two_rail();
+    let nets: Vec<_> = board.power_nets().map(|(id, _)| id).collect();
+    let layer = TWO_RAIL_ROUTE_LAYER;
+    let a = [(nets[0], layer, 20.0), (nets[1], layer, 20.0)];
+    let b = [(nets[0], layer, 24.0), (nets[1], layer, 22.0)];
+
+    let router = Router::new(&board, fast_router());
+    let first = router.route_all(&a);
+    assert!(router.route_all(&b).is_complete());
+    let third = router.route_all(&a);
+    let fresh = Router::new(&board, fast_router()).route_all(&a);
+    assert!(first.is_complete() && third.is_complete() && fresh.is_complete());
+
+    let first: Vec<_> = first.results().collect();
+    let third: Vec<_> = third.results().collect();
+    let fresh: Vec<_> = fresh.results().collect();
+    assert_eq!(third.len(), fresh.len());
+    for ((t, f), fr) in third.iter().zip(&first).zip(&fresh) {
+        assert!(Arc::ptr_eq(&t.graph, &f.graph), "net {:?}", t.net);
+        assert_eq!((t.timings.tile_rebuilds, t.timings.tile_reuses), (0, 1));
+        assert_eq!(
+            (t.shape.area_mm2().to_bits(), t.timings.solves),
+            (fr.shape.area_mm2().to_bits(), fr.timings.solves),
+            "net {:?}",
+            t.net
         );
     }
 }

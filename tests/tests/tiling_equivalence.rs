@@ -1,14 +1,13 @@
-//! Incremental-vs-scratch tiling equivalence.
+//! Cached-vs-scratch tiling equivalence.
 //!
-//! Property sweep: randomized blocker mutation sequences driven through
-//! a persistent [`TilingSession`] must reproduce the from-scratch
+//! Property sweep: routers tile through a [`TileCache`] that keys
+//! finished graphs by the exact space. Over randomized blocker sets,
+//! every graph the cache hands out must be the from-scratch
 //! [`space_to_graph`] lattice bit for bit — same cells, same clipped
-//! areas, same contact-width edge weights — whether the session learns
-//! about the change through spec prefix diffing ([`TilingSession::
-//! update_to`]) or through explicit delta notes
-//! ([`TilingSession::note_blocker_added`] / `note_blocker_removed`).
-//! The parallel initial build must also be bit-identical at every
-//! thread count.
+//! areas, same contact-width edge weights — a repeated space must get
+//! the very same shared graph, and a space that differs in one bit
+//! (a blocker vertex or the pitch) must miss. The banded parallel build
+//! must also be bit-identical at every thread count.
 //!
 //! Seeded deterministic sweeps (the offline crate set has no
 //! `proptest`); each case prints its seed on failure.
@@ -16,9 +15,11 @@
 use sprout_board::presets;
 use sprout_core::space::SpaceSpec;
 use sprout_core::tile::{space_to_graph, TileOptions};
-use sprout_core::{RoutingGraph, TileOutcome, TilingSession};
+use sprout_core::tile_session::build_graph;
+use sprout_core::{RoutingGraph, TileCache, TileOutcome};
 use sprout_geom::{Point, Polygon, Rect};
 use sprout_rng::SproutRng;
+use std::sync::Arc;
 
 const PITCH: f64 = 0.4;
 
@@ -38,13 +39,13 @@ fn random_blocker(rng: &mut SproutRng, universe: Rect) -> Polygon {
     Polygon::rectangle(Point::new(x0, y0), Point::new(x0 + w, y0 + h)).unwrap()
 }
 
-fn assert_graphs_bit_equal(case: u64, round: usize, scratch: &RoutingGraph, incr: &RoutingGraph) {
+fn assert_graphs_bit_equal(case: u64, round: usize, scratch: &RoutingGraph, cached: &RoutingGraph) {
     assert_eq!(
         scratch.node_count(),
-        incr.node_count(),
+        cached.node_count(),
         "case {case} round {round}: node counts diverged"
     );
-    for (i, (a, b)) in scratch.nodes().iter().zip(incr.nodes()).enumerate() {
+    for (i, (a, b)) in scratch.nodes().iter().zip(cached.nodes()).enumerate() {
         assert_eq!(
             a.cell, b.cell,
             "case {case} round {round}: cell at node {i}"
@@ -57,17 +58,16 @@ fn assert_graphs_bit_equal(case: u64, round: usize, scratch: &RoutingGraph, incr
             b.area_mm2
         );
         assert_eq!(
-            a.pieces.is_some(),
-            b.pieces.is_some(),
-            "case {case} round {round}: irregularity at node {i}"
+            a.pieces, b.pieces,
+            "case {case} round {round}: pieces at node {i}"
         );
     }
     assert_eq!(
         scratch.edge_count(),
-        incr.edge_count(),
+        cached.edge_count(),
         "case {case} round {round}: edge counts diverged"
     );
-    for (i, (a, b)) in scratch.edges().iter().zip(incr.edges()).enumerate() {
+    for (i, (a, b)) in scratch.edges().iter().zip(cached.edges()).enumerate() {
         assert_eq!(
             a.a, b.a,
             "case {case} round {round}: endpoint a at edge {i}"
@@ -86,126 +86,81 @@ fn assert_graphs_bit_equal(case: u64, round: usize, scratch: &RoutingGraph, incr
     }
 }
 
-/// 24 seeded mutation sequences through the explicit delta-note API:
-/// after every add/remove batch the lazily patched session graph is bit
-/// for bit the graph a from-scratch tiling of the mutated spec builds.
+/// `poly` with the lowest mantissa bit of one vertex coordinate flipped.
+fn flip_one_bit(rng: &mut SproutRng, poly: &Polygon) -> Polygon {
+    let mut vs = poly.vertices().to_vec();
+    let at = rng.usize_below(vs.len());
+    let v = &mut vs[at];
+    if rng.usize_below(2) == 0 {
+        v.x = f64::from_bits(v.x.to_bits() ^ 1);
+    } else {
+        v.y = f64::from_bits(v.y.to_bits() ^ 1);
+    }
+    Polygon::new(vs).unwrap()
+}
+
+/// 24 seeded random blocker sets through one shared cache: each graph is
+/// the scratch graph bit for bit, a repeat of the space shares the very
+/// same graph, and one flipped bit in a blocker vertex or in the pitch
+/// misses and builds its own (again equal to scratch).
 #[test]
-fn randomized_blocker_mutations_match_scratch_bitwise() {
+fn randomized_spaces_match_scratch_through_the_cache() {
     let base = base_spec();
     let opts = TileOptions::square(PITCH);
+    let cache = TileCache::new();
     for case in 0..24u64 {
         let mut rng = SproutRng::seed_from_u64(0x0007_11e5 + case);
+        let threads = 1 + case as usize % 3;
+        // Appends, and removals anywhere — the base blockers included.
         let mut spec = base.clone();
-        let mut session = TilingSession::new(&spec, opts, 1).unwrap();
-        for round in 0..6 {
-            // A batch of adds, and removals once there is room. Removal
-            // positions cover the base blockers too, not just the ones
-            // this loop added — tombstoning must hold anywhere.
-            for _ in 0..1 + rng.usize_below(3) {
-                let poly = random_blocker(&mut rng, spec.design_space);
-                spec.blockers.push(poly.clone());
-                session.note_blocker_added(poly);
-            }
-            for _ in 0..rng.usize_below(3) {
-                if spec.blockers.is_empty() {
-                    break;
-                }
-                let pos = rng.usize_below(spec.blockers.len());
-                spec.blockers.remove(pos);
-                session.note_blocker_removed(pos);
-            }
-            assert_eq!(session.blocker_count(), spec.blockers.len());
-            let scratch = space_to_graph(&spec, opts).unwrap();
-            assert_graphs_bit_equal(case, round, &scratch, &session.graph());
+        for _ in 0..1 + rng.usize_below(3) {
+            let poly = random_blocker(&mut rng, spec.design_space);
+            spec.blockers.push(poly);
         }
-        let stats = session.stats();
-        assert_eq!(stats.rebuilds, 1, "case {case}: only the initial build");
-        assert!(
-            stats.cells_reclipped > 0,
-            "case {case}: deltas must re-clip cells"
-        );
+        for _ in 0..rng.usize_below(3) {
+            let pos = rng.usize_below(spec.blockers.len());
+            spec.blockers.remove(pos);
+        }
+        let (graph, outcome) = cache.graph(&spec, opts, threads).unwrap();
+        assert_eq!(outcome, TileOutcome::Rebuilt, "case {case}");
+        assert_graphs_bit_equal(case, 0, &space_to_graph(&spec, opts).unwrap(), &graph);
+
+        let (again, outcome) = cache.graph(&spec.clone(), opts, 1).unwrap();
+        assert_eq!(outcome, TileOutcome::Reused, "case {case}");
+        assert!(Arc::ptr_eq(&graph, &again), "case {case}: repeat shares");
+
+        let mut flipped = spec.clone();
+        let k = rng.usize_below(flipped.blockers.len());
+        flipped.blockers[k] = flip_one_bit(&mut rng, &flipped.blockers[k]);
+        assert_ne!(flipped.blockers[k], spec.blockers[k], "case {case}");
+        let (graph, outcome) = cache.graph(&flipped, opts, threads).unwrap();
+        assert_eq!(outcome, TileOutcome::Rebuilt, "case {case}: vertex bit");
+        assert_graphs_bit_equal(case, 1, &space_to_graph(&flipped, opts).unwrap(), &graph);
+
+        let nudged = TileOptions {
+            dx: f64::from_bits(opts.dx.to_bits() ^ 1),
+            ..opts
+        };
+        let (graph, outcome) = cache.graph(&spec, nudged, threads).unwrap();
+        assert_eq!(outcome, TileOutcome::Rebuilt, "case {case}: pitch bit");
+        assert_graphs_bit_equal(case, 2, &space_to_graph(&spec, nudged).unwrap(), &graph);
     }
 }
 
-/// The spec-diffing entry point: resubmitting specs whose blocker lists
-/// share a prefix patches only the delta and stays bit-identical to
-/// scratch; an unchanged spec is a verbatim reuse; a changed universe
-/// forces a full rebuild.
-#[test]
-fn update_to_patches_reuses_and_rebuilds() {
-    let base = base_spec();
-    let opts = TileOptions::square(PITCH);
-    let mut rng = SproutRng::seed_from_u64(0x005e_5510);
-    let mut session = TilingSession::new(&base, opts, 1).unwrap();
-
-    // Grow the blocker list (pure append → patch).
-    let mut grown = base.clone();
-    for _ in 0..3 {
-        grown
-            .blockers
-            .push(random_blocker(&mut rng, grown.design_space));
-    }
-    assert_eq!(session.update_to(&grown), TileOutcome::Patched);
-    assert_graphs_bit_equal(
-        0,
-        0,
-        &space_to_graph(&grown, opts).unwrap(),
-        &session.graph(),
-    );
-
-    // Identical spec → verbatim reuse, no re-clipping.
-    let clipped_before = session.stats().cells_reclipped;
-    assert_eq!(session.update_to(&grown), TileOutcome::Reused);
-    assert_eq!(session.stats().cells_reclipped, clipped_before);
-    assert_graphs_bit_equal(
-        0,
-        1,
-        &space_to_graph(&grown, opts).unwrap(),
-        &session.graph(),
-    );
-
-    // Shrink back to the shared prefix (suffix removal → patch).
-    assert_eq!(session.update_to(&base), TileOutcome::Patched);
-    assert_graphs_bit_equal(
-        0,
-        2,
-        &space_to_graph(&base, opts).unwrap(),
-        &session.graph(),
-    );
-
-    // A different universe cannot be patched: full rebuild.
-    let mut moved = base.clone();
-    moved.design_space = Rect::new(
-        moved.design_space.min(),
-        Point::new(
-            moved.design_space.max().x - PITCH,
-            moved.design_space.max().y,
-        ),
-    )
-    .unwrap();
-    assert_eq!(session.update_to(&moved), TileOutcome::Rebuilt);
-    assert_graphs_bit_equal(
-        0,
-        3,
-        &space_to_graph(&moved, opts).unwrap(),
-        &session.graph(),
-    );
-    assert_eq!(session.stats().rebuilds, 2);
-}
-
-/// The banded parallel initial build is bit-identical to the serial one
+/// The banded parallel build is bit-identical to the serial one
 /// at every thread count, including counts that do not divide the row
 /// count and counts beyond it.
 #[test]
 fn parallel_initial_build_is_deterministic() {
     let base = base_spec();
     let opts = TileOptions::square(PITCH);
-    let serial = TilingSession::new(&base, opts, 1).unwrap().graph();
+    let build = |threads| build_graph(base.design_space, &base.blockers, opts, threads).unwrap();
+    let serial = build(1);
     for threads in [2, 3, 8] {
-        let parallel = TilingSession::new(&base, opts, threads).unwrap().graph();
+        let parallel = build(threads);
         assert_graphs_bit_equal(threads as u64, 0, &serial, &parallel);
     }
     // threads = 0 resolves to all cores and must agree too.
-    let auto = TilingSession::new(&base, opts, 0).unwrap().graph();
+    let auto = build(0);
     assert_graphs_bit_equal(0, 0, &serial, &auto);
 }
