@@ -30,7 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tile_pitch_mm: 0.3,
         grow_iterations: 15,
         refine_iterations: 4,
-        tile: out.tile_config(),
         ..RouterConfig::default()
     };
     let router = Router::new(&board, config);

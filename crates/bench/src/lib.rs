@@ -1,8 +1,8 @@
 //! # sprout-bench
 //!
 //! Experiment harness regenerating every table and figure of the SPROUT
-//! paper's evaluation (§III), plus criterion micro-benchmarks for the
-//! §II-H runtime analysis.
+//! paper's evaluation (§III), plus micro-benchmarks for the §II-H
+//! runtime analysis timed by the in-tree [`timing`] module.
 //!
 //! Experiment binaries (run with `--release`):
 //!
@@ -19,13 +19,11 @@
 //! Pass `--svg` to `table2`, `table3`, or `fig12` to also write Fig. 9 /
 //! Fig. 10 / Fig. 11-style SVGs under `target/experiments/`.
 
-pub mod gate;
 pub mod timing;
 
-use gate::{GateFailure, GateOptions, PerfBaseline, PerfEntry};
 use sprout_board::Board;
 use sprout_core::router::RouteResult;
-use sprout_core::{RunReport, TileConfig};
+use sprout_core::RunReport;
 use sprout_extract::ac::ac_impedance_25mhz;
 use sprout_extract::network::RailNetwork;
 use sprout_extract::resistance::dc_resistance;
@@ -55,19 +53,6 @@ use std::sync::Arc;
 ///   (collapsed stacks for flamegraph tooling). Binaries that run
 ///   several configurations export per-configuration files via
 ///   [`export_profile`] instead, suffixing `<base>`.
-/// * `--baseline <file>` — after the run, compare against the perf
-///   baseline in `<file>` and fail (nonzero exit) on regression.
-/// * `--update-baseline` — with `--baseline`, (re)write `<file>` from
-///   this run instead of comparing.
-/// * `--wall-tolerance <pct>` — override the 15 % wall-time gate
-///   tolerance (e.g. for committed baselines checked on foreign CI
-///   hardware, where only solve counts are meaningful).
-/// * `--slowdown <factor>` — multiply measured wall times and solve
-///   counts before the gate comparison (self-test hook; see
-///   [`gate`]).
-/// * `--tile-threads <n>` — worker threads for the initial lattice
-///   build (default 0 = all cores; results are bit-identical at any
-///   thread count).
 ///
 /// Run reports are *always* mirrored to
 /// `target/experiments/<name>.jsonl`, regardless of flags, so every
@@ -83,12 +68,6 @@ pub struct BenchOutput {
     // scope is installed after (on top of) the trace scope.
     prof_scope: RefCell<Option<telemetry::RecorderScope>>,
     _trace: Option<telemetry::RecorderScope>,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
-    slowdown: f64,
-    wall_tolerance_pct: Option<f64>,
-    tile: TileConfig,
-    entries: RefCell<Vec<(String, PerfEntry)>>,
 }
 
 impl BenchOutput {
@@ -101,33 +80,13 @@ impl BenchOutput {
     pub fn from_flags(args: impl IntoIterator<Item = String>) -> BenchOutput {
         let (mut quiet, mut json, mut trace) = (false, false, false);
         let mut profile = None;
-        let mut baseline = None;
-        let mut update_baseline = false;
-        let mut slowdown = 1.0;
-        let mut wall_tolerance_pct = None;
-        let mut tile = TileConfig::default();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--tile-threads" => {
-                    tile.threads = args.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                }
                 "--quiet" | "-q" => quiet = true,
                 "--json" => json = true,
                 "--trace" => trace = true,
                 "--profile" => profile = args.next().map(PathBuf::from),
-                "--baseline" => baseline = args.next().map(PathBuf::from),
-                "--update-baseline" => update_baseline = true,
-                "--slowdown" => {
-                    slowdown = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&f: &f64| f.is_finite() && f > 0.0)
-                        .unwrap_or(1.0);
-                }
-                "--wall-tolerance" => {
-                    wall_tolerance_pct = args.next().and_then(|v| v.parse().ok());
-                }
                 _ => {}
             }
         }
@@ -147,12 +106,6 @@ impl BenchOutput {
             profiler: RefCell::new(None),
             prof_scope: RefCell::new(None),
             _trace,
-            baseline,
-            update_baseline,
-            slowdown,
-            wall_tolerance_pct,
-            tile,
-            entries: RefCell::new(Vec::new()),
         };
         if out.profile.is_some() {
             out.ensure_profiler();
@@ -186,13 +139,6 @@ impl BenchOutput {
         self.profile.as_ref()
     }
 
-    /// The tiling threads selected by `--tile-threads` (defaults to
-    /// all-core initial builds).
-    /// Experiment binaries assign this to `RouterConfig::tile`.
-    pub fn tile_config(&self) -> TileConfig {
-        self.tile
-    }
-
     /// `true` when human-readable output should be printed.
     pub fn verbose(&self) -> bool {
         !self.quiet
@@ -211,12 +157,8 @@ impl BenchOutput {
     /// Emits `report` as one JSONL line: to stdout when `--json` is on,
     /// and always appended to `target/experiments/<name>.jsonl` (the
     /// file is truncated on this instance's first write, so each
-    /// invocation starts a fresh artifact). The report's perf footprint
-    /// is also collected for the [`finish`](BenchOutput::finish) gate.
+    /// invocation starts a fresh artifact).
     pub fn emit_report(&self, name: &str, report: &RunReport) {
-        self.entries
-            .borrow_mut()
-            .push((report.label.clone(), PerfEntry::from_report(report)));
         let line = report.to_json();
         if self.json {
             println!("{line}");
@@ -234,24 +176,13 @@ impl BenchOutput {
         }
     }
 
-    /// Collects a hand-built perf entry for the
-    /// [`finish`](BenchOutput::finish) gate. For benches whose routing
-    /// runs in *other processes* (fleet mode), no [`RunReport`] crosses
-    /// the process boundary — the wire protocol carries solve counts
-    /// and wall times per job, and the bench reassembles entries here.
-    pub fn record_entry(&self, label: &str, entry: PerfEntry) {
-        self.entries.borrow_mut().push((label.to_owned(), entry));
-    }
-
     /// End-of-run hook for experiment binaries: exports the convergence
-    /// trace (under `--trace`) and runs the perf-baseline gate (under
-    /// `--baseline`).
+    /// trace (under `--trace`) and the thread timeline (under
+    /// `--profile`).
     ///
     /// # Errors
     ///
-    /// [`GateFailure`] when the run regressed past the gate tolerances
-    /// — propagate it from `main` so the process exits nonzero; I/O
-    /// errors writing the trace or baseline files.
+    /// I/O errors writing the trace or profile files.
     pub fn finish(&self, name: &str) -> Result<(), Box<dyn std::error::Error>> {
         if let Some(sink) = &self.trace_sink {
             let path = experiments_dir().join(format!("{name}_trace.jsonl"));
@@ -278,51 +209,7 @@ impl BenchOutput {
                 }
             }
         }
-        let Some(path) = &self.baseline else {
-            return Ok(());
-        };
-        let entries: Vec<(String, PerfEntry)> = self
-            .entries
-            .borrow()
-            .iter()
-            .map(|(label, e)| (label.clone(), e.slowed(self.slowdown)))
-            .collect();
-        let current = PerfBaseline::from_entries(name, entries);
-        if self.update_baseline {
-            current.write_to(path)?;
-            if self.verbose() {
-                println!(
-                    "perf baseline written: {} ({} entr{})",
-                    path.display(),
-                    current.entries.len(),
-                    if current.entries.len() == 1 {
-                        "y"
-                    } else {
-                        "ies"
-                    }
-                );
-            }
-            return Ok(());
-        }
-        let reference = PerfBaseline::load(path)?;
-        let mut options = GateOptions::default();
-        if let Some(tol) = self.wall_tolerance_pct {
-            options.wall_tolerance_pct = tol;
-        }
-        let report = gate::compare(&reference, &current, &options);
-        // Diff goes to stderr so `--json` keeps stdout pure JSONL.
-        eprintln!("=== perf gate vs {} ===", path.display());
-        for line in &report.lines {
-            eprintln!("{line}");
-        }
-        if report.pass() {
-            eprintln!("perf gate: PASS");
-            Ok(())
-        } else {
-            Err(Box::new(GateFailure {
-                violations: report.violations,
-            }))
-        }
+        Ok(())
     }
 }
 

@@ -137,42 +137,50 @@ fn seeded_kills_redispatch_and_resume_from_checkpoint() {
     // kill_rate 1.0: every job's first attempt SIGKILLs its own worker
     // right after the wave-0 checkpoint lands. Attempt 1 (kills fire on
     // attempt 0 only) must resume from that checkpoint.
-    let mut config = fleet_config("seededkill", 2);
-    config.max_worker_restarts = 16;
-    config.fault = Some(FleetFaultPlan {
-        seed: 7,
-        kill_rate: 1.0,
-        stall_rate: 0.0,
-        stall_ms: 0,
-        blackout_rate: 0.0,
-        blackout_ms: 0,
-    });
-    let fleet = FleetCoordinator::start(config).expect("fleet start");
-    let ids = submit_all(&fleet, 4);
-    assert!(
-        fleet.wait_idle(Duration::from_secs(120)),
-        "jobs did not settle under kill chaos"
-    );
-    let mut resumed_jobs = 0usize;
-    for &id in &ids {
-        let snap = fleet.status(id).expect("job known");
-        assert_eq!(snap.state, JobState::Completed, "job {id} not completed");
-        if snap.resumed > 0 {
-            resumed_jobs += 1;
+    // One worker must be respawned before its job can go anywhere;
+    // four spread the kills across more processes.
+    for workers in [1, 2, 4] {
+        let mut config = fleet_config(&format!("seededkill{workers}"), workers);
+        config.max_worker_restarts = 16;
+        config.fault = Some(FleetFaultPlan {
+            seed: 7,
+            kill_rate: 1.0,
+            stall_rate: 0.0,
+            stall_ms: 0,
+            blackout_rate: 0.0,
+            blackout_ms: 0,
+        });
+        let fleet = FleetCoordinator::start(config).expect("fleet start");
+        let ids = submit_all(&fleet, 4);
+        assert!(
+            fleet.wait_idle(Duration::from_secs(120)),
+            "{workers} workers: jobs did not settle under kill chaos"
+        );
+        let mut resumed_jobs = 0usize;
+        for &id in &ids {
+            let snap = fleet.status(id).expect("job known");
+            assert_eq!(
+                snap.state,
+                JobState::Completed,
+                "{workers} workers: job {id} not completed"
+            );
+            if snap.resumed > 0 {
+                resumed_jobs += 1;
+            }
         }
+        let m = fleet.metrics();
+        assert!(
+            m.redispatches >= ids.len() as u64,
+            "{workers} workers: every job should have been re-dispatched at least once, saw {}",
+            m.redispatches
+        );
+        assert!(
+            resumed_jobs > 0,
+            "re-dispatched jobs should resume rails from the shared checkpoint, not re-route"
+        );
+        assert!(m.workers_dead >= ids.len() as u64);
+        assert_fleet_contract(&fleet, &ids);
     }
-    let m = fleet.metrics();
-    assert!(
-        m.redispatches >= ids.len() as u64,
-        "every job should have been re-dispatched at least once, saw {}",
-        m.redispatches
-    );
-    assert!(
-        resumed_jobs > 0,
-        "re-dispatched jobs should resume rails from the shared checkpoint, not re-route"
-    );
-    assert!(m.workers_dead >= ids.len() as u64);
-    assert_fleet_contract(&fleet, &ids);
 }
 
 #[cfg(unix)]
