@@ -14,9 +14,9 @@
 //! area) plus a summary line with the fitted exponent; the same lines
 //! land in `target/experiments/scaling.jsonl` either way.
 
-use sprout_bench::{log_log_slope, outln, BenchOutput};
+use sprout_bench::{log_log_slope, outln, settings, BenchOutput};
 use sprout_board::presets;
-use sprout_core::router::{Router, RouterConfig};
+use sprout_core::router::Router;
 use sprout_core::RunReport;
 use sprout_telemetry as telemetry;
 
@@ -39,17 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "R sq"
     );
     let mut points: Vec<(f64, f64)> = Vec::new();
-    // The pitches, iterations and budget are pinned with their exact
-    // counts in `tests/tests/exact_counts.rs`; change them there too.
-    for pitch in [0.8, 0.6, 0.5, 0.4, 0.3, 0.22, 0.16] {
-        let config = RouterConfig {
-            tile_pitch_mm: pitch,
-            grow_iterations: 12,
-            refine_iterations: 4,
-            ..RouterConfig::default()
-        };
-        let router = Router::new(&board, config);
-        let result = router.route_net(vdd1, layer, 22.0)?;
+    for pitch in settings::SCALING_PITCHES_MM {
+        let router = Router::new(&board, settings::scaling_router(pitch));
+        let result = router.route_net(vdd1, layer, settings::SCALING_BUDGET_MM2)?;
         let t = result.timings;
         let solve_ms = t.grow_ms + t.refine_ms + t.reheat_ms;
         outln!(
@@ -67,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &format!("scaling pitch={pitch}"),
             std::slice::from_ref(&result),
         );
-        report.rails[0].budget_mm2 = 22.0;
+        report.rails[0].budget_mm2 = settings::SCALING_BUDGET_MM2;
         out.emit_report("scaling", &report);
         // The Eq. 7 kernel, timed directly: one node-current metric
         // evaluation (factor + per-pair solves) on the final subgraph.

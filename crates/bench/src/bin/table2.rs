@@ -10,13 +10,14 @@
 //! the paper normalizes (manual V_DD1 anchors the scales: 100 pH and
 //! 10.0 mΩ).
 
-use sprout_baseline::{ManualConfig, ManualRouter};
+use sprout_baseline::ManualRouter;
 use sprout_bench::{
-    experiments_dir, extract_row, outln, print_comparison, svg_requested, BenchOutput, ExtractedRow,
+    experiments_dir, extract_row, outln, print_comparison, settings, svg_requested, BenchOutput,
+    ExtractedRow,
 };
 use sprout_board::presets;
 use sprout_core::drc::check_route;
-use sprout_core::router::{Router, RouterConfig};
+use sprout_core::router::Router;
 use sprout_core::RunReport;
 use sprout_render::SvgScene;
 
@@ -24,33 +25,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = BenchOutput::from_args();
     let board = presets::two_rail();
     let layer = presets::TWO_RAIL_ROUTE_LAYER;
-    // This configuration, the budgets and the claim order are pinned
-    // with their exact counts in `tests/tests/exact_counts.rs`; change
-    // them there too.
-    let config = RouterConfig {
-        tile_pitch_mm: 0.35,
-        grow_iterations: 22,
-        refine_iterations: 8,
-        ..RouterConfig::default()
-    };
+    let config = settings::table2_router();
     let router = Router::new(&board, config);
-    let manual = ManualRouter::new(
-        &board,
-        ManualConfig {
-            tile_pitch_mm: config.tile_pitch_mm,
-            ..ManualConfig::default()
-        },
-    );
+    let manual = ManualRouter::new(&board, settings::manual_for(&config));
 
-    let budgets = [22.0, 20.0];
     let mut rows: Vec<ExtractedRow> = Vec::new();
     let mut sprout_routes = Vec::new();
     let mut route_budgets = Vec::new();
     let mut claimed_sprout = Vec::new();
     let mut claimed_manual = Vec::new();
     let mut scene = SvgScene::new(&board, layer);
-    for (k, (net_id, net)) in board.power_nets().enumerate() {
-        let budget = budgets[k.min(budgets.len() - 1)];
+    for ((net_id, net), budget) in board.power_nets().zip(settings::TABLE2_BUDGETS_MM2) {
         let s = router.route_net_with(net_id, layer, budget, &claimed_sprout, &[])?;
         let m = manual.route_net_with(net_id, layer, budget, &claimed_manual)?;
         for (engine, route) in [("manual", &m), ("SPROUT", &s)] {

@@ -9,13 +9,14 @@
 //! the §III-B stage timings ("the six rail PCB layout is synthesized in
 //! approximately 11 minutes" on the authors' machine; we report ours).
 
-use sprout_baseline::{ManualConfig, ManualRouter};
+use sprout_baseline::ManualRouter;
 use sprout_bench::{
-    experiments_dir, extract_row, outln, print_comparison, svg_requested, BenchOutput, ExtractedRow,
+    experiments_dir, extract_row, outln, print_comparison, settings, svg_requested, BenchOutput,
+    ExtractedRow,
 };
 use sprout_board::presets;
 use sprout_core::drc::check_route;
-use sprout_core::router::{Router, RouterConfig, StageTimings};
+use sprout_core::router::{Router, StageTimings};
 use sprout_core::RunReport;
 use sprout_render::SvgScene;
 use std::time::Instant;
@@ -24,30 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = BenchOutput::from_args();
     let board = presets::six_rail();
     let layer = presets::TEN_LAYER_ROUTE_LAYER;
-    // This configuration, the budget rule and the claim order are pinned
-    // with their exact counts in `tests/tests/exact_counts.rs`; change
-    // them there too.
-    let config = RouterConfig {
-        tile_pitch_mm: 0.25,
-        grow_iterations: 15,
-        refine_iterations: 4,
-        ..RouterConfig::default()
-    };
+    let config = settings::table3_router();
     let router = Router::new(&board, config);
-    let manual = ManualRouter::new(
-        &board,
-        ManualConfig {
-            tile_pitch_mm: config.tile_pitch_mm,
-            ..ManualConfig::default()
-        },
-    );
+    let manual = ManualRouter::new(&board, settings::manual_for(&config));
 
     // The paper's methodology: the manual layouts exist first, and
-    // SPROUT is asked to match their metal area. Each rail's manual
-    // budget scales with its current the way a designer allots copper —
-    // this is what spreads the per-rail impedances the way Table III's
-    // are spread (high-current V2/V6 low R, low-current V4/V5 high R).
-    let budget_for = |current_a: f64| 16.0 + 1.8 * current_a;
+    // SPROUT is asked to match their metal area.
     let started = Instant::now();
     let mut rows: Vec<ExtractedRow> = Vec::new();
     let mut sprout_routes = Vec::new();
@@ -57,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut totals = StageTimings::default();
     let mut scene = SvgScene::new(&board, layer);
     for (net_id, net) in board.power_nets() {
-        let manual_budget = budget_for(net.current_a);
+        let manual_budget = settings::table3_manual_budget_mm2(net.current_a);
         // Manual first; SPROUT then matches the manual layout's
         // realized area (the paper's §III-B comparison discipline).
         let (sprout_budget, manual_result) =

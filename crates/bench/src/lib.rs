@@ -19,6 +19,7 @@
 //! Pass `--svg` to `table2`, `table3`, or `fig12` to also write Fig. 9 /
 //! Fig. 10 / Fig. 11-style SVGs under `target/experiments/`.
 
+pub mod settings;
 pub mod timing;
 
 use sprout_board::Board;

@@ -815,6 +815,10 @@ impl<'b> Router<'b> {
         let solver_stats = session.stats();
         timings.factorizations = solver_stats.full_factors;
         timings.factor_updates = solver_stats.factor_reuses + solver_stats.numeric_refactors;
+        telemetry::counter!("session.plan_ns", solver_stats.plan_ns);
+        telemetry::counter!("session.factor_ns", solver_stats.factor_ns);
+        telemetry::counter!("session.substitute_ns", solver_stats.substitute_ns);
+        telemetry::counter!("session.reduce_ns", solver_stats.reduce_ns);
 
         // Ship the best subgraph seen, not necessarily the last. When no
         // evaluation ever succeeded the current subgraph (at minimum the

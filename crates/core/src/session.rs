@@ -16,9 +16,11 @@
 //!   matrix and factors it afresh into recycled buffers.
 //!
 //! Every path is exact: results are bit-identical to
-//! [`current::node_current`]. Independent per-sink right-hand sides
-//! solve as one blocked multi-RHS pass, and the metric reduction runs in
-//! pair-index order.
+//! [`current::node_current`]. The pairs are solved and reduced in one
+//! fused pass per block of up to [`BLOCK`] pairs: the injections are
+//! stamped straight into the factor's row order, substituted in place,
+//! and each solved column is reduced into the metric in pair-major,
+//! edge-ascending order — the order the scratch evaluator sums in.
 //!
 //! The session replays the scratch evaluator's fault-injection hooks,
 //! sanitize events, and solver-fallback events in the same order, so
@@ -31,11 +33,12 @@ use crate::current::{self, InjectionPair, NodeCurrents};
 use crate::graph::{NodeId, RoutingGraph, Subgraph};
 use crate::recovery::{self, SolverEvent};
 use crate::SproutError;
-use sprout_linalg::cholesky::SparseCholesky;
+use sprout_linalg::cholesky::{SparseCholesky, BLOCK};
 use sprout_linalg::fallback::FallbackOptions;
 use sprout_linalg::laplacian::GraphLaplacian;
 use sprout_linalg::{Csr, LinalgError};
 use sprout_telemetry as telemetry;
+use std::time::Instant;
 
 /// Counters describing how a session spent its evaluations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,6 +55,16 @@ pub struct SessionStats {
     pub resyncs: usize,
     /// Evaluations that fell back to the resilient solver ladder.
     pub ladder_fallbacks: usize,
+    /// Nanoseconds spent assembling the grounded system: membership
+    /// sync, the induced-edge list, the component screen and the CSR
+    /// plan and values.
+    pub plan_ns: u64,
+    /// Nanoseconds in full factorizations and numeric refactorizations.
+    pub factor_ns: u64,
+    /// Nanoseconds stamping the injections and substituting them.
+    pub substitute_ns: u64,
+    /// Nanoseconds reducing the solved columns into the metric.
+    pub reduce_ns: u64,
 }
 
 #[cfg(test)]
@@ -152,10 +165,20 @@ pub struct NodalSession {
     /// Scratch space for in-place re-orderings ([`SparseCholesky::refactor_into`]).
     rcm_ws: sprout_linalg::rcm::RcmWorkspace,
     uf: Vec<usize>,
-    rhs: Vec<f64>,
-    out: Vec<f64>,
-    scratch: Vec<f64>,
-    vfull: Vec<f64>,
+    /// Factor row of each compact index; the ground maps to the zero
+    /// sentinel row past the factor's last.
+    rows: Vec<usize>,
+    /// `rows` of each induced edge's endpoints, in `edges_buf` order.
+    edge_rows: Vec<(usize, usize)>,
+    /// One block of interleaved right-hand sides, in factor row order.
+    block: Vec<f64>,
+    /// Member-indexed metric accumulator.
+    acc: Vec<f64>,
+}
+
+/// Nanoseconds since `t`, saturating.
+fn ns_since(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,6 +221,7 @@ impl NodalSession {
             return Ok(nc);
         }
         current::validate_pairs(sub, pairs)?;
+        let t_plan = Instant::now();
         self.sync(graph, sub);
         self.materialize_edges(graph);
 
@@ -235,8 +259,6 @@ impl NodalSession {
         }
         let ground_node = pairs[0].sink;
         let ground = self.compact[ground_node.index()];
-        let dim = m - 1;
-        let p_count = pairs.len();
         self.stats.evals += 1;
 
         // ---- pick the cheapest exact backend ----
@@ -261,11 +283,12 @@ impl NodalSession {
 
         let mut need_full_factor = false;
         match backend {
-            Backend::Reuse => {}
+            Backend::Reuse => self.stats.plan_ns += ns_since(t_plan),
             Backend::Refresh => {
                 // Same membership, different conductances: refresh the
                 // cached structure's values and refactor in place.
                 let plan_reused = self.refresh_csr(graph, m, ground, sanitized)?;
+                self.stats.plan_ns += ns_since(t_plan);
                 if plan_reused {
                     let factor = self
                         .factor
@@ -275,10 +298,12 @@ impl NodalSession {
                         .base_csr
                         .as_ref()
                         .ok_or(SproutError::Internal("refresh requires a matrix"))?;
+                    let t_factor = Instant::now();
                     let refactor = {
                         let _span = telemetry::span("factor_refresh").enter();
                         factor.try_refactor(csr)
                     };
+                    self.stats.factor_ns += ns_since(t_factor);
                     match refactor {
                         Ok(true) => {
                             self.base_clean = clean;
@@ -297,15 +322,18 @@ impl NodalSession {
             }
             Backend::Full => {
                 self.refresh_csr(graph, m, ground, sanitized)?;
+                self.stats.plan_ns += ns_since(t_plan);
                 need_full_factor = true;
             }
         }
 
         if need_full_factor {
+            let t_factor = Instant::now();
             let factored = {
                 let _span = telemetry::span("factor_full").enter();
                 self.factor_current()
             };
+            self.stats.factor_ns += ns_since(t_factor);
             match factored {
                 Ok(()) => {
                     self.base_members.clear();
@@ -327,10 +355,7 @@ impl NodalSession {
             self.stats.factor_reuses += 1;
             telemetry::counter!("session.factor_reuse");
         }
-        self.stamp_rhs(pairs, ground, dim);
-        self.solve_direct(p_count)?;
-
-        Ok(self.finish(graph, pairs, m, ground, dim, p_count))
+        self.solve_and_reduce(graph, pairs, ground)
     }
 
     // ---- mutation mirroring -------------------------------------------
@@ -681,35 +706,6 @@ impl NodalSession {
 
     // ---- solve paths ---------------------------------------------------
 
-    /// Stamps the per-pair grounded right-hand sides (column-major).
-    fn stamp_rhs(&mut self, pairs: &[InjectionPair], ground: usize, dim: usize) {
-        self.rhs.clear();
-        self.rhs.resize(pairs.len() * dim, 0.0);
-        let gidx = |i: usize| if i < ground { i } else { i - 1 };
-        for (pi, p) in pairs.iter().enumerate() {
-            let s = self.compact[p.source.index()];
-            if s != ground {
-                self.rhs[pi * dim + gidx(s)] += p.current_a;
-            }
-            let t = self.compact[p.sink.index()];
-            if t != ground {
-                self.rhs[pi * dim + gidx(t)] -= p.current_a;
-            }
-        }
-    }
-
-    /// Solves all right-hand sides against the cached factor as one
-    /// blocked pass.
-    fn solve_direct(&mut self, p_count: usize) -> Result<(), SproutError> {
-        let factor = self
-            .factor
-            .as_ref()
-            .ok_or(SproutError::Internal("direct solve requires a factor"))?;
-        // `solve_block_into` sizes and fully overwrites `out`.
-        factor.solve_block_into(&self.rhs, p_count, &mut self.out, &mut self.scratch)?;
-        Ok(())
-    }
-
     /// Factors the current `base_csr` into the cached factor object
     /// (fresh ordering, reused buffers — bit-identical to a fresh
     /// [`SparseCholesky::factor`]).
@@ -762,49 +758,91 @@ impl NodalSession {
         )
     }
 
-    // ---- reduction -----------------------------------------------------
+    // ---- fused solve and reduction -------------------------------------
 
-    /// Expands the reduced solution columns and accumulates the metric
-    /// in pair-index order.
-    fn finish(
+    /// Solves every pair against the cached factor and reduces the
+    /// metric, one block of up to [`BLOCK`] pairs at a time. The ±I
+    /// injections are stamped straight into factor row order and
+    /// substituted in place; each solved column is then reduced into a
+    /// member-indexed accumulator in pair-major, edge-ascending order —
+    /// the order [`current::metric_from_factor`] sums in, so every node's
+    /// metric and the resistance match it bit for bit — and the
+    /// accumulator is scattered into the result once.
+    fn solve_and_reduce(
         &mut self,
         graph: &RoutingGraph,
         pairs: &[InjectionPair],
-        m: usize,
         ground: usize,
-        dim: usize,
-        p_count: usize,
-    ) -> NodeCurrents {
-        let mut node_metric = vec![0.0f64; graph.node_count()];
+    ) -> Result<NodeCurrents, SproutError> {
+        let factor = self
+            .factor
+            .as_ref()
+            .ok_or(SproutError::Internal("direct solve requires a factor"))?;
+        let n = factor.dimension();
+        let inv = factor.inverse_permutation();
+        let m = self.members.len();
+        let rows = &mut self.rows;
+        rows.clear();
+        rows.extend((0..m).map(|k| match k.cmp(&ground) {
+            std::cmp::Ordering::Less => inv[k],
+            std::cmp::Ordering::Equal => n,
+            std::cmp::Ordering::Greater => inv[k - 1],
+        }));
+        self.edge_rows.clear();
+        self.edge_rows
+            .extend(self.edges_buf.iter().map(|&(a, b, _)| (rows[a], rows[b])));
+        self.acc.clear();
+        self.acc.resize(m, 0.0);
         let mut resistance_weighted = 0.0f64;
         let mut weight_total = 0.0f64;
-        self.vfull.clear();
-        self.vfull.resize(m, 0.0);
-        for (pi, p) in pairs.iter().enumerate() {
-            let col = &self.out[pi * dim..(pi + 1) * dim];
-            self.vfull[ground] = 0.0;
-            for (i, &v) in col.iter().enumerate() {
-                let full = if i < ground { i } else { i + 1 };
-                self.vfull[full] = v;
+        for block in pairs.chunks(BLOCK) {
+            let t = Instant::now();
+            let w = block.len();
+            let y = &mut self.block;
+            y.clear();
+            y.resize((n + 1) * w, 0.0);
+            for (c, p) in block.iter().enumerate() {
+                y[rows[self.compact[p.source.index()]] * w + c] += p.current_a;
+                y[rows[self.compact[p.sink.index()]] * w + c] -= p.current_a;
             }
-            for &(a, b, w) in &self.edges_buf {
-                let i_edge = w * (self.vfull[a] - self.vfull[b]);
-                node_metric[self.members[a].index()] += i_edge.abs();
-                node_metric[self.members[b].index()] += i_edge.abs();
+            // Injections at the ground are absorbed: the sentinel row
+            // reads zero.
+            y[n * w..].fill(0.0);
+            factor.substitute_permuted(&mut y[..n * w], w)?;
+            self.stats.substitute_ns += ns_since(t);
+
+            let t = Instant::now();
+            for (c, p) in block.iter().enumerate() {
+                for (&(a, b, g), &(ra, rb)) in self.edges_buf.iter().zip(&self.edge_rows) {
+                    let i_edge = g * (y[ra * w + c] - y[rb * w + c]);
+                    self.acc[a] += i_edge.abs();
+                    self.acc[b] += i_edge.abs();
+                }
+                let drop = y[rows[self.compact[p.source.index()]] * w + c]
+                    - y[rows[self.compact[p.sink.index()]] * w + c];
+                resistance_weighted += drop; // = R_eff · i_pair
+                weight_total += p.current_a;
             }
-            let drop = self.vfull[self.compact[p.source.index()]]
-                - self.vfull[self.compact[p.sink.index()]];
-            resistance_weighted += drop; // = R_eff · i_pair
-            weight_total += p.current_a;
+            self.stats.reduce_ns += ns_since(t);
+        }
+        let t = Instant::now();
+        let mut node_metric = vec![0.0f64; graph.node_count()];
+        for (&id, &v) in self.members.iter().zip(&self.acc) {
+            node_metric[id.index()] = v;
         }
         let resistance_sq = if weight_total > 0.0 {
             resistance_weighted / weight_total
         } else {
             0.0
         };
+        self.stats.reduce_ns += ns_since(t);
         telemetry::counter!("metric.evaluations");
-        telemetry::histogram!("metric.solves_per_eval", p_count as u64);
-        NodeCurrents::from_parts(node_metric, resistance_sq, p_count)
+        telemetry::histogram!("metric.solves_per_eval", pairs.len() as u64);
+        Ok(NodeCurrents::from_parts(
+            node_metric,
+            resistance_sq,
+            pairs.len(),
+        ))
     }
 }
 
@@ -906,6 +944,43 @@ mod tests {
                 + stats.ladder_fallbacks,
             "every eval must be accounted to exactly one backend: {stats:?}"
         );
+    }
+
+    #[test]
+    fn fused_blocks_match_node_current_bit_for_bit() {
+        // Pair counts on both sides of each 16-wide block boundary, and
+        // the ground (the first pair's sink) at the first, middle and
+        // last compact index. The second pair injects at the ground,
+        // where the injection must be absorbed.
+        let (graph, mut sub, _) = setup();
+        for _ in 0..2 {
+            for id in sub.boundary(&graph) {
+                sub.insert(&graph, id);
+            }
+        }
+        let mut members = sub.members().to_vec();
+        members.sort_unstable();
+        let m = members.len();
+        let mut rng = sprout_rng::SproutRng::seed_from_u64(0x5eed);
+        for count in [1usize, 15, 16, 17, 32, 33, 51] {
+            for ground in [members[0], members[m / 2], members[m - 1]] {
+                let mut pairs: Vec<InjectionPair> = (0..count)
+                    .map(|_| InjectionPair {
+                        source: members[rng.usize_below(m)],
+                        sink: members[rng.usize_below(m)],
+                        current_a: rng.f64_range(0.05, 2.0),
+                    })
+                    .collect();
+                pairs[0].sink = ground;
+                if count > 1 {
+                    pairs[1].source = ground;
+                }
+                let mut session = NodalSession::new();
+                assert_bitwise_match(&graph, &sub, &pairs, &mut session);
+                assert_bitwise_match(&graph, &sub, &pairs, &mut session);
+                assert_eq!(session.stats().factor_reuses, 1, "{count} pairs");
+            }
+        }
     }
 
     #[test]

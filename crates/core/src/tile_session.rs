@@ -11,6 +11,14 @@
 //! * Cells find their blockers through a uniform lattice raster of
 //!   blocker bounds (one list of ascending blocker slots per cell)
 //!   instead of a per-cell spatial-index query.
+//! * Before a touched cell runs the subtraction chain, a cheap gate
+//!   tries to prove it empty: one convex part holding all four corners,
+//!   or parts that hold every corner and the centre and whose union,
+//!   subtracted biggest-first, empties it. Cells buried under claimed
+//!   copper reach their covering part only after many others in slot
+//!   order, so this skips most of their chain. Only cells the graph
+//!   drops anyway take the shortcut; every other cell runs the
+//!   ascending-slot chain unchanged.
 //! * The clip and the contact widths run in row bands on scoped
 //!   threads. Every cell is a pure function of its blocker list and
 //!   each band writes a disjoint slice, so the graph is bit-identical
@@ -54,6 +62,27 @@ enum CellState {
     Cut { area: f64, pieces: PolygonSet },
 }
 
+/// How the clip settled a band's cells, counted per build as the
+/// `tile.cells_free`, `tile.cells_empty` and `tile.cells_chained`
+/// counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CellCounts {
+    /// No blocker part reaches the cell (or it is a degenerate sliver).
+    free: u64,
+    /// Proven empty by the gate, without the subtraction chain.
+    empty: u64,
+    /// Clipped by the ascending-slot subtraction chain.
+    chained: u64,
+}
+
+impl CellCounts {
+    fn add(&mut self, other: CellCounts) {
+        self.free += other.free;
+        self.empty += other.empty;
+        self.chained += other.chained;
+    }
+}
+
 /// Reusable cross-section buffers for the edge pass.
 #[derive(Default)]
 struct EdgeScratch {
@@ -77,68 +106,46 @@ pub fn build_graph(
     opts: TileOptions,
     threads: usize,
 ) -> Result<RoutingGraph, SproutError> {
-    if opts.dx <= 0.0 || opts.dy <= 0.0 {
-        return Err(SproutError::InvalidConfig("tile pitch must be positive"));
-    }
-    if !(0.0..1.0).contains(&opts.min_cell_fraction) {
-        return Err(SproutError::InvalidConfig(
-            "min_cell_fraction must be in [0, 1)",
-        ));
-    }
-    let nx = (design_space.width() / opts.dx).ceil() as usize;
-    let ny = (design_space.height() / opts.dy).ceil() as usize;
-    let geo = CellGeometry {
-        universe: design_space,
-        origin: design_space.min(),
-        dx: opts.dx,
-        dy: opts.dy,
-        nx,
-        ny,
-        min_area: opts.min_cell_fraction * opts.dx * opts.dy,
-    };
-    let blockers: Vec<Blocker> = blockers
-        .iter()
-        .map(|poly| Blocker {
-            parts: convex_parts(poly)
-                .into_iter()
-                .map(|part| {
-                    let bounds = part.bounds();
-                    (part, bounds)
-                })
-                .collect(),
-            bounds: poly.bounds(),
-        })
-        .collect();
-    let mut cell_blockers: Vec<Vec<u32>> = vec![Vec::new(); nx * ny];
-    for (slot, b) in blockers.iter().enumerate() {
-        let (i0, i1, j0, j1) = geo.raster_range(&b.bounds);
-        for j in j0..=j1 {
-            for i in i0..=i1 {
-                cell_blockers[j * nx + i].push(slot as u32);
-            }
-        }
-    }
-
+    let Lattice {
+        geo,
+        blockers,
+        cell_blockers,
+    } = Lattice::new(design_space, blockers, opts)?;
+    let (nx, ny) = (geo.nx, geo.ny);
     let threads = effective_threads(threads).min(ny.max(1));
     let band_cells = (ny.div_ceil(threads).max(1) * nx).max(1);
     let mut cells_span = telemetry::span("tile.cells").enter();
     let mut cells: Vec<CellState> = Vec::with_capacity(nx * ny);
     cells.resize_with(nx * ny, || CellState::Void);
+    let mut counts = CellCounts::default();
     if threads <= 1 || ny <= 1 {
-        clip_band(&geo, 0, &mut cells, &blockers, &cell_blockers);
+        counts = clip_band(&geo, 0, &mut cells, &blockers, &cell_blockers);
     } else {
         std::thread::scope(|scope| {
-            for (band, chunk) in cells.chunks_mut(band_cells).enumerate() {
-                let (geo, blockers, cell_blockers) = (&geo, &blockers, &cell_blockers);
-                scope.spawn(move || {
-                    clip_band(geo, band * band_cells, chunk, blockers, cell_blockers);
-                });
+            let bands: Vec<_> = cells
+                .chunks_mut(band_cells)
+                .enumerate()
+                .map(|(band, chunk)| {
+                    let (geo, blockers, cell_blockers) = (&geo, &blockers, &cell_blockers);
+                    scope.spawn(move || {
+                        clip_band(geo, band * band_cells, chunk, blockers, cell_blockers)
+                    })
+                })
+                .collect();
+            for band in bands {
+                counts.add(band.join().expect("clip band panicked"));
             }
         });
     }
     let node_count = cells.iter().filter(|c| has_node(c, geo.min_area)).count();
     cells_span.record("nodes", node_count as u64);
+    cells_span.record("free", counts.free);
+    cells_span.record("empty", counts.empty);
+    cells_span.record("chained", counts.chained);
     drop(cells_span);
+    telemetry::counter!("tile.cells_free", counts.free);
+    telemetry::counter!("tile.cells_empty", counts.empty);
+    telemetry::counter!("tile.cells_chained", counts.chained);
 
     let mut edges_span = telemetry::span("tile.edges").enter();
     let mut west = vec![0.0; nx * ny];
@@ -161,6 +168,69 @@ pub fn build_graph(
     drop(edges_span);
 
     Ok(assemble(&geo, cells, &west, &south, node_count, edge_count))
+}
+
+/// The clip kernel's inputs: the lattice, each blocker's convex parts,
+/// and each cell's ascending list of the blocker slots that reach it.
+struct Lattice {
+    geo: CellGeometry,
+    blockers: Vec<Blocker>,
+    cell_blockers: Vec<Vec<u32>>,
+}
+
+impl Lattice {
+    fn new(
+        design_space: Rect,
+        blockers: &[Polygon],
+        opts: TileOptions,
+    ) -> Result<Self, SproutError> {
+        if opts.dx <= 0.0 || opts.dy <= 0.0 {
+            return Err(SproutError::InvalidConfig("tile pitch must be positive"));
+        }
+        if !(0.0..1.0).contains(&opts.min_cell_fraction) {
+            return Err(SproutError::InvalidConfig(
+                "min_cell_fraction must be in [0, 1)",
+            ));
+        }
+        let nx = (design_space.width() / opts.dx).ceil() as usize;
+        let ny = (design_space.height() / opts.dy).ceil() as usize;
+        let geo = CellGeometry {
+            universe: design_space,
+            origin: design_space.min(),
+            dx: opts.dx,
+            dy: opts.dy,
+            nx,
+            ny,
+            min_area: opts.min_cell_fraction * opts.dx * opts.dy,
+        };
+        let blockers: Vec<Blocker> = blockers
+            .iter()
+            .map(|poly| Blocker {
+                parts: convex_parts(poly)
+                    .into_iter()
+                    .map(|part| {
+                        let bounds = part.bounds();
+                        (part, bounds)
+                    })
+                    .collect(),
+                bounds: poly.bounds(),
+            })
+            .collect();
+        let mut cell_blockers: Vec<Vec<u32>> = vec![Vec::new(); nx * ny];
+        for (slot, b) in blockers.iter().enumerate() {
+            let (i0, i1, j0, j1) = geo.raster_range(&b.bounds);
+            for j in j0..=j1 {
+                for i in i0..=i1 {
+                    cell_blockers[j * nx + i].push(slot as u32);
+                }
+            }
+        }
+        Ok(Lattice {
+            geo,
+            blockers,
+            cell_blockers,
+        })
+    }
 }
 
 /// Turns the clipped lattice into a graph, moving each cut cell's
@@ -286,18 +356,113 @@ fn has_node(state: &CellState, min_area: f64) -> bool {
     }
 }
 
-/// Clips one cell against its (ascending-slot) blocker list.
-fn clip_cell(
+/// A cell that no part covers: the gate's answer for an empty cell.
+fn empty_cell() -> CellState {
+    CellState::Cut {
+        area: 0.0,
+        pieces: PolygonSet::new(),
+    }
+}
+
+/// Clips one cell against its (ascending-slot) blocker list, counting
+/// how it settled. `parts` is scratch space for the parts whose bounds
+/// reach the cell.
+///
+/// Cells the gate proves empty (one convex part holds all four
+/// corners, or [`union_empties`]) skip the chain; the graph drops them
+/// anyway, since they have no area. With a zero sliver threshold every
+/// clipped cell is a node, so then every touched cell runs the chain.
+fn clip_cell<'a>(
     geo: &CellGeometry,
-    i: usize,
-    j: usize,
+    idx: usize,
+    slots: &[u32],
+    blockers: &'a [Blocker],
+    parts: &mut Vec<&'a (Polygon, Rect)>,
+    clipper: &mut ConvexClipper,
+    counts: &mut CellCounts,
+) -> CellState {
+    let Some(rect) = geo.cell_rect(idx % geo.nx, idx / geo.nx) else {
+        counts.free += 1;
+        return CellState::Void;
+    };
+    parts.clear();
+    for &slot in slots {
+        let b = &blockers[slot as usize];
+        if b.bounds.intersects(&rect) {
+            parts.extend(b.parts.iter().filter(|(_, pb)| pb.intersects(&rect)));
+        }
+    }
+    if parts.is_empty() {
+        counts.free += 1;
+        return CellState::Full;
+    }
+    if geo.min_area > 0.0
+        && (parts
+            .iter()
+            .any(|(part, pb)| pb.contains_rect(&rect) && convex_covers_rect(part, &rect))
+            || union_empties(&rect, parts, clipper))
+    {
+        counts.empty += 1;
+        return empty_cell();
+    }
+    counts.chained += 1;
+    chain_cell(rect, slots, blockers, clipper)
+}
+
+/// Proves a cell empty when no single part holds it: every corner and
+/// the centre lie in some part, and subtracting the parts that hold
+/// most of those points first empties the cell. The sample test is an
+/// ordering heuristic only — the chain emptying the cell is the proof —
+/// so it uses a plain orientation test. Cells that become nodes almost
+/// always leave a sample point uncovered and return before any
+/// subtraction.
+fn union_empties(rect: &Rect, parts: &mut [&(Polygon, Rect)], clipper: &mut ConvexClipper) -> bool {
+    if parts.len() < 2 {
+        return false;
+    }
+    let (lo, hi) = (rect.min(), rect.max());
+    let samples = [
+        rect.center(),
+        lo,
+        Point::new(hi.x, lo.y),
+        hi,
+        Point::new(lo.x, hi.y),
+    ];
+    let held = |(part, pb): &(Polygon, Rect)| -> u32 {
+        let mut mask = 0;
+        for (k, &p) in samples.iter().enumerate() {
+            if pb.contains_point(p) && convex_holds(part, p) {
+                mask |= 1 << k;
+            }
+        }
+        mask
+    };
+    let mut union = 0;
+    for part in parts.iter() {
+        union |= held(part);
+    }
+    if union != (1 << samples.len()) - 1 {
+        return false;
+    }
+    parts.sort_by_cached_key(|part| std::cmp::Reverse(held(part).count_ones()));
+    clipper.reset_ring(&[lo, Point::new(hi.x, lo.y), hi, Point::new(lo.x, hi.y)]);
+    for (part, pb) in parts.iter() {
+        clipper.subtract_bounded(part, pb);
+        if clipper.is_empty() {
+            return true;
+        }
+    }
+    false
+}
+
+/// The plain clip: subtracts the parts that reach the cell in ascending
+/// slot order.
+fn chain_cell(
+    rect: Rect,
     slots: &[u32],
     blockers: &[Blocker],
     clipper: &mut ConvexClipper,
 ) -> CellState {
-    let Some(rect) = geo.cell_rect(i, j) else {
-        return CellState::Void;
-    };
     let mut touched = false;
     for &slot in slots {
         let b = &blockers[slot as usize];
@@ -313,10 +478,7 @@ fn clip_cell(
             // case on later rails — the cell vanishes without any wedge
             // subtraction.
             if part_bounds.contains_rect(&rect) && convex_covers_rect(part, &rect) {
-                return CellState::Cut {
-                    area: 0.0,
-                    pieces: PolygonSet::new(),
-                };
+                return empty_cell();
             }
             if !touched {
                 let (lo, hi) = (rect.min(), rect.max());
@@ -335,6 +497,17 @@ fn clip_cell(
     let pieces = clipper.finish();
     let area = pieces.area();
     CellState::Cut { area, pieces }
+}
+
+/// `true` when `p` lies inside (or on) every edge of the
+/// (counter-clockwise) convex `part`.
+fn convex_holds(part: &Polygon, p: Point) -> bool {
+    let vs = part.vertices();
+    let n = vs.len();
+    (0..n).all(|i| {
+        let (a, b) = (vs[i], vs[(i + 1) % n]);
+        (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x) >= 0.0
+    })
 }
 
 /// `true` when the convex `part` fully covers `rect`: every rect corner
@@ -361,19 +534,23 @@ fn clip_band(
     out: &mut [CellState],
     blockers: &[Blocker],
     cell_blockers: &[Vec<u32>],
-) {
+) -> CellCounts {
     let mut clipper = ConvexClipper::new();
+    let mut parts = Vec::new();
+    let mut counts = CellCounts::default();
     for (k, cell) in out.iter_mut().enumerate() {
         let idx = base + k;
         *cell = clip_cell(
             geo,
-            idx % geo.nx,
-            idx / geo.nx,
+            idx,
             &cell_blockers[idx],
             blockers,
+            &mut parts,
             &mut clipper,
+            &mut counts,
         );
     }
+    counts
 }
 
 /// Cross-section of a cell at the vertical line `x`, into `out`.
@@ -573,6 +750,113 @@ mod tests {
             "clones share one store"
         );
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Dense overlapping discs (buffered vias) and stacked claimed-copper
+    /// runs on a 0.25 mm lattice. Two runs of a stack meet half-way
+    /// through a row, so that row's cells are covered only by the union
+    /// of both; overlapping discs cover cells no single disc holds.
+    fn hostile_space(seed: u64) -> (Rect, Vec<Polygon>) {
+        let mut rng = sprout_rng::SproutRng::seed_from_u64(seed);
+        let space = Rect::new(Point::new(0.0, 0.0), Point::new(8.0, 8.0)).unwrap();
+        let mut blockers = Vec::new();
+        for _ in 0..140 {
+            let c = Point::new(rng.f64_range(0.3, 7.7), rng.f64_range(0.3, 7.7));
+            blockers.push(Polygon::regular(c, rng.f64_range(0.12, 0.55), 24).unwrap());
+        }
+        let pitch = 0.25;
+        for _ in 0..24 {
+            let x0 = rng.usize_below(24) as f64 * pitch;
+            let x1 = x0 + rng.usize_range(2, 9) as f64 * pitch;
+            let y0 = rng.usize_below(26) as f64 * pitch;
+            let mid = y0 + 1.5 * pitch;
+            for (lo, hi) in [(y0, mid), (mid, mid + 1.5 * pitch)] {
+                let run = Rect::new(Point::new(x0, lo), Point::new(x1, hi)).unwrap();
+                blockers.push(run.to_polygon());
+            }
+        }
+        (space, blockers)
+    }
+
+    fn same_cell(a: &CellState, b: &CellState) -> bool {
+        match (a, b) {
+            (CellState::Void, CellState::Void) | (CellState::Full, CellState::Full) => true,
+            (CellState::Cut { area: x, pieces: p }, CellState::Cut { area: y, pieces: q }) => {
+                x.to_bits() == y.to_bits() && p == q
+            }
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn clip_gate_matches_the_plain_chain_on_every_cell() {
+        for seed in 1..=3 {
+            let (space, polys) = hostile_space(seed);
+            for frac in [0.05, 0.0] {
+                let opts = TileOptions {
+                    dx: 0.25,
+                    dy: 0.25,
+                    min_cell_fraction: frac,
+                };
+                let Lattice {
+                    geo,
+                    blockers,
+                    cell_blockers,
+                } = Lattice::new(space, &polys, opts).unwrap();
+                let (mut parts, mut clipper, mut plain_clipper) =
+                    (Vec::new(), ConvexClipper::new(), ConvexClipper::new());
+                let mut counts = CellCounts::default();
+                let (mut single, mut union) = (0, 0);
+                for (idx, slots) in cell_blockers.iter().enumerate() {
+                    let empties = counts.empty;
+                    let gated = clip_cell(
+                        &geo,
+                        idx,
+                        slots,
+                        &blockers,
+                        &mut parts,
+                        &mut clipper,
+                        &mut counts,
+                    );
+                    let Some(rect) = geo.cell_rect(idx % geo.nx, idx / geo.nx) else {
+                        assert!(matches!(gated, CellState::Void));
+                        continue;
+                    };
+                    let plain = chain_cell(rect, slots, &blockers, &mut plain_clipper);
+                    let node = has_node(&plain, geo.min_area);
+                    assert_eq!(
+                        has_node(&gated, geo.min_area),
+                        node,
+                        "seed {seed} cell {idx}"
+                    );
+                    if node {
+                        assert!(same_cell(&gated, &plain), "seed {seed} cell {idx}");
+                    }
+                    if counts.empty > empties {
+                        let held = parts
+                            .iter()
+                            .any(|(p, pb)| pb.contains_rect(&rect) && convex_covers_rect(p, &rect));
+                        if held {
+                            single += 1;
+                        } else {
+                            union += 1;
+                        }
+                    }
+                }
+                let cells = (geo.nx * geo.ny) as u64;
+                assert_eq!(counts.free + counts.empty + counts.chained, cells);
+                if frac > 0.0 {
+                    assert!(
+                        single > 20 && union > 20,
+                        "seed {seed}: {single} single, {union} union"
+                    );
+                } else {
+                    // Every clipped cell is a node at a zero threshold:
+                    // the gate stays shut.
+                    assert_eq!(counts.empty, 0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,11 +19,12 @@ use crate::rcm::reverse_cuthill_mckee;
 use crate::sparse::Csr;
 use crate::{LinalgError, Scalar};
 
-/// Number of right-hand-side columns eliminated together by the blocked
-/// substitution kernel. Each column keeps its own accumulator, so the
-/// per-column arithmetic (and therefore the bits of the result) is
-/// independent of how columns are grouped into blocks.
-const BLOCK: usize = 8;
+/// The widest block of right-hand-side columns
+/// [`SparseCholesky::substitute_permuted`] eliminates together. Each
+/// column keeps its own accumulator, so the per-column arithmetic (and
+/// therefore the bits of the result) is independent of how columns are
+/// grouped into blocks.
+pub const BLOCK: usize = 16;
 
 /// Four-lane dot product. The independent accumulator lanes break the
 /// floating-point dependency chain of a naive loop; the lane layout is a
@@ -312,94 +313,46 @@ impl SparseCholesky {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] for a wrong-length `b`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        self.solve_block_into(b, 1, &mut out, &mut scratch)?;
-        Ok(out)
-    }
-
-    /// Solves against many right-hand sides, reusing the factorization.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`LinalgError::DimensionMismatch`] hit.
-    pub fn solve_many(&self, columns: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, LinalgError> {
-        let mut packed = Vec::with_capacity(columns.len() * self.n);
-        for b in columns {
-            if b.len() != self.n {
-                return Err(LinalgError::DimensionMismatch {
-                    expected: self.n,
-                    got: b.len(),
-                });
-            }
-            packed.extend_from_slice(b);
-        }
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        self.solve_block_into(&packed, columns.len(), &mut out, &mut scratch)?;
-        Ok(out.chunks(self.n).map(<[f64]>::to_vec).collect())
-    }
-
-    /// Solves `A·X = B` for a block of right-hand sides stored
-    /// column-major: `rhs` holds `width` columns of length `n` back to
-    /// back, and `out` receives the solutions in the same layout.
-    ///
-    /// Columns are processed through a blocked substitution kernel that
-    /// traverses the factor once per small group of columns; every column
-    /// keeps its own accumulator, so each solution is bit-identical to
-    /// the one [`SparseCholesky::solve`] produces for that column alone.
-    /// `scratch` is a reusable workspace (cleared and resized here).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when
-    /// `rhs.len() != width * n`.
-    pub fn solve_block_into(
-        &self,
-        rhs: &[f64],
-        width: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
-        let n = self.n;
-        if rhs.len() != width * n {
+        if b.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
-                expected: width * n,
-                got: rhs.len(),
+                expected: self.n,
+                got: b.len(),
             });
         }
-        // Both buffers are written in full before being read (the
-        // permutation loops below touch every slot), so stale contents
-        // are never observable and zeroing them would be wasted work.
-        if out.len() < width * n {
-            out.resize(width * n, 0.0);
-        } else {
-            out.truncate(width * n);
+        let mut y: Vec<f64> = self.perm.iter().map(|&old| b[old]).collect();
+        self.substitute_block(&mut y, 1);
+        let mut x = vec![0.0; self.n];
+        for (&old, &v) in self.perm.iter().zip(&y) {
+            x[old] = v;
         }
-        let mut c0 = 0;
-        while c0 < width {
-            let w = BLOCK.min(width - c0);
-            if scratch.len() < n * w {
-                scratch.resize(n * w, 0.0);
-            } else {
-                scratch.truncate(n * w);
-            }
-            // Permute the block: scratch[i*w + c] = rhs column (c0+c) at
-            // old index perm[i].
-            for (i, &old) in self.perm.iter().enumerate() {
-                for c in 0..w {
-                    scratch[i * w + c] = rhs[(c0 + c) * n + old];
-                }
-            }
-            self.substitute_block(scratch, w);
-            // Un-permute into the output columns.
-            for (i, &old) in self.perm.iter().enumerate() {
-                for c in 0..w {
-                    out[(c0 + c) * n + old] = scratch[i * w + c];
-                }
-            }
-            c0 += w;
+        Ok(x)
+    }
+
+    /// Solves `A·X = B` in place for a block of `width` right-hand sides
+    /// that the caller stamped straight into factor order: `y[i*width + c]`
+    /// holds column `c` at permuted row `i`, i.e. at original row
+    /// [`permutation`](SparseCholesky::permutation)`()[i]`. On return `y`
+    /// holds the solutions in the same layout. Each column is
+    /// bit-identical to what [`SparseCholesky::solve`] returns for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] when `width` is not in
+    /// `1..=BLOCK` or `y.len() != width * n`.
+    pub fn substitute_permuted(&self, y: &mut [f64], width: usize) -> Result<(), LinalgError> {
+        if !(1..=BLOCK).contains(&width) {
+            return Err(LinalgError::DimensionMismatch {
+                expected: BLOCK,
+                got: width,
+            });
         }
+        if y.len() != width * self.n {
+            return Err(LinalgError::DimensionMismatch {
+                expected: width * self.n,
+                got: y.len(),
+            });
+        }
+        self.substitute_block(y, width);
         Ok(())
     }
 
@@ -414,7 +367,15 @@ impl SparseCholesky {
             5 => self.substitute_fixed::<5>(y),
             6 => self.substitute_fixed::<6>(y),
             7 => self.substitute_fixed::<7>(y),
-            _ => self.substitute_fixed::<8>(y),
+            8 => self.substitute_fixed::<8>(y),
+            9 => self.substitute_fixed::<9>(y),
+            10 => self.substitute_fixed::<10>(y),
+            11 => self.substitute_fixed::<11>(y),
+            12 => self.substitute_fixed::<12>(y),
+            13 => self.substitute_fixed::<13>(y),
+            14 => self.substitute_fixed::<14>(y),
+            15 => self.substitute_fixed::<15>(y),
+            _ => self.substitute_fixed::<16>(y),
         }
     }
 
@@ -595,27 +556,13 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_matches_individual() {
-        let a = poisson(12);
-        let chol = SparseCholesky::factor(&a).unwrap();
-        let cols: Vec<Vec<f64>> = (0..3)
-            .map(|k| (0..12).map(|i| ((i + k) as f64).sin()).collect())
-            .collect();
-        let many = chol.solve_many(&cols).unwrap();
-        for (col, x) in cols.iter().zip(&many) {
-            let solo = chol.solve(col).unwrap();
-            assert_eq!(&solo, x);
-        }
-    }
-
-    #[test]
     fn blocked_solve_is_bit_identical_at_any_width() {
-        // Whether a column rides in a block of 1, with 3 others, or with
-        // 8 others must not change a single bit of its solution.
+        // Whether a column rides alone, in a partial block or in a full
+        // block of 16 must not change a single bit of its solution.
         let a = grid_laplacian(8, 5, 11);
         let n = a.rows();
         let chol = SparseCholesky::factor(&a).unwrap();
-        let cols: Vec<Vec<f64>> = (0..9)
+        let cols: Vec<Vec<f64>> = (0..BLOCK)
             .map(|k| {
                 (0..n)
                     .map(|i| if i == (k * 5) % n { 1.0 } else { 0.0 })
@@ -623,21 +570,25 @@ mod tests {
             })
             .collect();
         let solo: Vec<Vec<f64>> = cols.iter().map(|b| chol.solve(b).unwrap()).collect();
-        for width in [1usize, 4, 9] {
-            let mut packed = Vec::new();
-            for b in cols.iter().take(width) {
-                packed.extend_from_slice(b);
+        let perm = chol.permutation();
+        for width in [1usize, 4, 9, BLOCK] {
+            let mut y = vec![0.0; n * width];
+            for (c, b) in cols.iter().take(width).enumerate() {
+                for (i, &old) in perm.iter().enumerate() {
+                    y[i * width + c] = b[old];
+                }
             }
-            let (mut out, mut scratch) = (Vec::new(), Vec::new());
-            chol.solve_block_into(&packed, width, &mut out, &mut scratch)
-                .unwrap();
+            chol.substitute_permuted(&mut y, width).unwrap();
             for (c, want) in solo.iter().take(width).enumerate() {
-                let got = &out[c * n..(c + 1) * n];
-                for (p, q) in got.iter().zip(want) {
-                    assert_eq!(p.to_bits(), q.to_bits());
+                for (i, &old) in perm.iter().enumerate() {
+                    assert_eq!(y[i * width + c].to_bits(), want[old].to_bits());
                 }
             }
         }
+        let mut y = vec![0.0; n * (BLOCK + 1)];
+        assert!(chol.substitute_permuted(&mut y, BLOCK + 1).is_err());
+        assert!(chol.substitute_permuted(&mut y[..n], 0).is_err());
+        assert!(chol.substitute_permuted(&mut y[..n - 1], 1).is_err());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! and machine-independent; wall time is not, and lives in `perfbench/`.
 //!
 //! The configurations mirror the experiment binaries and the served
-//! path:
+//! path; the `scaling`, `table2` and `table3` settings come from
+//! `sprout_bench::settings`, the same functions those bins route with:
 //! - `two_rail` at the default router settings;
 //! - the `scaling` bench's seven tile pitches (0.8 … 0.16 mm);
 //! - `table2` (Table II) and `table3` (Table III, SPROUT matching each
@@ -22,7 +23,8 @@
 //! (`table3_rail_ordering_matches_the_paper`), so the six-rail board is
 //! routed once per test binary.
 
-use sprout_baseline::{ManualConfig, ManualRouter};
+use sprout_baseline::ManualRouter;
+use sprout_bench::settings;
 use sprout_board::{presets, Board, NetId};
 use sprout_core::drc::check_route;
 use sprout_core::router::{Router, RouterConfig};
@@ -128,17 +130,11 @@ fn scaling_pitch_counts_are_exact() {
         (0.22, c(513, 51, 6, 1, 4626891859619250987)),
         (0.16, c(603, 61, 6, 1, 4626890170769390803)),
     ];
-    let got: Vec<(f64, Counts)> = want
+    let got: Vec<(f64, Counts)> = settings::SCALING_PITCHES_MM
         .iter()
-        .map(|&(pitch, _)| {
-            let config = RouterConfig {
-                tile_pitch_mm: pitch,
-                grow_iterations: 12,
-                refine_iterations: 4,
-                ..RouterConfig::default()
-            };
-            let result = Router::new(&board, config)
-                .route_net(vdd1, layer, 22.0)
+        .map(|&pitch| {
+            let result = Router::new(&board, settings::scaling_router(pitch))
+                .route_net(vdd1, layer, settings::SCALING_BUDGET_MM2)
                 .unwrap();
             (pitch, counts(&result))
         })
@@ -150,27 +146,14 @@ fn scaling_pitch_counts_are_exact() {
 fn table2_counts_are_exact() {
     let board = presets::two_rail();
     let layer = presets::TWO_RAIL_ROUTE_LAYER;
-    let router = Router::new(
-        &board,
-        RouterConfig {
-            tile_pitch_mm: 0.35,
-            grow_iterations: 22,
-            refine_iterations: 8,
-            ..RouterConfig::default()
-        },
-    );
-    let manual = ManualRouter::new(
-        &board,
-        ManualConfig {
-            tile_pitch_mm: 0.35,
-            ..ManualConfig::default()
-        },
-    );
+    let config = settings::table2_router();
+    let router = Router::new(&board, config);
+    let manual = ManualRouter::new(&board, settings::manual_for(&config));
     // Each engine claims its own copper rail by rail, and every route
     // must be DRC-clean against what its engine claimed before it.
     let (mut claimed_sprout, mut claimed_manual) = (Vec::new(), Vec::new());
     let mut got = Vec::new();
-    for ((net, _), budget) in board.power_nets().zip([22.0, 20.0]) {
+    for ((net, _), budget) in board.power_nets().zip(settings::TABLE2_BUDGETS_MM2) {
         let s = router
             .route_net_with(net, layer, budget, &claimed_sprout, &[])
             .unwrap();
@@ -219,20 +202,9 @@ fn table3() -> &'static [Table3Rail] {
     ROUTES.get_or_init(|| {
         let board = presets::six_rail();
         let layer = presets::TEN_LAYER_ROUTE_LAYER;
-        let config = RouterConfig {
-            tile_pitch_mm: 0.25,
-            grow_iterations: 15,
-            refine_iterations: 4,
-            ..RouterConfig::default()
-        };
+        let config = settings::table3_router();
         let router = Router::new(&board, config);
-        let manual = ManualRouter::new(
-            &board,
-            ManualConfig {
-                tile_pitch_mm: config.tile_pitch_mm,
-                ..ManualConfig::default()
-            },
-        );
+        let manual = ManualRouter::new(&board, settings::manual_for(&config));
         // (net, name, manual route, copper claimed before it, SPROUT
         // route, copper claimed before it)
         type Routed = (
@@ -263,7 +235,12 @@ fn table3() -> &'static [Table3Rail] {
             let (mut claimed_sprout, mut claimed_manual) = (Vec::new(), Vec::new());
             for (net_id, net) in board.power_nets() {
                 let m = manual
-                    .route_net_with(net_id, layer, 16.0 + 1.8 * net.current_a, &claimed_manual)
+                    .route_net_with(
+                        net_id,
+                        layer,
+                        settings::table3_manual_budget_mm2(net.current_a),
+                        &claimed_manual,
+                    )
                     .unwrap();
                 let before_m = claimed_manual.clone();
                 claimed_manual.extend(m.shape.blocker_polygons());
