@@ -501,7 +501,6 @@ impl<'b> Supervisor<'b> {
         // Claimed geometry, per layer, merged between waves in request
         // order (the ordering guarantee in the module docs).
         let mut claimed: HashMap<usize, Vec<Polygon>> = HashMap::new();
-        let mut killed = false;
 
         for (wave_no, wave) in waves.iter().enumerate() {
             let pending: Vec<usize> = wave
@@ -514,14 +513,10 @@ impl<'b> Supervisor<'b> {
                 .field("pending", pending.len())
                 .enter();
 
-            if !pending.is_empty() && !killed {
+            if !pending.is_empty() {
                 let outcomes = self.run_wave(wave_no, &pending, requests, &claimed, start);
                 for (i, rail_report) in outcomes {
                     slots[i] = Some(rail_report);
-                }
-            } else if killed {
-                for &i in &pending {
-                    slots[i] = Some(self.unrun_rail(requests[i], wave_no, SproutError::Cancelled));
                 }
             }
 
@@ -580,11 +575,14 @@ impl<'b> Supervisor<'b> {
                 });
             }
 
-            if self.config.kill_after_wave == Some(wave_no) && !killed {
-                killed = true;
+            if self.config.kill_after_wave == Some(wave_no) {
+                // Like a dead process, a killed job neither routes,
+                // checkpoints nor reports another wave; its later
+                // rails end unrun below.
                 report.warnings.push(format!(
                     "job killed after wave {wave_no} (injected mid-run kill)"
                 ));
+                break;
             }
         }
 

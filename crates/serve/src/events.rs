@@ -5,9 +5,9 @@
 //! timings (grow/refine/reheat — the paper's §II stages), solver
 //! residual points, retry/panic incidents, and exactly one terminal
 //! event per job. Producers never block on consumers: each job owns a
-//! bounded ring (drop-oldest, like [`sprout_telemetry::ring::RingSink`])
-//! and every publish is a short mutex hold plus a condvar notify —
-//! whether zero or many HTTP streams are attached.
+//! bounded drop-oldest ring and every publish is a short mutex hold
+//! plus a condvar notify — whether zero or many HTTP streams are
+//! attached.
 //!
 //! Events carry a per-job monotone sequence number starting at 1, so a
 //! long-poll client can resume with `?since=seq` and replay is
@@ -15,16 +15,18 @@
 //! anything the ring has dropped, which the `dropped` counters admit
 //! to).
 //!
-//! In-process jobs feed the bus two ways: the supervisor's `on_wave`
-//! hook publishes [`EventKind::Progress`], and a [`JobRecorder`]
-//! installed around the routing run captures telemetry spans/points
-//! with job attribution. Fleet mode feeds the same bus from
-//! [`WorkerFrame::Progress`](crate::proto::WorkerFrame) frames instead,
-//! so streaming behaves identically under `--fleet N`.
+//! A running attempt has one feed, whichever executor runs it: the
+//! attempt's wave hook and its [`JobRecorder`] turn supervisor waves,
+//! stage spans and points into `(kind, fields)` pairs and hand them to
+//! the executor's [`Feed`]. An in-thread slot's feed is the ledger's
+//! lease-checked publish; a fleet worker's feed sends each pair as an
+//! `event` frame, which the coordinator hands to that same publish.
+//! Only the ledger's exactly-once finalize publishes the terminal
+//! event.
 
 use sprout_telemetry::json::Obj;
 use sprout_telemetry::prof::ProfMutex;
-use sprout_telemetry::{Event, Recorder};
+use sprout_telemetry::{Event, Recorder, Value};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -67,7 +69,20 @@ impl EventKind {
             EventKind::Terminal => "terminal",
         }
     }
+
+    /// The kind whose wire name is `name`.
+    pub(crate) fn from_name(name: &str) -> Option<EventKind> {
+        use EventKind::*;
+        let kinds = [Progress, Stage, Residual, Retry, Panic, Terminal];
+        kinds.into_iter().find(|k| k.name() == name)
+    }
 }
+
+/// An event's kind-specific members, in line order.
+pub type Fields = Vec<(String, Value)>;
+
+/// Where a running attempt's events go; see the module docs.
+pub(crate) type Feed = Arc<dyn Fn(EventKind, Fields) + Send + Sync>;
 
 /// One published event: the rendered NDJSON line plus the metadata
 /// consumers filter on without re-parsing it.
@@ -239,7 +254,7 @@ impl EventBus {
 
 /// Stage spans forwarded to the bus, in pipeline order — the paper's
 /// §II stages as instrumented in `sprout-core`'s router.
-pub const STAGE_SPANS: [&str; 7] = [
+const STAGE_SPANS: [&str; 7] = [
     "space", "tile", "seed", "grow", "refine", "reheat", "backconv",
 ];
 
@@ -254,35 +269,22 @@ const RESIDUAL_POINTS: [&str; 6] = [
     "budget_overrun",
 ];
 
-/// A [`Recorder`] adapter that tags telemetry with a job id and feeds
-/// the bus, chaining to whatever recorder was already current so
-/// existing sinks keep seeing everything.
+/// A [`Recorder`] adapter that turns an attempt's telemetry into
+/// events on its [`Feed`], chaining to whatever recorder was already
+/// current so existing sinks keep seeing everything.
 ///
 /// Only an allowlist is forwarded — stage span ends, residual points,
 /// retry and panic points — so the per-event cost stays a filtered
 /// match for the torrent of solver-internal events.
-pub struct JobRecorder {
-    bus: Arc<EventBus>,
-    job: u64,
-    inner: Option<Arc<dyn Recorder>>,
+pub(crate) struct JobRecorder {
+    pub feed: Feed,
+    pub inner: Option<Arc<dyn Recorder>>,
 }
 
-impl JobRecorder {
-    /// An adapter for `job` publishing to `bus` and chaining to
-    /// `inner` (pass [`sprout_telemetry::current`]'s result to keep
-    /// the previously-installed recorder live).
-    pub fn new(bus: Arc<EventBus>, job: u64, inner: Option<Arc<dyn Recorder>>) -> JobRecorder {
-        JobRecorder { bus, job, inner }
-    }
-}
-
-impl std::fmt::Debug for JobRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobRecorder")
-            .field("job", &self.job)
-            .field("chained", &self.inner.is_some())
-            .finish()
-    }
+/// `lead` followed by a telemetry event's own fields.
+fn with_fields(mut lead: Fields, rest: &[(&'static str, Value)]) -> Fields {
+    lead.extend(rest.iter().map(|(k, v)| ((*k).to_owned(), v.clone())));
+    lead
 }
 
 impl Recorder for JobRecorder {
@@ -294,13 +296,11 @@ impl Recorder for JobRecorder {
                 fields,
                 ..
             } if STAGE_SPANS.contains(name) => {
-                self.bus.publish(self.job, EventKind::Stage, |obj| {
-                    obj.str("stage", name)
-                        .f64("elapsed_ms", *elapsed_ns as f64 / 1e6);
-                    for (k, v) in fields {
-                        obj.value(k, v);
-                    }
-                });
+                let lead = vec![
+                    ("stage".into(), Value::Str((*name).to_owned())),
+                    ("elapsed_ms".into(), Value::F64(*elapsed_ns as f64 / 1e6)),
+                ];
+                (self.feed)(EventKind::Stage, with_fields(lead, fields));
             }
             Event::Point { name, fields, .. } => {
                 let kind = match *name {
@@ -314,12 +314,8 @@ impl Recorder for JobRecorder {
                         return;
                     }
                 };
-                self.bus.publish(self.job, kind, |obj| {
-                    obj.str("point", name);
-                    for (k, v) in fields {
-                        obj.value(k, v);
-                    }
-                });
+                let lead = vec![("point".into(), Value::Str((*name).to_owned()))];
+                (self.feed)(kind, with_fields(lead, fields));
             }
             _ => {}
         }
@@ -497,7 +493,15 @@ mod tests {
     fn recorder_adapter_forwards_the_allowlist_with_attribution() {
         let bus = Arc::new(EventBus::new(32));
         {
-            let rec = Arc::new(JobRecorder::new(Arc::clone(&bus), 42, None));
+            let to_bus = Arc::clone(&bus);
+            let feed: Feed = Arc::new(move |kind, fields| {
+                to_bus.publish(42, kind, |o| {
+                    for (k, v) in &fields {
+                        o.value(k, v);
+                    }
+                });
+            });
+            let rec = Arc::new(JobRecorder { feed, inner: None });
             let _scope = RecorderScope::install(rec);
             let _stage = telemetry::span("grow").field("rail", 1u64).enter();
             telemetry::point("grow_iter").field("iter", 0u64).emit();

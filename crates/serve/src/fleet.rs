@@ -11,7 +11,9 @@
 //! * **Leases** — a job goes out under the ledger's lease id. Only a
 //!   `done` frame carrying the *current* lease settles the job; a
 //!   slow-then-revived worker reporting under an expired lease is
-//!   refused and counted in [`ServiceMetrics::stale_finalizes`].
+//!   refused and counted in [`ServiceMetrics::stale_finalizes`]. The
+//!   worker's `event` frames go to the ledger's lease-checked publish,
+//!   so a zombie's events never reach a stream either.
 //! * **Heartbeats** — workers beat on a timer from a dedicated thread.
 //!   A worker silent past [`FleetConfig::heartbeat_timeout_ms`] is
 //!   declared dead: its lease expires, its job re-enters the queue with
@@ -33,7 +35,6 @@
 
 use crate::backoff::BackoffConfig;
 use crate::chaos::FleetFaultPlan;
-use crate::events::EventKind;
 use crate::ledger::{lock, Core, Executor, Lease, Ledger, Lost, Next, Policy, ServiceMetrics};
 pub use crate::ledger::{replay_journal, JournalReplay};
 use crate::proto::{CoordFrame, DoneFrame, WorkerFrame};
@@ -404,7 +405,12 @@ impl Processes {
             }
             match frame {
                 WorkerFrame::Done(done) => self.core.settle(done),
-                WorkerFrame::Progress { .. } => self.republish(&frame),
+                WorkerFrame::Event {
+                    job,
+                    lease,
+                    kind,
+                    fields,
+                } => self.core.publish_live(job, lease, kind, fields),
                 WorkerFrame::Hello { .. } | WorkerFrame::Heartbeat { .. } => {}
             }
         }
@@ -413,44 +419,6 @@ impl Processes {
         let child = lock(&self.slots)[w].child.take();
         if let Some(mut c) = child {
             let _ = c.wait();
-        }
-    }
-
-    /// Republishes a worker's progress frame on the ledger's event bus,
-    /// so a fleet-backed stream looks like an in-process one. Only the
-    /// current lease publishes: a zombie's frames never reach a stream.
-    fn republish(&self, frame: &WorkerFrame) {
-        let WorkerFrame::Progress {
-            job,
-            lease,
-            wave,
-            waves,
-            rails_complete,
-            stage,
-            elapsed_ms,
-            solve_ms,
-        } = frame
-        else {
-            return;
-        };
-        let (job, elapsed_ms) = (*job, *elapsed_ms);
-        let Some((rails_done, rails_total)) = self.core.live_progress(job, *lease, *rails_complete)
-        else {
-            return;
-        };
-        if stage == "wave" {
-            self.core.bus.publish(job, EventKind::Progress, |o| {
-                o.u64("wave", *wave as u64)
-                    .u64("waves", *waves as u64)
-                    .u64("rails_complete", rails_done as u64)
-                    .u64("rails_total", rails_total as u64)
-                    .f64("elapsed_ms", elapsed_ms)
-                    .f64("solve_ms", *solve_ms);
-            });
-        } else {
-            self.core.bus.publish(job, EventKind::Stage, |o| {
-                o.str("stage", stage).f64("elapsed_ms", elapsed_ms);
-            });
         }
     }
 

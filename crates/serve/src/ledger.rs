@@ -20,6 +20,10 @@
 //!   ledger classifies into a retry (re-queued after a seeded
 //!   [`BackoffConfig`] delay) or a terminal state. A frame carrying a
 //!   lease that is no longer current is refused and counted.
+//! * **Live events** — a running attempt's events reach the job's
+//!   event stream only through the ledger's lease-checked publish, so
+//!   both executors feed a stream the same way and a stale lease never
+//!   writes into one.
 //! * **Finalize** — the one exactly-once terminal transition: one
 //!   terminal counter, one terminal event, one journal line.
 //!
@@ -42,13 +46,13 @@
 //! [`FleetCoordinator`]: crate::fleet::FleetCoordinator
 
 use crate::backoff::BackoffConfig;
-use crate::events::{EventBus, EventKind};
+use crate::events::{EventBus, EventKind, Fields};
 use crate::job::{JobSnapshot, JobSpec, JobState, Priority, SpecError};
 use crate::proto::{spec_fingerprint, DoneFrame, MAX_FRAME_BYTES};
 use crate::queue::{Admitted, BoundedQueue, Popped, QueueEntry};
 use sprout_core::recovery::CancelToken;
 use sprout_core::SproutError;
-use sprout_telemetry::{self as telemetry, json::Obj};
+use sprout_telemetry::{self as telemetry, json::Obj, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -874,18 +878,34 @@ impl Core {
         self.settled.notify_all();
     }
 
-    /// Republishes a worker's progress report if `lease` is still the
-    /// job's current one; returns `(rails_complete, rails_total)`.
-    pub fn live_progress(
-        &self,
-        job: u64,
-        lease: u64,
-        rails_complete: usize,
-    ) -> Option<(usize, usize)> {
+    /// Publishes one event of a running attempt — the only way an
+    /// attempt's events reach the bus, from either executor. An event
+    /// whose lease is not the job's current one is dropped, so a zombie
+    /// never writes into a stream; a terminal event is dropped too, as
+    /// only [`Core::finalize`] may publish one. A `progress` event's
+    /// `rails_complete` folds into the job's snapshot with `max`. The
+    /// publish happens under the job lock, so no event can follow the
+    /// terminal one.
+    pub fn publish_live(&self, job: u64, lease: u64, kind: EventKind, mut fields: Fields) {
         let mut jobs = lock(&self.jobs);
-        let rec = jobs.get_mut(&job).filter(|r| r.lease == Some(lease))?;
-        rec.view.rails_complete = rec.view.rails_complete.max(rails_complete);
-        Some((rec.view.rails_complete, rec.view.rails_total))
+        let Some(rec) = jobs
+            .get_mut(&job)
+            .filter(|r| r.lease == Some(lease) && kind != EventKind::Terminal)
+        else {
+            return;
+        };
+        if kind == EventKind::Progress {
+            if let Some((_, Value::U64(n))) = fields.iter_mut().find(|(k, _)| k == "rails_complete")
+            {
+                rec.view.rails_complete = rec.view.rails_complete.max(*n as usize);
+                *n = rec.view.rails_complete as u64;
+            }
+        }
+        self.bus.publish(job, kind, |o| {
+            for (k, v) in &fields {
+                o.value(k, v);
+            }
+        });
     }
 
     /// Settles an attempt's [`DoneFrame`]. A frame whose lease is not
@@ -1264,5 +1284,65 @@ impl<E: Executor> Ledger<E> {
 impl<E: Executor> Drop for Ledger<E> {
     fn drop(&mut self) {
         self.exec.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::{RoutingService, ServiceConfig};
+    use sprout_telemetry::json::{parse, Json};
+
+    #[test]
+    fn live_events_need_the_current_lease_and_never_follow_the_terminal() {
+        // No slots: the test leases the job itself.
+        let svc = RoutingService::start(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        })
+        .expect("start");
+        let id = svc.submit(JobSpec::two_rail(20.0)).expect("submit");
+        let Next::Lease(lease) = svc.core.next_lease(Duration::from_secs(5)) else {
+            panic!("job not leased");
+        };
+        let core = &svc.core;
+        let progress = |n| vec![("rails_complete".to_owned(), Value::U64(n))];
+        let rails_complete = || -> Vec<u64> {
+            let page = svc.events().snapshot_since(id, 0);
+            let lines = page.events.iter().map(|e| parse(&e.line).expect("JSON"));
+            lines
+                .filter_map(|l| l.get("rails_complete").and_then(Json::as_u64))
+                .collect()
+        };
+
+        // A stale lease and a terminal kind never reach the bus.
+        core.publish_live(id, lease.lease + 1, EventKind::Progress, progress(2));
+        core.publish_live(id, lease.lease, EventKind::Terminal, Vec::new());
+        assert!(svc.events().snapshot_since(id, 0).events.is_empty());
+
+        // The live lease publishes; `rails_complete` folds with `max`.
+        core.publish_live(id, lease.lease, EventKind::Progress, progress(1));
+        core.publish_live(id, lease.lease, EventKind::Progress, progress(0));
+        assert_eq!(rails_complete(), vec![1, 1]);
+        assert_eq!(svc.status(id).map(|s| s.rails_complete), Some(1));
+
+        // Once the attempt settles, its lease is stale: nothing follows
+        // the terminal event.
+        core.settle(DoneFrame {
+            state: "completed".into(),
+            ..DoneFrame::unrun(id, lease.lease, 2)
+        });
+        core.publish_live(id, lease.lease, EventKind::Stage, Vec::new());
+        let page = svc.events().snapshot_since(id, 0);
+        assert!(page.terminal);
+        assert_eq!(
+            page.events.iter().map(|e| e.kind).collect::<Vec<_>>(),
+            [
+                EventKind::Progress,
+                EventKind::Progress,
+                EventKind::Terminal
+            ]
+        );
+        svc.shutdown(false);
     }
 }

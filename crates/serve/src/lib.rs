@@ -32,7 +32,8 @@
 //!   expired lease is refused.
 //! * **Live observability** — every job feeds a bounded
 //!   [`events::EventBus`] ring (wave progress, pipeline stage spans,
-//!   solver residuals, retries, exactly one terminal event), streamed
+//!   solver residuals, retries, exactly one terminal event) through
+//!   one lease-checked publish, whichever executor runs it, streamed
 //!   to clients as chunked NDJSON via `GET /jobs/<id>/events` or a
 //!   `?since=` long-poll; `/metrics` negotiates JSON or Prometheus
 //!   text exposition from one [`ledger::ServiceMetrics`].
@@ -79,7 +80,7 @@ pub mod worker;
 
 pub use backoff::BackoffConfig;
 pub use chaos::{FleetFaultPlan, ServeFaultPlan};
-pub use events::{EventBus, EventKind, EventPage, JobEvent, JobRecorder};
+pub use events::{EventBus, EventKind, EventPage, JobEvent};
 pub use fleet::{FleetConfig, FleetCoordinator, FleetMetrics};
 pub use http::{HttpServer, JobBackend};
 pub use job::{JobSnapshot, JobSpec, JobState, Priority, SpecError};

@@ -9,9 +9,15 @@
 //!
 //! Worker → coordinator: [`WorkerFrame::Hello`] once at startup,
 //! [`WorkerFrame::Heartbeat`] on a timer (the liveness signal leases
-//! hang off), [`WorkerFrame::Progress`] after every supervisor wave
-//! (sent only once that wave's checkpoint is on disk), and
-//! [`WorkerFrame::Done`] when a leased job finishes.
+//! hang off), one [`WorkerFrame::Event`] per event of the running
+//! attempt (wave progress, sent once that wave's checkpoint is on disk;
+//! stage spans; residual, retry and panic points), and
+//! [`WorkerFrame::Done`] when a leased job finishes. An event frame
+//! carries the attempt's `(job, lease)` and the event's kind and
+//! fields exactly as the in-process executor would publish them; the
+//! coordinator drops it unless the lease is still current. A frame
+//! naming the `terminal` kind is rejected: only the ledger's
+//! exactly-once finalize publishes a terminal event.
 //!
 //! Coordinator → worker: [`CoordFrame::Lease`] assigning one job (spec
 //! embedded, checkpoint path shared through the coordinator's data
@@ -23,9 +29,11 @@
 //! lease is detected and ignored by the job ledger, which is what makes
 //! finalize idempotent across processes.
 
+use crate::events::{EventKind, Fields};
 use crate::job::JobSpec;
 use sprout_board::io::fnv1a64;
 use sprout_telemetry::json::{self, Json, Obj};
+use sprout_telemetry::Value;
 use std::fmt;
 
 /// Longest accepted frame line (bytes). A worker that emits more is
@@ -128,31 +136,16 @@ pub enum WorkerFrame {
         /// Monotone per-worker sequence number.
         seq: u64,
     },
-    /// One supervisor wave finished and its checkpoint is on disk —
-    /// or, when `stage` names a pipeline stage rather than `"wave"`, a
-    /// stage span closed. Either way the coordinator republishes the
-    /// frame onto its event bus so `GET /jobs/:id/events` streams the
-    /// same shapes in fleet mode as in-process.
-    Progress {
+    /// One event of the running attempt, for the job's event stream.
+    Event {
         /// Job id.
         job: u64,
         /// Lease id.
         lease: u64,
-        /// Wave just completed (0-based).
-        wave: usize,
-        /// Total waves.
-        waves: usize,
-        /// Rails complete so far.
-        rails_complete: usize,
-        /// What made progress: `"wave"` for wave completion, else a
-        /// pipeline stage name (`grow`, `refine`, `reheat`, …).
-        stage: String,
-        /// Wall-clock since the attempt started (wave frames) or the
-        /// stage span's own duration (stage frames), in ms.
-        elapsed_ms: f64,
-        /// Cumulative solve-stage wall time so far (ms); 0 for stage
-        /// frames.
-        solve_ms: f64,
+        /// Event class; never [`EventKind::Terminal`].
+        kind: EventKind,
+        /// The event's kind-specific members.
+        fields: Fields,
     },
     /// A leased job finished.
     Done(DoneFrame),
@@ -169,25 +162,21 @@ impl WorkerFrame {
             WorkerFrame::Heartbeat { seq } => {
                 o.str("type", "heartbeat").u64("seq", *seq);
             }
-            WorkerFrame::Progress {
+            WorkerFrame::Event {
                 job,
                 lease,
-                wave,
-                waves,
-                rails_complete,
-                stage,
-                elapsed_ms,
-                solve_ms,
+                kind,
+                fields,
             } => {
-                o.str("type", "progress")
+                let mut f = Obj::new();
+                for (k, v) in fields {
+                    f.value(k, v);
+                }
+                o.str("type", "event")
                     .u64("job", *job)
                     .u64("lease", *lease)
-                    .u64("wave", *wave as u64)
-                    .u64("waves", *waves as u64)
-                    .u64("rails_complete", *rails_complete as u64)
-                    .str("stage", stage)
-                    .f64("elapsed_ms", *elapsed_ms)
-                    .f64("solve_ms", *solve_ms);
+                    .str("kind", kind.name())
+                    .raw("fields", &f.finish());
             }
             WorkerFrame::Done(d) => {
                 o.str("type", "done")
@@ -224,21 +213,20 @@ impl WorkerFrame {
             "heartbeat" => Ok(WorkerFrame::Heartbeat {
                 seq: need_u64(&root, "seq")?,
             }),
-            "progress" => Ok(WorkerFrame::Progress {
+            "event" => Ok(WorkerFrame::Event {
                 job: need_u64(&root, "job")?,
                 lease: need_u64(&root, "lease")?,
-                wave: need_u64(&root, "wave")? as usize,
-                waves: need_u64(&root, "waves")? as usize,
-                rails_complete: need_u64(&root, "rails_complete")? as usize,
-                // Lenient, like DoneFrame's optional fields: a frame
-                // from an older worker still parses as wave progress.
-                stage: root
-                    .get("stage")
+                kind: root
+                    .get("kind")
                     .and_then(Json::as_str)
-                    .unwrap_or("wave")
-                    .to_owned(),
-                elapsed_ms: root.get("elapsed_ms").and_then(Json::as_f64).unwrap_or(0.0),
-                solve_ms: root.get("solve_ms").and_then(Json::as_f64).unwrap_or(0.0),
+                    .and_then(EventKind::from_name)
+                    .filter(|k| *k != EventKind::Terminal)
+                    .ok_or(ProtoError::Field("kind"))?,
+                fields: root
+                    .get("fields")
+                    .and_then(Json::as_object)
+                    .and_then(|members| members.iter().map(event_field).collect())
+                    .ok_or(ProtoError::Field("fields"))?,
             }),
             "done" => Ok(WorkerFrame::Done(DoneFrame {
                 job: need_u64(&root, "job")?,
@@ -367,6 +355,22 @@ fn frame_type(root: &Json) -> Result<String, ProtoError> {
         .ok_or(ProtoError::Field("type"))
 }
 
+/// An event member as the in-process publish would have rendered it
+/// (a `null` is a non-finite float, which renders as `null` again), or
+/// `None` for a nested value or a member the bus itself writes.
+fn event_field((key, v): &(String, Json)) -> Option<(String, Value)> {
+    let value = match v {
+        Json::Null => Value::F64(f64::NAN),
+        Json::Bool(b) => Value::Bool(*b),
+        Json::Int(n) => Value::U64(*n),
+        Json::Num(x) => Value::F64(*x),
+        Json::Str(s) => Value::Str(s.clone()),
+        Json::Arr(_) | Json::Obj(_) => return None,
+    };
+    let reserved = matches!(key.as_str(), "seq" | "job" | "event");
+    (!reserved).then(|| (key.clone(), value))
+}
+
 fn need_u64(root: &Json, field: &'static str) -> Result<u64, ProtoError> {
     root.get(field)
         .and_then(Json::as_u64)
@@ -382,25 +386,30 @@ mod tests {
         let frames = [
             WorkerFrame::Hello { pid: 4242 },
             WorkerFrame::Heartbeat { seq: 17 },
-            WorkerFrame::Progress {
+            WorkerFrame::Event {
                 job: 3,
                 lease: 9,
-                wave: 1,
-                waves: 2,
-                rails_complete: 1,
-                stage: "wave".into(),
-                elapsed_ms: 12.5,
-                solve_ms: 7.25,
+                kind: EventKind::Progress,
+                fields: vec![
+                    ("wave".into(), Value::U64(1)),
+                    ("elapsed_ms".into(), Value::F64(12.5)),
+                ],
             },
-            WorkerFrame::Progress {
+            WorkerFrame::Event {
                 job: 3,
                 lease: 9,
-                wave: 0,
-                waves: 2,
-                rails_complete: 0,
-                stage: "grow".into(),
-                elapsed_ms: 3.5,
-                solve_ms: 0.0,
+                kind: EventKind::Stage,
+                fields: vec![
+                    ("stage".into(), Value::Str("grow".into())),
+                    ("elapsed_ms".into(), Value::F64(3.5)),
+                    ("complete".into(), Value::Bool(true)),
+                ],
+            },
+            WorkerFrame::Event {
+                job: 3,
+                lease: 9,
+                kind: EventKind::Retry,
+                fields: Vec::new(),
             },
             WorkerFrame::Done(DoneFrame {
                 job: 3,
@@ -461,27 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_progress_frames_parse_leniently() {
-        // A frame from a worker predating the enrichment fields must
-        // still parse as wave progress with zeroed timings.
-        let legacy =
-            r#"{"type":"progress","job":3,"lease":9,"wave":1,"waves":2,"rails_complete":1}"#;
-        match WorkerFrame::parse(legacy).expect("legacy frame parses") {
-            WorkerFrame::Progress {
-                stage,
-                elapsed_ms,
-                solve_ms,
-                ..
-            } => {
-                assert_eq!(stage, "wave");
-                assert_eq!(elapsed_ms, 0.0);
-                assert_eq!(solve_ms, 0.0);
-            }
-            other => panic!("expected progress, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn hostile_frames_are_typed_rejections() {
         assert!(matches!(
             WorkerFrame::parse("not json"),
@@ -503,6 +491,31 @@ mod tests {
             CoordFrame::parse(r#"{"type":"lease","job":1,"lease":1,"attempt":0}"#),
             Err(ProtoError::Field("spec"))
         ));
+        // Event frames: the kind must be a non-terminal one, the fields
+        // a flat object that leaves the bus's own members alone, and the
+        // frame must name its job and lease.
+        for (members, field) in [
+            (r#""job":1,"lease":2,"kind":"warp","fields":{}"#, "kind"),
+            (r#""job":1,"lease":2,"kind":"terminal","fields":{}"#, "kind"),
+            (r#""job":1,"lease":2,"fields":{}"#, "kind"),
+            (r#""job":1,"lease":2,"kind":"stage","fields":[1]"#, "fields"),
+            (r#""job":1,"lease":2,"kind":"stage","fields":"x""#, "fields"),
+            (r#""job":1,"lease":2,"kind":"stage""#, "fields"),
+            (
+                r#""job":1,"lease":2,"kind":"stage","fields":{"a":{}}"#,
+                "fields",
+            ),
+            (r#""lease":2,"kind":"stage","fields":{}"#, "job"),
+            (r#""job":1,"kind":"stage","fields":{}"#, "lease"),
+            (r#""job":-1,"lease":2,"kind":"stage","fields":{}"#, "job"),
+        ] {
+            let frame = format!(r#"{{"type":"event",{members}}}"#);
+            assert_eq!(
+                WorkerFrame::parse(&frame),
+                Err(ProtoError::Field(field)),
+                "{frame}"
+            );
+        }
         let big = format!(
             r#"{{"type":"heartbeat","seq":1,"pad":"{}"}}"#,
             "x".repeat(MAX_FRAME_BYTES)

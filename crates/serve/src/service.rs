@@ -26,7 +26,7 @@
 
 use crate::backoff::BackoffConfig;
 use crate::chaos::ServeFaultPlan;
-use crate::events::{EventKind, JobRecorder};
+use crate::events::Feed;
 use crate::job::JobState;
 use crate::ledger::{lock, Core, Executor, Lease, Ledger, Lost, Next, Policy};
 pub use crate::ledger::{Readiness, ServeError, ServiceMetrics, SubmitError};
@@ -35,7 +35,6 @@ use crate::worker::{run_attempt, Attempt};
 use sprout_core::recovery::RecoveryPolicy;
 use sprout_core::report::RunReport;
 use sprout_core::router::RouterConfig;
-use sprout_core::supervisor::WaveHook;
 use sprout_core::TileCache;
 use sprout_telemetry::{self as telemetry, json::Obj};
 use std::collections::HashMap;
@@ -267,24 +266,13 @@ impl Threads {
         }
         let killed = c.fault.is_some_and(|p| p.kills(id, attempt));
 
-        // Wave completions go straight onto the event bus; the hook runs
-        // on the supervisor thread after the wave's checkpoint save, so
-        // it is off the rail-routing hot path.
-        let bus = Arc::clone(&self.core.bus);
-        let on_wave: WaveHook = Arc::new(move |p| {
-            bus.publish(id, EventKind::Progress, |o| {
-                o.u64("wave", p.wave as u64)
-                    .u64("waves", p.waves as u64)
-                    .u64("rails_complete", p.rails_complete as u64)
-                    .u64("rails_total", p.rails_total as u64)
-                    .f64("elapsed_ms", p.elapsed_ms)
-                    .f64("solve_ms", p.solve_ms);
-            });
-        });
-        // Stage spans, residual points, retries and panics flow onto the
-        // bus with this job's id through the job recorder; the profiler
-        // in front of it captures the attempt's thread timeline.
-        let job_recorder = JobRecorder::new(Arc::clone(&self.core.bus), id, telemetry::current());
+        // The attempt's events go to the ledger's lease-checked
+        // publish; the profiler in front of them captures the attempt's
+        // thread timeline.
+        let core = Arc::clone(&self.core);
+        let lease_id = lease.lease;
+        let feed: Feed =
+            Arc::new(move |kind, fields| core.publish_live(id, lease_id, kind, fields));
         let profiler = telemetry::prof::Profiler::with_capacity(8192);
         let contention_base = telemetry::prof::snapshot();
         let (done, report) = run_attempt(Attempt {
@@ -298,8 +286,8 @@ impl Threads {
             checkpoint: lease.checkpoint.clone(),
             cancel: lease.cancel.clone(),
             kill_after_wave: killed.then_some(0),
-            on_wave,
-            recorder: profiler.recorder(Some(Arc::new(job_recorder))),
+            feed,
+            profiler: Some(&profiler),
             tiles: &self.tiles,
         });
         telemetry::histogram!("serve.attempt_ms", done.run_ms as u64);

@@ -5,7 +5,10 @@
 //! [`crate::service`] directly, the fleet's worker processes through
 //! [`run_worker`] — and both get back the same [`DoneFrame`]: the
 //! attempt *classified* (completed / expired / cancelled / failed +
-//! retryable). The job ledger owns the retry decision.
+//! retryable). The job ledger owns the retry decision. `run_attempt`
+//! is also the one place an attempt's wave hook and job recorder are
+//! built: the executor passes only a feed, so both executors stream
+//! the same events for the same job (see [`crate::events`]).
 //!
 //! [`run_worker`] is the whole worker process: it announces itself
 //! with a `hello` frame and a first heartbeat, starts a heartbeat
@@ -14,19 +17,22 @@
 //! lease's checkpoint path, so a job re-dispatched from a dead worker
 //! resumes from whatever waves the dead worker finished — the
 //! checkpoint file in the coordinator's data directory is the
-//! cross-process handoff. Heartbeats run on their own thread, so they
-//! keep flowing while a long job routes — only an injected blackout, a
-//! SIGSTOP, or real death silences them.
+//! cross-process handoff. The attempt's events go out as `event`
+//! frames. Heartbeats run on their own thread, so they keep flowing
+//! while a long job routes — only an injected blackout, a SIGSTOP, or
+//! real death silences them.
 //!
 //! Process-level faults ([`FleetFaultPlan`]) are drawn *inside* the
 //! worker from `(seed, job, attempt)` carried by the lease, so a chaos
 //! schedule replays identically whichever worker a job lands on. The
-//! injected kill is `exit(9)` immediately after wave 0's checkpoint is
-//! on disk — by construction the coordinator can always resume what it
-//! re-dispatches.
+//! injected kill stops the attempt after wave 0 — the same
+//! `kill_after_wave` the in-thread kill uses — and the worker then
+//! `exit(9)`s without sending `done`: wave 0's checkpoint is on disk
+//! and its `progress` frame flushed, so the coordinator can always
+//! resume what it re-dispatches.
 
 use crate::chaos::FleetFaultPlan;
-use crate::events::STAGE_SPANS;
+use crate::events::{EventKind, Feed, JobRecorder};
 use crate::job::JobSpec;
 use crate::proto::{CoordFrame, DoneFrame, WorkerFrame};
 use sprout_core::recovery::{CancelToken, RecoveryConfig, RecoveryPolicy, StageBudget};
@@ -35,10 +41,11 @@ use sprout_core::supervisor::{
     is_retryable, JobReport, Supervisor, SupervisorConfig, WaveHook, WaveProgress,
 };
 use sprout_core::{SproutError, TileCache};
-use sprout_telemetry::{self as telemetry, Event, Recorder};
+use sprout_telemetry::prof::Profiler;
+use sprout_telemetry::{self as telemetry, Recorder, Value};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -102,11 +109,12 @@ pub(crate) struct Attempt<'a> {
     pub deadline_ms: Option<f64>,
     pub checkpoint: Option<PathBuf>,
     pub cancel: CancelToken,
-    /// Stop after this wave as if the process died (the in-thread kill).
+    /// Stop after this wave as if the process died (the injected kill).
     pub kill_after_wave: Option<usize>,
-    pub on_wave: WaveHook,
-    /// Installed around the supervisor run.
-    pub recorder: Arc<dyn Recorder>,
+    /// Where the attempt's events go.
+    pub feed: Feed,
+    /// Records the attempt's thread timeline in front of its events.
+    pub profiler: Option<&'a Profiler>,
     /// The executor's tiling cache, shared by all its attempts.
     pub tiles: &'a TileCache,
 }
@@ -147,6 +155,34 @@ pub(crate) fn run_attempt(a: Attempt<'_>) -> (DoneFrame, Option<JobReport>) {
         0 => share,
         n => n.min(share),
     };
+    // Wave completions and the allowlisted telemetry (stage spans,
+    // residual, retry and panic points) both go out on the feed; the
+    // hook runs after the wave's checkpoint save, off the hot path.
+    let on_wave: WaveHook = {
+        let feed = Arc::clone(&a.feed);
+        Arc::new(move |p: WaveProgress| {
+            let count = |n: usize| Value::U64(n as u64);
+            feed(
+                EventKind::Progress,
+                vec![
+                    ("wave".into(), count(p.wave)),
+                    ("waves".into(), count(p.waves)),
+                    ("rails_complete".into(), count(p.rails_complete)),
+                    ("rails_total".into(), count(p.rails_total)),
+                    ("elapsed_ms".into(), Value::F64(p.elapsed_ms)),
+                    ("solve_ms".into(), Value::F64(p.solve_ms)),
+                ],
+            );
+        })
+    };
+    let events: Arc<dyn Recorder> = Arc::new(JobRecorder {
+        feed: a.feed,
+        inner: telemetry::current(),
+    });
+    let recorder = match a.profiler {
+        Some(profiler) => profiler.recorder(Some(events)),
+        None => events,
+    };
     let sup_config = SupervisorConfig {
         threads: a.supervisor_threads,
         deadline_ms: a.deadline_ms,
@@ -154,13 +190,13 @@ pub(crate) fn run_attempt(a: Attempt<'_>) -> (DoneFrame, Option<JobReport>) {
         checkpoint: a.checkpoint,
         cancel: a.cancel,
         kill_after_wave: a.kill_after_wave,
-        on_wave: Some(a.on_wave),
+        on_wave: Some(on_wave),
         ..SupervisorConfig::default()
     };
 
     let start = Instant::now();
     let report = {
-        let _telemetry = telemetry::RecorderScope::install(a.recorder);
+        let _telemetry = telemetry::RecorderScope::install(recorder);
         Supervisor::new(&board, router, sup_config)
             .with_tile_cache(a.tiles.clone())
             .run(&requests)
@@ -199,97 +235,13 @@ pub(crate) fn run_attempt(a: Attempt<'_>) -> (DoneFrame, Option<JobReport>) {
     (done, Some(report))
 }
 
-struct Outbound<W: Write> {
-    out: Mutex<W>,
-}
-
-impl<W: Write> Outbound<W> {
-    fn send(&self, frame: &WorkerFrame) {
-        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        // A closed pipe means the coordinator is gone; the read loop
-        // will see EOF and exit — nothing useful to do with the error.
-        let _ = writeln!(out, "{}", frame.to_json());
-        let _ = out.flush();
-    }
-}
-
-/// Telemetry adapter installed around each leased run: pipeline stage
-/// span ends (`grow`, `refine`, … — [`STAGE_SPANS`]) go out as
-/// enriched [`WorkerFrame::Progress`] frames so the coordinator can
-/// republish them on its event bus, giving `--fleet N` the same
-/// per-stage stream in-process jobs get from their `JobRecorder`.
-/// Wave attribution comes from watching `wave`/`job` span starts.
-struct StageRecorder<W: Write> {
-    out: Arc<Outbound<W>>,
-    job: u64,
-    lease: u64,
-    wave: AtomicU64,
-    waves: AtomicU64,
-    inner: Option<Arc<dyn Recorder>>,
-}
-
-fn field_u64(fields: &[(&'static str, telemetry::Value)], key: &str) -> Option<u64> {
-    fields.iter().find_map(|(k, v)| {
-        if *k != key {
-            return None;
-        }
-        match v {
-            telemetry::Value::U64(n) => Some(*n),
-            telemetry::Value::I64(n) => u64::try_from(*n).ok(),
-            _ => None,
-        }
-    })
-}
-
-impl<W: Write + Send> Recorder for StageRecorder<W> {
-    fn record(&self, event: &Event) {
-        match event {
-            Event::SpanStart {
-                name: "job",
-                fields,
-                ..
-            } => {
-                if let Some(w) = field_u64(fields, "waves") {
-                    self.waves.store(w, Ordering::Relaxed);
-                }
-            }
-            Event::SpanStart {
-                name: "wave",
-                fields,
-                ..
-            } => {
-                if let Some(w) = field_u64(fields, "wave") {
-                    self.wave.store(w, Ordering::Relaxed);
-                }
-            }
-            Event::SpanEnd {
-                name, elapsed_ns, ..
-            } if STAGE_SPANS.contains(name) => {
-                self.out.send(&WorkerFrame::Progress {
-                    job: self.job,
-                    lease: self.lease,
-                    wave: self.wave.load(Ordering::Relaxed) as usize,
-                    waves: self.waves.load(Ordering::Relaxed) as usize,
-                    // Stage frames carry no rail count; the coordinator
-                    // folds `rails_complete` in with `max`, so 0 is inert.
-                    rails_complete: 0,
-                    stage: (*name).to_owned(),
-                    elapsed_ms: *elapsed_ns as f64 / 1e6,
-                    solve_ms: 0.0,
-                });
-            }
-            _ => {}
-        }
-        if let Some(inner) = &self.inner {
-            inner.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            inner.flush();
-        }
-    }
+/// Writes one frame line. A closed pipe means the coordinator is gone;
+/// the read loop will see EOF and exit — nothing useful to do with the
+/// error.
+fn send<W: Write>(out: &Mutex<W>, frame: &WorkerFrame) {
+    let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = writeln!(out, "{}", frame.to_json());
+    let _ = out.flush();
 }
 
 /// Runs the worker protocol over the given streams until EOF or a
@@ -302,15 +254,16 @@ where
     R: BufRead,
     W: Write + Send + 'static,
 {
-    let out = Arc::new(Outbound {
-        out: Mutex::new(output),
-    });
-    out.send(&WorkerFrame::Hello {
-        pid: std::process::id(),
-    });
+    let out = Arc::new(Mutex::new(output));
+    send(
+        &out,
+        &WorkerFrame::Hello {
+            pid: std::process::id(),
+        },
+    );
     // The first beat goes out before anything else can happen, so even
     // a worker whose input closes at once has announced its liveness.
-    out.send(&WorkerFrame::Heartbeat { seq: 0 });
+    send(&out, &WorkerFrame::Heartbeat { seq: 0 });
 
     // Further heartbeats flow on their own thread for the whole process
     // lifetime; `blackout` silences them without stopping the clock.
@@ -328,7 +281,7 @@ where
                     break;
                 }
                 if !blackout.load(Ordering::SeqCst) {
-                    out.send(&WorkerFrame::Heartbeat { seq });
+                    send(&out, &WorkerFrame::Heartbeat { seq });
                 }
             }
         })
@@ -343,125 +296,84 @@ where
         if line.trim().is_empty() {
             continue;
         }
-        match CoordFrame::parse(&line) {
-            Ok(CoordFrame::Lease {
-                job,
-                lease,
-                attempt,
-                spec,
-                deadline_ms,
-                checkpoint,
-            }) => {
-                let done = run_lease(
-                    &config,
-                    &out,
-                    &blackout,
-                    &tiles,
-                    job,
-                    lease,
-                    attempt,
-                    &spec,
-                    deadline_ms,
-                    checkpoint.map(PathBuf::from),
-                );
-                out.send(&WorkerFrame::Done(done));
-                served += 1;
+        let frame = CoordFrame::parse(&line);
+        let Ok(CoordFrame::Lease {
+            job,
+            lease,
+            attempt,
+            spec,
+            deadline_ms,
+            checkpoint,
+        }) = frame
+        else {
+            if matches!(frame, Ok(CoordFrame::Drain)) {
+                break;
             }
-            Ok(CoordFrame::Drain) => break,
             // A frame this worker cannot parse is the coordinator's
             // bug, not a reason to die: skip it and keep heartbeating.
-            Err(_) => continue,
+            continue;
+        };
+
+        // Injected process faults, decided from (seed, job, attempt) so
+        // the schedule is identical whichever worker the job lands on.
+        let mut kill = false;
+        if let Some(plan) = config.fault {
+            if plan.stalls(job, attempt) {
+                std::thread::sleep(Duration::from_millis(plan.stall_ms));
+            }
+            if plan.blackouts(job, attempt) {
+                // The slow-then-revived worker: heartbeats stop long
+                // enough for the lease to expire, but the job still
+                // finishes and reports — the stale `done` the
+                // coordinator must ignore.
+                blackout.store(true, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(plan.blackout_ms));
+                blackout.store(false, Ordering::SeqCst);
+            }
+            kill = plan.kills(job, attempt);
         }
+
+        let feed: Feed = {
+            let out = Arc::clone(&out);
+            Arc::new(move |kind, fields| {
+                let event = WorkerFrame::Event {
+                    job,
+                    lease,
+                    kind,
+                    fields,
+                };
+                send(&out, &event);
+            })
+        };
+        let (done, _) = run_attempt(Attempt {
+            job,
+            lease,
+            spec: &spec,
+            router: config.router,
+            supervisor_threads: config.supervisor_threads,
+            supervisor_retries: config.supervisor_retries,
+            deadline_ms,
+            checkpoint: checkpoint.map(PathBuf::from),
+            cancel: CancelToken::new(),
+            kill_after_wave: kill.then_some(0),
+            feed,
+            profiler: None,
+            tiles: &tiles,
+        });
+        if kill {
+            // The deterministic `kill -9`: the attempt stopped after
+            // wave 0, whose checkpoint is on disk and whose progress
+            // frame is flushed; the process dies without unwinding or
+            // reporting — exactly what a real SIGKILL leaves behind.
+            std::process::exit(9);
+        }
+        send(&out, &WorkerFrame::Done(done));
+        served += 1;
     }
 
     stop.store(true, Ordering::SeqCst);
     let _ = beat.join();
     served
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_lease<W>(
-    config: &WorkerConfig,
-    out: &Arc<Outbound<W>>,
-    blackout: &Arc<AtomicBool>,
-    tiles: &TileCache,
-    job: u64,
-    lease: u64,
-    attempt: usize,
-    spec: &JobSpec,
-    deadline_ms: Option<f64>,
-    checkpoint: Option<PathBuf>,
-) -> DoneFrame
-where
-    W: Write + Send + 'static,
-{
-    // Injected process faults, decided from (seed, job, attempt) so the
-    // schedule is identical whichever worker the job lands on.
-    let mut kill = false;
-    if let Some(plan) = config.fault {
-        if plan.stalls(job, attempt) {
-            std::thread::sleep(Duration::from_millis(plan.stall_ms));
-        }
-        if plan.blackouts(job, attempt) {
-            // The slow-then-revived worker: heartbeats stop long enough
-            // for the lease to expire, but the job still finishes and
-            // reports — the stale `done` the coordinator must ignore.
-            blackout.store(true, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(plan.blackout_ms));
-            blackout.store(false, Ordering::SeqCst);
-        }
-        kill = plan.kills(job, attempt);
-    }
-
-    let on_wave: WaveHook = {
-        let out = Arc::clone(out);
-        Arc::new(move |p: WaveProgress| {
-            out.send(&WorkerFrame::Progress {
-                job,
-                lease,
-                wave: p.wave,
-                waves: p.waves,
-                rails_complete: p.rails_complete,
-                stage: "wave".into(),
-                elapsed_ms: p.elapsed_ms,
-                solve_ms: p.solve_ms,
-            });
-            if kill && p.wave == 0 {
-                // The deterministic `kill -9`: wave 0's checkpoint is
-                // on disk (the hook fires after the save), the progress
-                // frame above is flushed, and the process dies without
-                // unwinding — exactly what a real SIGKILL leaves behind.
-                std::process::exit(9);
-            }
-        })
-    };
-    // Stage spans flow out as enriched progress frames for the
-    // coordinator's event bus; the scope chains to whatever recorder
-    // was already current so nothing is hidden from existing sinks.
-    let recorder = Arc::new(StageRecorder {
-        out: Arc::clone(out),
-        job,
-        lease,
-        wave: AtomicU64::new(0),
-        waves: AtomicU64::new(0),
-        inner: telemetry::current(),
-    });
-    run_attempt(Attempt {
-        job,
-        lease,
-        spec,
-        router: config.router,
-        supervisor_threads: config.supervisor_threads,
-        supervisor_retries: config.supervisor_retries,
-        deadline_ms,
-        checkpoint,
-        cancel: CancelToken::new(),
-        kill_after_wave: None,
-        on_wave,
-        recorder,
-        tiles,
-    })
-    .0
 }
 
 /// The `sprout_fleet_worker` entry point: parses the worker command
@@ -607,23 +519,48 @@ mod tests {
         assert_eq!(done.lease, 100);
         assert_eq!(done.state, "completed");
         assert_eq!(done.rails_complete, 2);
-        // Two rails on one layer = two waves = two wave-progress
-        // frames; stage spans ride along as their own frames.
-        let wave_frames: Vec<_> = fs
+        // Two rails on one layer = two waves = two progress events;
+        // stage spans and residual points ride along as their own
+        // event frames, all under the lease.
+        let events: Vec<_> = fs
             .iter()
-            .filter(|f| matches!(f, WorkerFrame::Progress { stage, .. } if stage == "wave"))
+            .filter_map(|f| match f {
+                WorkerFrame::Event {
+                    job: 1,
+                    lease: 100,
+                    kind,
+                    fields,
+                } => Some((*kind, fields)),
+                _ => None,
+            })
             .collect();
-        assert_eq!(wave_frames.len(), 2);
+        let field = |fields: &[(String, Value)], key: &str| {
+            fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let waves: Vec<_> = events
+            .iter()
+            .filter(|(kind, _)| *kind == EventKind::Progress)
+            .collect();
+        assert_eq!(waves.len(), 2);
         assert!(
-            fs.iter()
-                .any(|f| matches!(f, WorkerFrame::Progress { stage, .. } if stage == "grow")),
-            "stage spans must be forwarded as progress frames"
+            waves
+                .iter()
+                .all(|(_, f)| matches!(field(f, "elapsed_ms"), Some(Value::F64(ms)) if ms > 0.0)),
+            "wave events must carry elapsed_ms"
         );
-        let timed = fs.iter().any(|f| {
-            matches!(f, WorkerFrame::Progress { stage, elapsed_ms, .. }
-                if stage == "wave" && *elapsed_ms > 0.0)
-        });
-        assert!(timed, "wave frames must carry elapsed_ms");
+        assert!(
+            events.iter().any(|(kind, f)| *kind == EventKind::Stage
+                && field(f, "stage") == Some(Value::Str("grow".into()))
+                && field(f, "solves").is_some()),
+            "stage spans must be forwarded with their exit fields"
+        );
+        assert!(
+            events.iter().any(|(kind, _)| *kind == EventKind::Residual),
+            "residual points must be forwarded"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency structured observability for the SPROUT workspace:
 //! hierarchical spans with monotonic timing, typed lock-free metrics,
-//! a bounded event ring buffer, and pluggable sinks.
+//! and pluggable sinks.
 //!
 //! The routing pipeline (available space → tiling → seed → SmartGrow →
 //! SmartRefine → reheat → back conversion, §II of the paper) is a long
@@ -23,8 +23,7 @@
 //!   entirely and cost a thread-local read.
 //! * Sinks — [`sinks::StderrSink`] (pretty tree for humans),
 //!   [`sinks::JsonlSink`] (one JSON object per line for machines),
-//!   [`sinks::MemorySink`] (test inspection), [`ring::RingSink`]
-//!   (bounded in-process buffer, lossless until the cap).
+//!   [`sinks::MemorySink`] (test inspection).
 //! * [`metrics`] — always-on lock-free counters/gauges/histograms,
 //!   aggregated globally and snapshotted into run reports.
 //!
@@ -70,7 +69,6 @@ pub mod json;
 pub mod metrics;
 pub mod prof;
 pub mod prom;
-pub mod ring;
 pub mod sinks;
 
 use std::cell::RefCell;

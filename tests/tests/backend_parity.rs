@@ -3,6 +3,11 @@
 //! `/metrics` must expose the same fields whichever executor runs. The
 //! last spec repeats the first board, so each executor serves it from
 //! its tiling cache and must still match the first, freshly tiled run.
+//!
+//! Both executors also feed each job's `GET /jobs/<id>/events` stream
+//! from one attempt-event path, so the streams must match event for
+//! event — kind, stage or point name, every non-timing field — once
+//! the `*_ms` timings are stripped.
 
 use sprout_board::presets::TWO_RAIL_ROUTE_LAYER;
 use sprout_serve::fleet::{FleetConfig, FleetCoordinator};
@@ -11,7 +16,7 @@ use sprout_serve::ledger::{Executor, Ledger};
 use sprout_serve::service::{RoutingService, ServiceConfig};
 use sprout_serve::worker::fast_router;
 use sprout_serve::JobBackend;
-use sprout_telemetry::json::parse;
+use sprout_telemetry::json::{parse, Json};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -41,9 +46,31 @@ fn specs() -> Vec<JobSpec> {
 /// How a job ended: `(state, rails_complete, solves, area_mm2)`.
 type Outcome = (JobState, usize, u64, f64);
 
-/// Runs every spec to its terminal state; returns each job's outcome
-/// and the `/metrics` JSON key set.
-fn run<E: Executor>(backend: &Ledger<E>) -> (Vec<Outcome>, BTreeSet<String>) {
+/// One stream event with its timings stripped: every member except the
+/// `*_ms` ones (wall times, `latency_ms` included).
+type Untimed = Vec<(String, Json)>;
+
+fn untimed(line: &str) -> Untimed {
+    let event = parse(line).expect("event line is JSON");
+    event
+        .as_object()
+        .expect("event line is an object")
+        .iter()
+        .filter(|(k, _)| !k.ends_with("_ms"))
+        .cloned()
+        .collect()
+}
+
+/// What one backend did with the specs: each job's outcome and its
+/// untimed event stream, plus the `/metrics` JSON key set.
+struct Run {
+    outcomes: Vec<Outcome>,
+    streams: Vec<Vec<Untimed>>,
+    metric_keys: BTreeSet<String>,
+}
+
+/// Runs every spec to its terminal state and collects what it left.
+fn run<E: Executor>(backend: &Ledger<E>) -> Run {
     let ids: Vec<u64> = specs()
         .into_iter()
         .map(|spec| backend.submit(spec).expect("accepted"))
@@ -60,14 +87,28 @@ fn run<E: Executor>(backend: &Ledger<E>) -> (Vec<Outcome>, BTreeSet<String>) {
             (s.state, s.rails_complete, s.solves, s.area_mm2)
         })
         .collect();
+    let bus = backend.events();
+    let streams = ids
+        .iter()
+        .map(|&id| {
+            let page = bus.snapshot_since(id, 0);
+            assert!(page.terminal, "job {id}: stream not terminal");
+            assert_eq!(page.dropped, 0, "job {id}: stream dropped events");
+            page.events.iter().map(|e| untimed(&e.line)).collect()
+        })
+        .collect();
     let metrics = parse(&backend.metrics_json()).expect("metrics are JSON");
-    let keys = metrics
+    let metric_keys = metrics
         .as_object()
         .expect("metrics are an object")
         .iter()
         .map(|(k, _)| k.clone())
         .collect();
-    (outcomes, keys)
+    Run {
+        outcomes,
+        streams,
+        metric_keys,
+    }
 }
 
 #[test]
@@ -79,7 +120,7 @@ fn service_and_fleet_end_every_job_alike() {
         ..ServiceConfig::default()
     })
     .expect("service start");
-    let (in_process, service_keys) = run(&service);
+    let in_process = run(&service);
     service.shutdown(true);
 
     let fleet = FleetCoordinator::start(FleetConfig {
@@ -90,12 +131,22 @@ fn service_and_fleet_end_every_job_alike() {
         ..FleetConfig::default()
     })
     .expect("fleet start");
-    let (in_fleet, fleet_keys) = run(&fleet);
+    let in_fleet = run(&fleet);
     fleet.drain(Duration::from_secs(30));
 
-    let repeat = in_process.len() - 1;
-    assert_eq!(in_process[repeat], in_process[0], "service repeat differs");
-    assert_eq!(in_fleet[repeat], in_fleet[0], "fleet repeat differs");
-    assert_eq!(in_process, in_fleet, "per-job outcomes differ");
-    assert_eq!(service_keys, fleet_keys, "/metrics key sets differ");
+    let (threads, processes) = (&in_process.outcomes, &in_fleet.outcomes);
+    let repeat = threads.len() - 1;
+    assert_eq!(threads[repeat], threads[0], "service repeat differs");
+    assert_eq!(processes[repeat], processes[0], "fleet repeat differs");
+    assert_eq!(threads, processes, "per-job outcomes differ");
+    assert_eq!(
+        in_process.metric_keys, in_fleet.metric_keys,
+        "/metrics key sets differ"
+    );
+    for (job, (a, b)) in in_process.streams.iter().zip(&in_fleet.streams).enumerate() {
+        for (i, (a, b)) in a.iter().zip(b).enumerate() {
+            assert_eq!(a, b, "job {}: event {i} differs", job + 1);
+        }
+        assert_eq!(a.len(), b.len(), "job {}: stream lengths differ", job + 1);
+    }
 }
