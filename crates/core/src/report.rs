@@ -25,6 +25,20 @@ pub const STAGE_ORDER: [&str; 7] = [
     "space", "tile", "seed", "grow", "refine", "reheat", "backconv",
 ];
 
+/// Point names the convergence trace and a job's event stream carry:
+/// per-iteration objective samples, each rail's final record, and
+/// solver incidents.
+pub const CONVERGENCE_POINTS: [&str; 8] = [
+    "grow_iter",
+    "refine_iter",
+    "reheat_iter",
+    "route_final",
+    "cg_solve",
+    "cg_not_converged",
+    "solver_fallback",
+    "budget_overrun",
+];
+
 /// One stage's slice of a rail's wall clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageBreakdown {

@@ -3,9 +3,9 @@
 //! The available space for net `n` is the design space `U` minus the
 //! buffered geometry of every other net: `A_n = U \ ∪_{j≠n} b_j`.
 //! Rather than materializing `A_n` as one global polygon, this module
-//! prepares the *specification* — buffered blocker polygons plus a
-//! spatial index — that the tiling stage (Algorithm 1) consumes cell by
-//! cell, which is numerically robust and cache-friendly.
+//! prepares the *specification* — the buffered blocker polygons — that
+//! the tiling stage (Algorithm 1) consumes cell by cell, which is
+//! numerically robust and cache-friendly.
 
 use crate::SproutError;
 use sprout_board::{Board, ElementRole, NetId};
@@ -30,7 +30,6 @@ pub struct SpaceSpec {
     pub blockers: Vec<Polygon>,
     /// Same-net terminal shapes, in board element order.
     pub terminals: Vec<TerminalShape>,
-    index: SpatialIndex,
 }
 
 impl SpaceSpec {
@@ -109,93 +108,17 @@ impl SpaceSpec {
             return Err(SproutError::NoTerminals { net, layer });
         }
 
-        let design_space = board.outline();
-        let index = SpatialIndex::build(design_space, &blockers);
         Ok(SpaceSpec {
-            design_space,
+            design_space: board.outline(),
             blockers,
             terminals,
-            index,
         })
-    }
-
-    /// Indices of blockers whose bounds intersect `query`.
-    pub fn blockers_near(&self, query: &Rect) -> impl Iterator<Item = &Polygon> {
-        self.index
-            .query(query)
-            .into_iter()
-            .map(move |i| &self.blockers[i])
     }
 
     /// `true` if `p` lies in the available space (inside `U`, outside all
     /// buffered blockers).
     pub fn contains_point(&self, p: Point) -> bool {
-        if !self.design_space.contains_point(p) {
-            return false;
-        }
-        let probe = Rect::from_center_size(p, 1e-6, 1e-6).expect("positive probe");
-        !self.blockers_near(&probe).any(|b| b.contains_point(p))
-    }
-}
-
-/// A uniform-bucket spatial index over polygon bounding boxes.
-#[derive(Debug, Clone)]
-struct SpatialIndex {
-    origin: Point,
-    cell: f64,
-    nx: usize,
-    ny: usize,
-    buckets: Vec<Vec<usize>>,
-}
-
-impl SpatialIndex {
-    fn build(extent: Rect, polys: &[Polygon]) -> Self {
-        // Target ~1 polygon per bucket: bucket side ≈ extent / sqrt(n).
-        let n = polys.len().max(1);
-        let side = (extent.width().max(extent.height()) / (n as f64).sqrt()).max(0.5);
-        let nx = ((extent.width() / side).ceil() as usize).max(1);
-        let ny = ((extent.height() / side).ceil() as usize).max(1);
-        let mut buckets = vec![Vec::new(); nx * ny];
-        let origin = extent.min();
-        let clampi = |v: f64, hi: usize| -> usize { (v.floor().max(0.0) as usize).min(hi - 1) };
-        for (i, p) in polys.iter().enumerate() {
-            let b = p.bounds();
-            let x0 = clampi((b.min().x - origin.x) / side, nx);
-            let x1 = clampi((b.max().x - origin.x) / side, nx);
-            let y0 = clampi((b.min().y - origin.y) / side, ny);
-            let y1 = clampi((b.max().y - origin.y) / side, ny);
-            for x in x0..=x1 {
-                for y in y0..=y1 {
-                    buckets[y * nx + x].push(i);
-                }
-            }
-        }
-        SpatialIndex {
-            origin,
-            cell: side,
-            nx,
-            ny,
-            buckets,
-        }
-    }
-
-    fn query(&self, r: &Rect) -> Vec<usize> {
-        let clampi = |v: f64, hi: usize| -> usize { (v.floor().max(0.0) as usize).min(hi - 1) };
-        let x0 = clampi((r.min().x - self.origin.x) / self.cell, self.nx);
-        let x1 = clampi((r.max().x - self.origin.x) / self.cell, self.nx);
-        let y0 = clampi((r.min().y - self.origin.y) / self.cell, self.ny);
-        let y1 = clampi((r.max().y - self.origin.y) / self.cell, self.ny);
-        let mut out: Vec<usize> = Vec::new();
-        for x in x0..=x1 {
-            for y in y0..=y1 {
-                for &i in &self.buckets[y * self.nx + x] {
-                    if !out.contains(&i) {
-                        out.push(i);
-                    }
-                }
-            }
-        }
-        out
+        self.design_space.contains_point(p) && !self.blockers.iter().any(|b| b.contains_point(p))
     }
 }
 
@@ -286,23 +209,5 @@ mod tests {
             SpaceSpec::build(&board, vdd1, 99, &[]),
             Err(SproutError::Board(_))
         ));
-    }
-
-    #[test]
-    fn spatial_index_query_matches_bruteforce() {
-        let board = presets::six_rail();
-        let (net, _) = board.power_nets().next().unwrap();
-        let spec = SpaceSpec::build(&board, net, presets::TEN_LAYER_ROUTE_LAYER, &[]).unwrap();
-        let query = Rect::new(Point::new(10.0, 6.0), Point::new(12.0, 8.0)).unwrap();
-        let via_index: Vec<&Polygon> = spec.blockers_near(&query).collect();
-        let brute: Vec<&Polygon> = spec
-            .blockers
-            .iter()
-            .filter(|b| b.bounds().intersects(&query))
-            .collect();
-        // The index may over-approximate, never under-approximate.
-        for b in brute {
-            assert!(via_index.iter().any(|q| std::ptr::eq(*q, b)));
-        }
     }
 }

@@ -8,8 +8,8 @@
 //! * **Convergence traces** ([`trace`]) — a [`TraceSink`] recorder
 //!   captures the per-iteration points the router emits (`grow_iter`,
 //!   `refine_iter`, `reheat_iter`, `route_final`) and the per-solve
-//!   residual curves from `sprout-linalg` (`cg_solve`), tags each with
-//!   the rail (net, layer) of its enclosing `route` span, and exports
+//!   residual curves from `sprout-linalg` (`cg_solve`), keeps each with
+//!   the rail tag (net, layer, wave) it was emitted under, and exports
 //!   the lot as JSONL for offline plotting of objective-vs-iteration and
 //!   residual decay.
 //!

@@ -2,32 +2,19 @@
 //! router's per-iteration points and the solvers' residual summaries,
 //! tagged with the rail they belong to, for JSONL export.
 
-use sprout_telemetry::{Event, Fields, Recorder, Value};
-use std::collections::HashMap;
+use sprout_core::report::CONVERGENCE_POINTS;
+use sprout_telemetry::{Event, Fields, RailTag, Recorder, Value};
 use std::io;
 use std::path::Path;
 use std::sync::Mutex;
-
-/// Point names the sink captures. Everything else (metrics snapshots,
-/// fault-injection points, …) passes through untouched.
-const CAPTURED: [&str; 6] = [
-    "grow_iter",
-    "refine_iter",
-    "reheat_iter",
-    "route_final",
-    "cg_solve",
-    "cg_not_converged",
-];
 
 /// One captured convergence record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Point name (`grow_iter`, `cg_solve`, …).
     pub name: &'static str,
-    /// Net id of the enclosing `route` span, when inside one.
-    pub net: Option<u64>,
-    /// Layer of the enclosing `route` span, when inside one.
-    pub layer: Option<u64>,
+    /// The rail the point belongs to.
+    pub tag: RailTag,
     /// The point's fields, in emission order.
     pub fields: Fields,
 }
@@ -51,13 +38,10 @@ impl TraceRecord {
     fn to_json_line(&self) -> String {
         let mut obj = sprout_telemetry::json::Obj::new();
         obj.str("event", self.name);
-        if let Some(net) = self.net {
-            obj.u64("net", net);
+        for (k, v) in self.tag.pairs() {
+            obj.u64(k, v);
         }
-        if let Some(layer) = self.layer {
-            obj.u64("layer", layer);
-        }
-        for (k, v) in &self.fields {
+        for (k, v) in RailTag::untagged(&self.fields) {
             // Residual curves arrive as pre-rendered JSON arrays in a
             // string field; splice them in raw so consumers see a real
             // array, not a quoted blob.
@@ -74,23 +58,15 @@ impl TraceRecord {
     }
 }
 
-#[derive(Default)]
-struct Inner {
-    /// Rail context per live span id: the (net, layer) of the nearest
-    /// enclosing `route` span, propagated at span start via the
-    /// parent id (exact even when rails route on worker threads).
-    context: HashMap<u64, Option<(u64, u64)>>,
-    records: Vec<TraceRecord>,
-}
-
-/// A [`Recorder`] that captures convergence points for later export.
+/// A [`Recorder`] that captures the [`CONVERGENCE_POINTS`] for later
+/// export, each with the rail tag it was emitted under.
 ///
 /// Install it directly, or fan it out alongside a live sink with
 /// [`TeeSink`](sprout_telemetry::sinks::TeeSink). Thread-safe; capture
 /// order is the arrival order of events at the sink.
 #[derive(Default)]
 pub struct TraceSink {
-    inner: Mutex<Inner>,
+    records: Mutex<Vec<TraceRecord>>,
 }
 
 impl TraceSink {
@@ -101,7 +77,7 @@ impl TraceSink {
 
     /// Number of captured records.
     pub fn len(&self) -> usize {
-        self.lock().records.len()
+        self.lock().len()
     }
 
     /// `true` when nothing has been captured.
@@ -111,19 +87,18 @@ impl TraceSink {
 
     /// A snapshot of the captured records.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.lock().records.clone()
+        self.lock().clone()
     }
 
-    /// Discards all captured records (rail contexts are kept).
+    /// Discards all captured records.
     pub fn clear(&self) {
-        self.lock().records.clear();
+        self.lock().clear();
     }
 
     /// Serializes the capture as JSONL, one record per line.
     pub fn to_jsonl(&self) -> String {
-        let inner = self.lock();
         let mut out = String::new();
-        for r in &inner.records {
+        for r in self.lock().iter() {
             out.push_str(&r.to_json_line());
             out.push('\n');
         }
@@ -151,69 +126,24 @@ impl TraceSink {
         io::Write::flush(&mut buf)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<TraceRecord>> {
+        self.records.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
-
-fn field_u64(fields: &Fields, key: &str) -> Option<u64> {
-    fields
-        .iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| match v {
-            Value::U64(n) => Some(*n),
-            Value::I64(n) => u64::try_from(*n).ok(),
-            _ => None,
-        })
 }
 
 impl Recorder for TraceSink {
     fn record(&self, event: &Event) {
-        match event {
-            Event::SpanStart {
-                id,
-                parent,
-                name,
-                fields,
-                ..
-            } => {
-                let mut inner = self.lock();
-                let ctx = if *name == "route" {
-                    match (field_u64(fields, "net"), field_u64(fields, "layer")) {
-                        (Some(net), Some(layer)) => Some((net, layer)),
-                        _ => None,
-                    }
-                } else {
-                    parent
-                        .and_then(|p| inner.context.get(&p).copied())
-                        .flatten()
-                };
-                inner.context.insert(*id, ctx);
-            }
-            Event::SpanEnd { id, .. } => {
-                self.lock().context.remove(id);
-            }
-            Event::Point {
-                name,
-                parent,
-                fields,
-                ..
-            } => {
-                if !CAPTURED.contains(name) {
-                    return;
-                }
-                let mut inner = self.lock();
-                let ctx = parent
-                    .and_then(|p| inner.context.get(&p).copied())
-                    .flatten();
-                inner.records.push(TraceRecord {
+        if let Event::Point {
+            name, tag, fields, ..
+        } = event
+        {
+            if CONVERGENCE_POINTS.contains(name) {
+                self.lock().push(TraceRecord {
                     name,
-                    net: ctx.map(|(n, _)| n),
-                    layer: ctx.map(|(_, l)| l),
+                    tag: *tag,
                     fields: fields.clone(),
                 });
             }
-            _ => {}
         }
     }
 }
@@ -261,10 +191,10 @@ mod tests {
                 .emit();
         }
         let records = sink.records();
-        assert_eq!(records[0].net, Some(3));
-        assert_eq!(records[0].layer, Some(6));
+        assert_eq!(records[0].tag.net, Some(3));
+        assert_eq!(records[0].tag.layer, Some(6));
         // Outside any route span: untagged.
-        assert_eq!(records[1].net, None);
+        assert_eq!(records[1].tag, RailTag::default());
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! Only the ledger's exactly-once finalize publishes the terminal
 //! event.
 
+use sprout_core::report::{CONVERGENCE_POINTS, STAGE_ORDER};
 use sprout_telemetry::json::Obj;
 use sprout_telemetry::prof::ProfMutex;
-use sprout_telemetry::{Event, Recorder, Value};
+use sprout_telemetry::{Event, RailTag, Recorder, Value};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -45,8 +46,8 @@ pub enum EventKind {
     /// A pipeline stage span closed (space/tile/seed/grow/refine/
     /// reheat/backconv).
     Stage,
-    /// A solver/iteration point: objective residuals, solver
-    /// fallbacks, budget overruns.
+    /// A solver/iteration point: objective residuals, a rail's final
+    /// record, solver fallbacks, budget overruns.
     Residual,
     /// A rail or job attempt is being retried.
     Retry,
@@ -252,38 +253,27 @@ impl EventBus {
     }
 }
 
-/// Stage spans forwarded to the bus, in pipeline order — the paper's
-/// §II stages as instrumented in `sprout-core`'s router.
-const STAGE_SPANS: [&str; 7] = [
-    "space", "tile", "seed", "grow", "refine", "reheat", "backconv",
-];
-
-/// Points forwarded as [`EventKind::Residual`]: per-iteration
-/// objective samples plus solver incidents.
-const RESIDUAL_POINTS: [&str; 6] = [
-    "grow_iter",
-    "refine_iter",
-    "reheat_iter",
-    "cg_not_converged",
-    "solver_fallback",
-    "budget_overrun",
-];
-
 /// A [`Recorder`] adapter that turns an attempt's telemetry into
 /// events on its [`Feed`], chaining to whatever recorder was already
 /// current so existing sinks keep seeing everything.
 ///
-/// Only an allowlist is forwarded — stage span ends, residual points,
-/// retry and panic points — so the per-event cost stays a filtered
-/// match for the torrent of solver-internal events.
+/// Only an allowlist is forwarded — stage span ends
+/// ([`STAGE_ORDER`]), [`CONVERGENCE_POINTS`] as residuals, retry and
+/// panic points — so the per-event cost stays a filtered match for the
+/// torrent of solver-internal events. Each forwarded event names its
+/// rail: the event's tag keys follow the lead fields, and the event's
+/// own fields follow without them.
 pub(crate) struct JobRecorder {
     pub feed: Feed,
     pub inner: Option<Arc<dyn Recorder>>,
 }
 
-/// `lead` followed by a telemetry event's own fields.
-fn with_fields(mut lead: Fields, rest: &[(&'static str, Value)]) -> Fields {
-    lead.extend(rest.iter().map(|(k, v)| ((*k).to_owned(), v.clone())));
+/// `lead`, then `event`'s rail tag, then the event's own fields.
+fn with_fields(mut lead: Fields, event: &Event) -> Fields {
+    let tag = event.tag();
+    lead.extend(tag.pairs().map(|(k, v)| (k.to_owned(), Value::U64(v))));
+    let rest = RailTag::untagged(event.fields());
+    lead.extend(rest.map(|(k, v)| ((*k).to_owned(), v.clone())));
     lead
 }
 
@@ -291,22 +281,19 @@ impl Recorder for JobRecorder {
     fn record(&self, event: &Event) {
         match event {
             Event::SpanEnd {
-                name,
-                elapsed_ns,
-                fields,
-                ..
-            } if STAGE_SPANS.contains(name) => {
+                name, elapsed_ns, ..
+            } if STAGE_ORDER.contains(name) => {
                 let lead = vec![
                     ("stage".into(), Value::Str((*name).to_owned())),
                     ("elapsed_ms".into(), Value::F64(*elapsed_ns as f64 / 1e6)),
                 ];
-                (self.feed)(EventKind::Stage, with_fields(lead, fields));
+                (self.feed)(EventKind::Stage, with_fields(lead, event));
             }
-            Event::Point { name, fields, .. } => {
+            Event::Point { name, .. } => {
                 let kind = match *name {
                     "retry" => EventKind::Retry,
                     "worker_panic" => EventKind::Panic,
-                    n if RESIDUAL_POINTS.contains(&n) => EventKind::Residual,
+                    n if CONVERGENCE_POINTS.contains(&n) => EventKind::Residual,
                     _ => {
                         if let Some(inner) = &self.inner {
                             inner.record(event);
@@ -315,7 +302,7 @@ impl Recorder for JobRecorder {
                     }
                 };
                 let lead = vec![("point".into(), Value::Str((*name).to_owned()))];
-                (self.feed)(kind, with_fields(lead, fields));
+                (self.feed)(kind, with_fields(lead, event));
             }
             _ => {}
         }
@@ -503,23 +490,44 @@ mod tests {
             });
             let rec = Arc::new(JobRecorder { feed, inner: None });
             let _scope = RecorderScope::install(rec);
-            let _stage = telemetry::span("grow").field("rail", 1u64).enter();
+            let _rail = telemetry::span("rail")
+                .field("net", 1u64)
+                .field("layer", 6u64)
+                .field("wave", 0u64)
+                .enter();
+            let _stage = telemetry::span("grow").enter();
             telemetry::point("grow_iter").field("iter", 0u64).emit();
             telemetry::point("worker_panic").field("why", "test").emit();
             telemetry::point("uninteresting").emit();
+            telemetry::point("route_final")
+                .field("net", 1u64)
+                .field("layer", 6u64)
+                .field("solves", 9u64)
+                .emit();
             // `_stage` drops here: SpanEnd("grow") forwarded.
         }
         let page = bus.snapshot_since(42, 0);
         let kinds: Vec<EventKind> = page.events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
-            vec![EventKind::Residual, EventKind::Panic, EventKind::Stage]
+            vec![
+                EventKind::Residual,
+                EventKind::Panic,
+                EventKind::Residual,
+                EventKind::Stage
+            ]
         );
         for e in &page.events {
             let root = parse(&e.line).expect("line parses");
             assert_eq!(root.get("job").and_then(Json::as_u64), Some(42));
+            // Every event names its rail, each key once.
+            let members = root.as_object().expect("object");
+            for (key, want) in [("net", 1), ("layer", 6), ("wave", 0)] {
+                assert_eq!(root.get(key).and_then(Json::as_u64), Some(want));
+                assert_eq!(members.iter().filter(|(k, _)| k == key).count(), 1);
+            }
         }
-        let stage = &page.events[2];
+        let stage = &page.events[3];
         let root = parse(&stage.line).expect("stage line parses");
         assert_eq!(root.get("stage").and_then(Json::as_str), Some("grow"));
         assert!(root.get("elapsed_ms").and_then(Json::as_f64).is_some());

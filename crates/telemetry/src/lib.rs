@@ -27,17 +27,22 @@
 //! * [`metrics`] — always-on lock-free counters/gauges/histograms,
 //!   aggregated globally and snapshotted into run reports.
 //!
+//! ## Rail attribution
+//!
+//! The pipeline runs once per rail, so every event carries a
+//! [`RailTag`]: the `net`, `layer` and `wave` of the rail it belongs
+//! to. A span inherits its parent's tag and overrides it with its own
+//! U64 fields of those names; a point does the same over its enclosing
+//! span. The tag is resolved once, when the span opens or the point is
+//! emitted, so recorders read attribution straight off the event.
+//!
 //! ## Installation
 //!
-//! Recorders install two ways, mirroring the scope discipline of the
-//! router's fault and cancel scopes:
-//!
-//! * [`RecorderScope::install`] — thread-local, innermost-wins; the
-//!   right tool for tests and single-threaded runs.
-//! * [`set_global`] — process-wide fallback used when no scope is
-//!   active; the right tool for bench binaries. Code that spawns worker
-//!   threads (the supervisor) captures [`current`] and re-installs it
-//!   inside each worker so spans keep flowing.
+//! [`RecorderScope::install`] installs a recorder on the current
+//! thread, innermost-wins, mirroring the scope discipline of the
+//! router's fault and cancel scopes. Code that spawns worker threads
+//! (the supervisor) captures [`current`] and re-installs it inside each
+//! worker so spans keep flowing.
 //!
 //! ## Example
 //!
@@ -73,8 +78,8 @@ pub mod sinks;
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A typed field value attached to spans and points.
@@ -148,6 +153,56 @@ impl From<String> for Value {
 /// Ordered key/value pairs attached to an event.
 pub type Fields = Vec<(&'static str, Value)>;
 
+/// The rail an event belongs to: the `net`, `layer` and `wave` it
+/// inherits from its enclosing spans, each overridden by the event's own
+/// U64 field of that name.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RailTag {
+    /// Net id.
+    pub net: Option<u64>,
+    /// Routing layer.
+    pub layer: Option<u64>,
+    /// Supervisor wave.
+    pub wave: Option<u64>,
+}
+
+impl RailTag {
+    /// The field names a tag resolves.
+    const KEYS: [&'static str; 3] = ["net", "layer", "wave"];
+
+    /// This tag overridden by `fields`' own U64 `net`/`layer`/`wave`.
+    fn resolve(mut self, fields: &Fields) -> RailTag {
+        for (key, value) in fields {
+            if let Value::U64(v) = value {
+                match *key {
+                    "net" => self.net = Some(*v),
+                    "layer" => self.layer = Some(*v),
+                    "wave" => self.wave = Some(*v),
+                    _ => {}
+                }
+            }
+        }
+        self
+    }
+
+    /// The keys that are set, with their values, in `net`, `layer`,
+    /// `wave` order.
+    pub fn pairs(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        RailTag::KEYS
+            .into_iter()
+            .zip([self.net, self.layer, self.wave])
+            .filter_map(|(key, v)| Some((key, v?)))
+    }
+
+    /// `fields` minus the keys a tag owns: what a sink writes after
+    /// [`RailTag::pairs`], so no key repeats.
+    pub fn untagged(fields: &Fields) -> impl Iterator<Item = &(&'static str, Value)> {
+        fields
+            .iter()
+            .filter(|(key, _)| !RailTag::KEYS.contains(key))
+    }
+}
+
 /// One telemetry event.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -162,6 +217,8 @@ pub enum Event {
         name: &'static str,
         /// Nesting depth at open (0 = root).
         depth: usize,
+        /// The rail this span belongs to.
+        tag: RailTag,
         /// Entry fields.
         fields: Fields,
     },
@@ -175,6 +232,8 @@ pub enum Event {
         depth: usize,
         /// Monotonic wall time between start and end (ns).
         elapsed_ns: u64,
+        /// The tag resolved when the span opened.
+        tag: RailTag,
         /// Exit fields recorded via [`SpanGuard::record`].
         fields: Fields,
     },
@@ -186,6 +245,8 @@ pub enum Event {
         parent: Option<u64>,
         /// Nesting depth (0 = outside all spans).
         depth: usize,
+        /// The rail this point belongs to.
+        tag: RailTag,
         /// Payload.
         fields: Fields,
     },
@@ -198,6 +259,15 @@ impl Event {
             Event::SpanStart { name, .. }
             | Event::SpanEnd { name, .. }
             | Event::Point { name, .. } => name,
+        }
+    }
+
+    /// The rail the event belongs to.
+    pub fn tag(&self) -> RailTag {
+        match self {
+            Event::SpanStart { tag, .. }
+            | Event::SpanEnd { tag, .. }
+            | Event::Point { tag, .. } => *tag,
         }
     }
 
@@ -229,47 +299,35 @@ pub trait Recorder: Send + Sync {
     fn flush(&self) {}
 }
 
-static GLOBAL_ACTIVE: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
-fn global_slot() -> &'static RwLock<Option<Arc<dyn Recorder>>> {
-    static SLOT: std::sync::OnceLock<RwLock<Option<Arc<dyn Recorder>>>> =
-        std::sync::OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
 
 thread_local! {
     static SCOPED: RefCell<Vec<Arc<dyn Recorder>>> = const { RefCell::new(Vec::new()) };
-    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Installs (or with `None`, removes) the process-wide fallback
-/// recorder. Scoped recorders take precedence on their threads.
-pub fn set_global(recorder: Option<Arc<dyn Recorder>>) {
-    let mut slot = global_slot().write().unwrap_or_else(|e| e.into_inner());
-    GLOBAL_ACTIVE.store(recorder.is_some(), Ordering::Release);
-    *slot = recorder;
+    /// Open spans on this thread, innermost last, with their tags.
+    static SPAN_STACK: RefCell<Vec<(u64, RailTag)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The recorder active on this thread: the innermost
-/// [`RecorderScope`], else the global one, else `None`.
+/// [`RecorderScope`], else `None`.
 pub fn current() -> Option<Arc<dyn Recorder>> {
-    let scoped = SCOPED.with(|s| s.borrow().last().cloned());
-    if scoped.is_some() {
-        return scoped;
-    }
-    if !GLOBAL_ACTIVE.load(Ordering::Acquire) {
-        return None;
-    }
-    global_slot()
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
+    SCOPED.with(|s| s.borrow().last().cloned())
 }
 
 /// `true` when any recorder would receive events from this thread.
 pub fn active() -> bool {
-    SCOPED.with(|s| !s.borrow().is_empty()) || GLOBAL_ACTIVE.load(Ordering::Acquire)
+    SCOPED.with(|s| !s.borrow().is_empty())
+}
+
+/// For a span or point about to open with `fields`: the innermost open
+/// span on this thread, the depth it opens at, and its resolved tag.
+fn enclosing(fields: &Fields) -> (Option<u64>, usize, RailTag) {
+    SPAN_STACK.with(|s| {
+        let s = s.borrow();
+        let (parent, tag) = s
+            .last()
+            .map_or((None, RailTag::default()), |&(id, t)| (Some(id), t));
+        (parent, s.len(), tag.resolve(fields))
+    })
 }
 
 /// Installs a recorder on the current thread for the guard's lifetime.
@@ -323,23 +381,22 @@ impl SpanBuilder {
             return SpanGuard { active: None };
         };
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        let (parent, depth) = SPAN_STACK.with(|s| {
-            let s = s.borrow();
-            (s.last().copied(), s.len())
-        });
+        let (parent, depth, tag) = enclosing(&self.fields);
         recorder.record(&Event::SpanStart {
             id,
             parent,
             name: self.name,
             depth,
+            tag,
             fields: self.fields,
         });
-        SPAN_STACK.with(|s| s.borrow_mut().push(id));
+        SPAN_STACK.with(|s| s.borrow_mut().push((id, tag)));
         SpanGuard {
             active: Some(ActiveSpan {
                 id,
                 name: self.name,
                 depth,
+                tag,
                 recorder,
                 start: Instant::now(),
                 exit_fields: Vec::new(),
@@ -352,6 +409,7 @@ struct ActiveSpan {
     id: u64,
     name: &'static str,
     depth: usize,
+    tag: RailTag,
     recorder: Arc<dyn Recorder>,
     start: Instant,
     exit_fields: Fields,
@@ -386,9 +444,9 @@ impl Drop for SpanGuard {
         // matching id wherever it sits (never panics during unwind).
         SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
-            if s.last() == Some(&a.id) {
+            if s.last().map(|&(id, _)| id) == Some(a.id) {
                 s.pop();
-            } else if let Some(pos) = s.iter().rposition(|&x| x == a.id) {
+            } else if let Some(pos) = s.iter().rposition(|&(id, _)| id == a.id) {
                 s.remove(pos);
             }
         });
@@ -397,6 +455,7 @@ impl Drop for SpanGuard {
             name: a.name,
             depth: a.depth,
             elapsed_ns: a.start.elapsed().as_nanos() as u64,
+            tag: a.tag,
             fields: a.exit_fields,
         });
     }
@@ -436,14 +495,12 @@ impl PointBuilder {
         let Some(recorder) = self.recorder else {
             return;
         };
-        let (parent, depth) = SPAN_STACK.with(|s| {
-            let s = s.borrow();
-            (s.last().copied(), s.len())
-        });
+        let (parent, depth, tag) = enclosing(&self.fields);
         recorder.record(&Event::Point {
             name: self.name,
             parent,
             depth,
+            tag,
             fields: self.fields,
         });
     }
@@ -466,7 +523,7 @@ mod tests {
 
     #[test]
     fn no_recorder_means_no_events_and_inert_guards() {
-        assert!(current().is_none() || GLOBAL_ACTIVE.load(Ordering::Acquire));
+        assert!(current().is_none());
         let mut g = span("idle").field("k", 1u64).enter();
         assert!(!g.is_recording());
         g.record("x", 2u64);
@@ -481,10 +538,17 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         {
             let _scope = RecorderScope::install(sink.clone());
-            let mut outer = span("outer").field("rail", 7u64).enter();
-            point("mid").field("why", "because").emit();
+            let mut outer = span("outer")
+                .field("rail", 7u64)
+                .field("net", 3u64)
+                .field("layer", 6u64)
+                .enter();
+            point("mid")
+                .field("why", "because")
+                .field("wave", 1u64)
+                .emit();
             {
-                let _inner = span("inner").enter();
+                let _inner = span("inner").field("layer", 8u64).enter();
             }
             outer.record("solves", 3u64);
         }
@@ -497,6 +561,7 @@ mod tests {
                 depth,
                 parent: None,
                 fields,
+                ..
             } => {
                 assert_eq!(fields[0], ("rail", Value::U64(7)));
                 (*id, *depth)
@@ -504,6 +569,20 @@ mod tests {
             other => panic!("bad first event {other:?}"),
         };
         assert_eq!(outer_depth, 0);
+        // Tags: inherited from the enclosing span, overridden by the
+        // event's own U64 net/layer/wave, carried to the span's end.
+        let tag = |net, layer, wave| RailTag { net, layer, wave };
+        let tags: Vec<RailTag> = events.iter().map(Event::tag).collect();
+        assert_eq!(
+            tags,
+            [
+                tag(Some(3), Some(6), None),
+                tag(Some(3), Some(6), Some(1)),
+                tag(Some(3), Some(8), None),
+                tag(Some(3), Some(8), None),
+                tag(Some(3), Some(6), None),
+            ]
+        );
         match &events[1] {
             Event::Point {
                 name: "mid",
@@ -543,21 +622,20 @@ mod tests {
     }
 
     #[test]
-    fn scoped_recorder_wins_over_global_and_pops_cleanly() {
-        let global = Arc::new(MemorySink::new());
-        let scoped = Arc::new(MemorySink::new());
-        set_global(Some(global.clone()));
+    fn inner_scope_wins_and_pops_cleanly() {
+        let outer = Arc::new(MemorySink::new());
+        let inner = Arc::new(MemorySink::new());
         {
-            let _scope = RecorderScope::install(scoped.clone());
-            let _g = span("scoped-only").enter();
+            let _outer = RecorderScope::install(outer.clone());
+            {
+                let _inner = RecorderScope::install(inner.clone());
+                let _g = span("inner-only").enter();
+            }
+            let _g = span("outer-only").enter();
         }
-        {
-            let _g = span("global-only").enter();
-        }
-        set_global(None);
-        assert!(scoped.events().iter().all(|e| e.name() == "scoped-only"));
-        assert!(global.events().iter().any(|e| e.name() == "global-only"));
-        assert!(global.events().iter().all(|e| e.name() != "scoped-only"));
+        assert!(current().is_none() && !active());
+        assert_eq!(inner.names(), ["inner-only", "inner-only"]);
+        assert_eq!(outer.names(), ["outer-only", "outer-only"]);
     }
 
     #[test]

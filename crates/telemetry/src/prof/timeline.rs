@@ -4,9 +4,9 @@
 //! A [`Profiler`] hands out a [`Recorder`] (via
 //! [`Profiler::recorder`]) that observes `SpanStart`/`SpanEnd`/`Point`
 //! events and completes them into [`Slice`]s — `{name, start, dur,
-//! depth, wave/net attribution, exclusive alloc count/bytes}` — in a
-//! bounded ring owned by the emitting thread. Slices are keyed by the
-//! *existing* span names (`route`, `tile`, `grow`, `rail`, `wave`, …),
+//! depth, wave/net from the rail tag, exclusive alloc count/bytes}` —
+//! in a bounded ring owned by the emitting thread. Slices are keyed by
+//! the *existing* span names (`route`, `tile`, `grow`, `rail`, `wave`, …),
 //! so instrumented code needs no changes to become profilable.
 //!
 //! Rings are single-writer and never block: the owner thread pushes
@@ -18,7 +18,7 @@
 //! skeleton intact.
 
 use super::alloc;
-use crate::{Event, Recorder, Value};
+use crate::{Event, Recorder};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
@@ -51,10 +51,10 @@ pub struct Slice {
     pub dur_ns: u64,
     /// Span nesting depth at open.
     pub depth: u16,
-    /// `wave` field captured at span start, when present (supervisor
-    /// rail/wave spans carry it — the critical-path key).
+    /// Wave of the event's [`RailTag`](crate::RailTag) (the
+    /// critical-path key).
     pub wave: Option<u64>,
-    /// `net` field captured at span start, when present.
+    /// Net of the event's [`RailTag`](crate::RailTag).
     pub net: Option<u64>,
     /// Allocations attributed exclusively to this slice (child spans'
     /// allocations are subtracted). Zero unless the counting-allocator
@@ -146,8 +146,6 @@ struct ThreadRing {
 struct Frame {
     span_id: u64,
     start_ns: u64,
-    wave: Option<u64>,
-    net: Option<u64>,
     allocs0: u64,
     bytes0: u64,
     child_allocs: u64,
@@ -233,9 +231,9 @@ impl Profiler {
     /// A [`Recorder`] capturing into this profiler and forwarding every
     /// event to `downstream` (pass [`crate::current`]'s result to keep
     /// previously-installed sinks live). Install it with
-    /// [`crate::RecorderScope::install`] or [`crate::set_global`];
-    /// worker-spawning code that re-installs [`crate::current`] keeps
-    /// the capture flowing across threads.
+    /// [`crate::RecorderScope::install`]; worker-spawning code that
+    /// re-installs [`crate::current`] keeps the capture flowing across
+    /// threads.
     pub fn recorder(&self, downstream: Option<Arc<dyn Recorder>>) -> Arc<ProfRecorder> {
         Arc::new(ProfRecorder {
             inner: Arc::clone(&self.inner),
@@ -370,16 +368,6 @@ impl Recorder for ProfRecorder {
     }
 }
 
-fn field_u64(fields: &[(&'static str, Value)], key: &str) -> Option<u64> {
-    fields.iter().find(|(k, _)| *k == key).and_then(|(_, v)| {
-        if let Value::U64(n) = v {
-            Some(*n)
-        } else {
-            None
-        }
-    })
-}
-
 fn clamp_depth(depth: usize) -> u16 {
     depth.min(u16::MAX as usize) as u16
 }
@@ -420,15 +408,13 @@ fn with_state(inner: &Arc<Inner>, f: impl FnOnce(&mut ThreadState)) {
 
 fn observe(inner: &Arc<Inner>, event: &Event) {
     match event {
-        Event::SpanStart { id, fields, .. } => {
+        Event::SpanStart { id, .. } => {
             let now = inner.epoch.elapsed().as_nanos() as u64;
             let (a0, b0) = alloc::thread_totals();
             with_state(inner, |st| {
                 st.stack.push(Frame {
                     span_id: *id,
                     start_ns: now,
-                    wave: field_u64(fields, "wave"),
-                    net: field_u64(fields, "net"),
                     allocs0: a0,
                     bytes0: b0,
                     child_allocs: 0,
@@ -437,7 +423,11 @@ fn observe(inner: &Arc<Inner>, event: &Event) {
             });
         }
         Event::SpanEnd {
-            id, name, depth, ..
+            id,
+            name,
+            depth,
+            tag,
+            ..
         } => {
             let now = inner.epoch.elapsed().as_nanos() as u64;
             let (a1, b1) = alloc::thread_totals();
@@ -460,18 +450,15 @@ fn observe(inner: &Arc<Inner>, event: &Event) {
                     start_ns: frame.start_ns,
                     dur_ns: now.saturating_sub(frame.start_ns),
                     depth: clamp_depth(*depth),
-                    wave: frame.wave,
-                    net: frame.net,
+                    wave: tag.wave,
+                    net: tag.net,
                     allocs: incl_allocs.saturating_sub(frame.child_allocs),
                     alloc_bytes: incl_bytes.saturating_sub(frame.child_bytes),
                 });
             });
         }
         Event::Point {
-            name,
-            depth,
-            fields,
-            ..
+            name, depth, tag, ..
         } => {
             let now = inner.epoch.elapsed().as_nanos() as u64;
             with_state(inner, |st| {
@@ -481,8 +468,8 @@ fn observe(inner: &Arc<Inner>, event: &Event) {
                     start_ns: now,
                     dur_ns: 0,
                     depth: clamp_depth(*depth),
-                    wave: field_u64(fields, "wave"),
-                    net: field_u64(fields, "net"),
+                    wave: tag.wave,
+                    net: tag.net,
                     allocs: 0,
                     alloc_bytes: 0,
                 });
@@ -520,6 +507,8 @@ mod tests {
         assert_eq!(slices[0].kind, SliceKind::Instant);
         assert_eq!(slices[1].name, "grow");
         assert_eq!(slices[1].depth, 1);
+        // The inner slice inherits the rail tag of the span it runs in.
+        assert_eq!((slices[1].net, slices[1].wave), (Some(3), Some(1)));
         assert!(slices[1].dur_ns >= 1_000_000);
         let outer = &slices[2];
         assert_eq!(outer.name, "rail");

@@ -182,6 +182,7 @@ pub fn event_to_json(event: &Event) -> String {
             name,
             depth,
             fields,
+            ..
         } => {
             o.str("ev", "span_start")
                 .str("name", name)
@@ -200,6 +201,7 @@ pub fn event_to_json(event: &Event) -> String {
             depth,
             elapsed_ns,
             fields,
+            ..
         } => {
             o.str("ev", "span_end")
                 .str("name", name)
@@ -215,6 +217,7 @@ pub fn event_to_json(event: &Event) -> String {
             parent,
             depth,
             fields,
+            ..
         } => {
             o.str("ev", "point")
                 .str("name", name)
@@ -326,7 +329,7 @@ impl Recorder for MemorySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fields, Value};
+    use crate::{Fields, RailTag, Value};
 
     fn sample_start() -> Event {
         Event::SpanStart {
@@ -334,6 +337,7 @@ mod tests {
             parent: Some(4),
             name: "grow",
             depth: 2,
+            tag: RailTag::default(),
             fields: vec![
                 ("rail", Value::Str("vdd1".into())),
                 ("layer", Value::U64(0)),
@@ -353,6 +357,7 @@ mod tests {
             name: "grow",
             depth: 2,
             elapsed_ns: 1_500_000,
+            tag: RailTag::default(),
             fields: vec![("solves", Value::U64(7))],
         };
         assert_eq!(
@@ -369,6 +374,7 @@ mod tests {
             name: "retry",
             parent: None,
             depth: 0,
+            tag: RailTag::default(),
             fields: Fields::new(),
         });
         let out = String::from_utf8(sink.into_inner()).unwrap();
@@ -387,6 +393,7 @@ mod tests {
             name: "grow",
             depth: 1,
             elapsed_ns: 2_000_000,
+            tag: RailTag::default(),
             fields: Fields::new(),
         };
         assert_eq!(StderrSink::render(&end), "  \u{25c0} grow 2.0ms");
@@ -408,6 +415,7 @@ mod tests {
             name,
             parent: None,
             depth: 3,
+            tag: RailTag::default(),
             fields: Fields::new(),
         };
         assert_eq!(level_of(&point("worker_panic")), Level::Error);
@@ -421,6 +429,7 @@ mod tests {
             parent: None,
             name: "job",
             depth: 0,
+            tag: RailTag::default(),
             fields: Fields::new(),
         };
         assert_eq!(level_of(&shallow), Level::Info);
@@ -433,6 +442,7 @@ mod tests {
             name: "retry",
             parent: None,
             depth: 2,
+            tag: RailTag::default(),
             fields: Fields::new(),
         };
         assert!(warn_only.should_log(&retry));
@@ -460,6 +470,7 @@ mod tests {
             name: "p",
             parent: None,
             depth: 0,
+            tag: RailTag::default(),
             fields: Fields::new(),
         });
         assert_eq!(sink.names(), ["grow", "p"]);

@@ -7,9 +7,12 @@
 //! Both executors also feed each job's `GET /jobs/<id>/events` stream
 //! from one attempt-event path, so the streams must match event for
 //! event — kind, stage or point name, every non-timing field — once
-//! the `*_ms` timings are stripped.
+//! the `*_ms` timings are stripped. Every stage and residual event
+//! names its rail, and each completed rail's stages run in pipeline
+//! order.
 
 use sprout_board::presets::TWO_RAIL_ROUTE_LAYER;
+use sprout_core::report::STAGE_ORDER;
 use sprout_serve::fleet::{FleetConfig, FleetCoordinator};
 use sprout_serve::job::{BoardSpec, JobSpec, JobState, RailSpec};
 use sprout_serve::ledger::{Executor, Ledger};
@@ -17,7 +20,7 @@ use sprout_serve::service::{RoutingService, ServiceConfig};
 use sprout_serve::worker::fast_router;
 use sprout_serve::JobBackend;
 use sprout_telemetry::json::{parse, Json};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -52,13 +55,63 @@ type Untimed = Vec<(String, Json)>;
 
 fn untimed(line: &str) -> Untimed {
     let event = parse(line).expect("event line is JSON");
-    event
-        .as_object()
-        .expect("event line is an object")
+    let members = event.as_object().expect("event line is an object");
+    let keys: BTreeSet<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys.len(), members.len(), "repeated key in {line}");
+    members
         .iter()
         .filter(|(k, _)| !k.ends_with("_ms"))
         .cloned()
         .collect()
+}
+
+fn member<'a>(event: &'a Untimed, key: &str) -> Option<&'a Json> {
+    event.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// Every stage and residual event of `stream` names its rail; grouped
+/// by `(net, layer)`, each rail that shipped (one `backconv`) ran its
+/// stages in [`STAGE_ORDER`] and sent one `route_final`.
+fn assert_rail_attribution(job: u64, stream: &[Untimed]) {
+    let mut rails: BTreeMap<(u64, u64), Vec<&Untimed>> = BTreeMap::new();
+    for event in stream {
+        let kind = member(event, "event").and_then(Json::as_str);
+        if !matches!(kind, Some("stage" | "residual")) {
+            continue;
+        }
+        let tag = |key| member(event, key).and_then(Json::as_u64);
+        let (Some(net), Some(layer)) = (tag("net"), tag("layer")) else {
+            panic!("job {job}: {kind:?} event without its rail: {event:?}");
+        };
+        rails.entry((net, layer)).or_default().push(event);
+    }
+    assert!(!rails.is_empty(), "job {job}: no stage events");
+    for (rail, events) in &rails {
+        let named = |key| {
+            events
+                .iter()
+                .filter_map(move |e| member(e, key).and_then(Json::as_str))
+        };
+        let stages: Vec<usize> = named("stage")
+            .map(|s| {
+                STAGE_ORDER
+                    .iter()
+                    .position(|&o| o == s)
+                    .expect("known stage")
+            })
+            .collect();
+        let backconvs = named("stage").filter(|&s| s == "backconv").count();
+        if backconvs == 0 {
+            continue;
+        }
+        assert_eq!(backconvs, 1, "job {job} rail {rail:?}: {stages:?}");
+        assert!(
+            stages.windows(2).all(|w| w[0] < w[1]),
+            "job {job} rail {rail:?}: stages out of order {stages:?}"
+        );
+        let finals = named("point").filter(|&p| p == "route_final").count();
+        assert_eq!(finals, 1, "job {job} rail {rail:?}: route_final count");
+    }
 }
 
 /// What one backend did with the specs: each job's outcome and its
@@ -94,7 +147,9 @@ fn run<E: Executor>(backend: &Ledger<E>) -> Run {
             let page = bus.snapshot_since(id, 0);
             assert!(page.terminal, "job {id}: stream not terminal");
             assert_eq!(page.dropped, 0, "job {id}: stream dropped events");
-            page.events.iter().map(|e| untimed(&e.line)).collect()
+            let stream: Vec<Untimed> = page.events.iter().map(|e| untimed(&e.line)).collect();
+            assert_rail_attribution(id, &stream);
+            stream
         })
         .collect();
     let metrics = parse(&backend.metrics_json()).expect("metrics are JSON");

@@ -4,9 +4,11 @@
 use sprout_board::presets;
 use sprout_core::reheat::ReheatConfig;
 use sprout_core::router::{Router, RouterConfig};
+use sprout_core::supervisor::{Supervisor, SupervisorConfig};
 use sprout_core::{RouteResult, RunReport};
 use sprout_observe::{build_heatmaps, hotspots, TraceSink};
 use sprout_telemetry::{RecorderScope, Value};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn route_traced() -> (Arc<TraceSink>, RouteResult) {
@@ -64,6 +66,22 @@ fn grow_area_is_monotone_and_final_area_matches_report_exactly() {
     assert_eq!(traced_area, report.rails[0].area_mm2);
 }
 
+/// Asserts every JSONL line is a JSON object with no key twice.
+fn assert_unique_keys(jsonl: &str) {
+    for line in jsonl.lines() {
+        let parsed =
+            sprout_telemetry::json::parse(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
+        let keys: Vec<&str> = parsed
+            .as_object()
+            .expect("line is an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        let unique: BTreeSet<&str> = keys.iter().copied().collect();
+        assert_eq!(unique.len(), keys.len(), "repeated key in {line}");
+    }
+}
+
 #[test]
 fn trace_records_carry_rail_context_and_jsonl_parses() {
     let (sink, result) = route_traced();
@@ -73,13 +91,71 @@ fn trace_records_carry_rail_context_and_jsonl_parses() {
         .iter()
         .filter(|r| ["grow_iter", "refine_iter", "route_final"].contains(&r.name))
     {
-        assert_eq!(r.net, Some(result.net.0 as u64), "rail context attached");
-        assert_eq!(r.layer, Some(presets::TWO_RAIL_ROUTE_LAYER as u64));
+        assert_eq!(
+            r.tag.net,
+            Some(result.net.0 as u64),
+            "rail context attached"
+        );
+        assert_eq!(r.tag.layer, Some(presets::TWO_RAIL_ROUTE_LAYER as u64));
     }
-    // JSONL export parses line-by-line.
-    for line in sink.to_jsonl().lines() {
-        sprout_telemetry::json::parse(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
+    assert_unique_keys(&sink.to_jsonl());
+
+    // A two-rail job on two supervisor threads: every record names the
+    // rail and wave it was emitted under, and each rail has exactly one
+    // `route_final`. The middle request (no terminals on layer 7, a
+    // typed failure) shares wave 0 with the first rail, so that rail
+    // routes on a supervisor worker thread; the last one routes in
+    // wave 1, on the calling thread.
+    let board = presets::two_rail();
+    let layer = presets::TWO_RAIL_ROUTE_LAYER;
+    let nets: Vec<_> = board.power_nets().map(|(net, _)| net).collect();
+    let requests = [
+        (nets[0], layer, 20.0),
+        (nets[1], layer + 1, 20.0),
+        (nets[1], layer, 20.0),
+    ];
+    let config = RouterConfig {
+        tile_pitch_mm: 0.5,
+        grow_iterations: 8,
+        refine_iterations: 2,
+        reheat: None,
+        ..RouterConfig::default()
+    };
+    let sink = Arc::new(TraceSink::new());
+    let job = {
+        let _scope = RecorderScope::install(sink.clone());
+        let threads = SupervisorConfig {
+            threads: 2,
+            ..SupervisorConfig::default()
+        };
+        Supervisor::new(&board, config, threads).run(&requests)
+    };
+    let waves: Vec<_> = job.rails.iter().map(|r| r.wave).collect();
+    assert_eq!(waves, [0, 0, 1]);
+    let routed: Vec<_> = job
+        .rails
+        .iter()
+        .filter(|r| r.outcome.is_complete())
+        .collect();
+    assert_eq!(routed.len(), 2, "both layer-{layer} rails route");
+    let records = sink.records();
+    for r in &records {
+        let rail = routed
+            .iter()
+            .find(|rail| {
+                r.tag.net == Some(rail.net.0 as u64) && r.tag.layer == Some(rail.layer as u64)
+            })
+            .unwrap_or_else(|| panic!("{} carries no routed rail: {:?}", r.name, r.tag));
+        assert_eq!(r.tag.wave, Some(rail.wave as u64), "{}", r.name);
     }
+    for rail in &routed {
+        let finals = records
+            .iter()
+            .filter(|r| r.name == "route_final" && r.tag.net == Some(rail.net.0 as u64))
+            .count();
+        assert_eq!(finals, 1, "rail {:?}", rail.net);
+    }
+    assert_unique_keys(&sink.to_jsonl());
 }
 
 #[test]
