@@ -64,6 +64,7 @@ pub mod router;
 pub mod seed;
 pub mod session;
 pub mod space;
+mod split;
 pub mod supervisor;
 pub mod tile;
 pub mod tile_cache;
@@ -81,7 +82,6 @@ pub use supervisor::{
     JobReport, RailOutcome, RailReport, RestoredRail, Supervisor, SupervisorConfig,
 };
 pub use tile_cache::{TileCache, TileOutcome, TILE_CACHE_CAP};
-pub use tile_session::TileConfig;
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -96,6 +96,15 @@ pub(crate) fn available_threads() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
+}
+
+/// `threads`, or the machine's parallelism when it is `0`.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        available_threads()
+    } else {
+        threads
+    }
 }
 
 /// Errors from the SPROUT pipeline.

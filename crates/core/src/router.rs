@@ -31,7 +31,6 @@ use crate::session::NodalSession;
 use crate::space::{SpaceSpec, TerminalShape};
 use crate::tile::{identify_terminals, Terminal, TileOptions};
 use crate::tile_cache::{TileCache, TileOutcome};
-use crate::tile_session::TileConfig;
 use crate::SproutError;
 use sprout_board::{Board, ElementRole, NetId};
 use sprout_geom::{Point, Polygon};
@@ -63,9 +62,10 @@ pub struct RouterConfig {
     /// Stage-failure policy, per-stage budgets, and (test-only) fault
     /// injection.
     pub recovery: RecoveryConfig,
-    /// Tiling threads. Graphs come from a [`TileCache`] keyed by the
-    /// exact space, bit-identical to a from-scratch build.
-    pub tile: TileConfig,
+    /// Threads for the tiling clip and for each metric evaluation's
+    /// solve and reduction; `0` uses the machine's parallelism. Graphs,
+    /// metrics and routes are bit-identical at every value.
+    pub threads: usize,
 }
 
 impl Default for RouterConfig {
@@ -80,7 +80,7 @@ impl Default for RouterConfig {
             pair_policy: PairPolicy::SourceToSinks,
             seed: SeedOptions { fill_voids: true },
             recovery: RecoveryConfig::default(),
-            tile: TileConfig::default(),
+            threads: 0,
         }
     }
 }
@@ -221,7 +221,7 @@ impl<'b> Router<'b> {
         spec: &SpaceSpec,
         opts: TileOptions,
     ) -> Result<(Arc<RoutingGraph>, TileOutcome), SproutError> {
-        self.tile_cache.graph(spec, opts, self.config.tile.threads)
+        self.tile_cache.graph(spec, opts, self.config.threads)
     }
 
     /// The tile stage of both routing paths: the graph for `spec` at the
@@ -531,7 +531,7 @@ impl<'b> Router<'b> {
         // iterations (the solves §II-H names as the bottleneck).
         // `best_sub` restores are out-of-band mutations; the session
         // detects and resyncs from them.
-        let mut session = NodalSession::new();
+        let mut session = NodalSession::with_threads(self.config.threads);
 
         // Cooperative cancellation (supervisor jobs): checked between
         // pipeline stages so a cancelled rail stops within one stage.
@@ -819,6 +819,8 @@ impl<'b> Router<'b> {
         telemetry::counter!("session.factor_ns", solver_stats.factor_ns);
         telemetry::counter!("session.substitute_ns", solver_stats.substitute_ns);
         telemetry::counter!("session.reduce_ns", solver_stats.reduce_ns);
+        telemetry::counter!("session.wait_ns", solver_stats.wait_ns);
+        telemetry::counter!("session.split_evals", solver_stats.split_evals as u64);
 
         // Ship the best subgraph seen, not necessarily the last. When no
         // evaluation ever succeeded the current subgraph (at minimum the

@@ -16,11 +16,13 @@
 //!   matrix and factors it afresh into recycled buffers.
 //!
 //! Every path is exact: results are bit-identical to
-//! [`current::node_current`]. The pairs are solved and reduced in one
-//! fused pass per block of up to [`BLOCK`] pairs: the injections are
-//! stamped straight into the factor's row order, substituted in place,
-//! and each solved column is reduced into the metric in pair-major,
-//! edge-ascending order — the order the scratch evaluator sums in.
+//! [`current::node_current`]. The pairs are solved and reduced by the
+//! `core::split` kernel: the injections are stamped straight into the
+//! factor's row order in blocks, substituted in place, and each node's
+//! metric is summed in pair-major, edge-ascending order — the order the
+//! scratch evaluator sums in. A session built with
+//! [`NodalSession::with_threads`] splits the blocks and the node sums
+//! across that many threads without changing a bit.
 //!
 //! The session replays the scratch evaluator's fault-injection hooks,
 //! sanitize events, and solver-fallback events in the same order, so
@@ -32,13 +34,14 @@
 use crate::current::{self, InjectionPair, NodeCurrents};
 use crate::graph::{NodeId, RoutingGraph, Subgraph};
 use crate::recovery::{self, SolverEvent};
+use crate::split::{Clock, Kernel, Pool, Split};
 use crate::SproutError;
-use sprout_linalg::cholesky::{SparseCholesky, BLOCK};
+use sprout_linalg::cholesky::SparseCholesky;
 use sprout_linalg::fallback::FallbackOptions;
 use sprout_linalg::laplacian::GraphLaplacian;
 use sprout_linalg::{Csr, LinalgError};
 use sprout_telemetry as telemetry;
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Counters describing how a session spent its evaluations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,16 +58,26 @@ pub struct SessionStats {
     pub resyncs: usize,
     /// Evaluations that fell back to the resilient solver ladder.
     pub ladder_fallbacks: usize,
-    /// Nanoseconds spent assembling the grounded system: membership
-    /// sync, the induced-edge list, the component screen and the CSR
-    /// plan and values.
+    /// Evaluations whose kernel ran on more than one thread.
+    pub split_evals: usize,
+    /// Nanoseconds spent assembling the grounded system: pair
+    /// validation, membership sync, the induced-edge list, the
+    /// component screen, the CSR plan and values, and the kernel's
+    /// rows and incidence layout.
     pub plan_ns: u64,
-    /// Nanoseconds in full factorizations and numeric refactorizations.
+    /// Nanoseconds in full factorizations and numeric refactorizations,
+    /// and in resilient-ladder evaluations.
     pub factor_ns: u64,
-    /// Nanoseconds stamping the injections and substituting them.
+    /// Nanoseconds stamping the injections and substituting them, on the
+    /// calling thread.
     pub substitute_ns: u64,
-    /// Nanoseconds reducing the solved columns into the metric.
+    /// Nanoseconds reducing the solved columns into the metric, on the
+    /// calling thread.
     pub reduce_ns: u64,
+    /// Nanoseconds the calling thread spent posting a split round, at
+    /// its barrier and waiting for the helpers' hand-back. The five
+    /// phases tile each evaluation's wall clock on the calling thread.
+    pub wait_ns: u64,
 }
 
 #[cfg(test)]
@@ -145,7 +158,8 @@ pub struct NodalSession {
     mutation_gen: u64,
 
     // --- cached factor and its base system ---
-    factor: Option<SparseCholesky>,
+    /// Shared with the split kernel's helpers during an evaluation only.
+    factor: Option<Arc<SparseCholesky>>,
     base_csr: Option<Csr<f64>>,
     plan: Option<CsrPlan>,
     /// Membership the cached factor was built for.
@@ -168,17 +182,11 @@ pub struct NodalSession {
     /// Factor row of each compact index; the ground maps to the zero
     /// sentinel row past the factor's last.
     rows: Vec<usize>,
-    /// `rows` of each induced edge's endpoints, in `edges_buf` order.
-    edge_rows: Vec<(usize, usize)>,
-    /// One block of interleaved right-hand sides, in factor row order.
-    block: Vec<f64>,
-    /// Member-indexed metric accumulator.
-    acc: Vec<f64>,
-}
-
-/// Nanoseconds since `t`, saturating.
-fn ns_since(t: Instant) -> u64 {
-    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    /// The solve-and-reduce kernel's inputs, shared with the helpers
+    /// during an evaluation only.
+    kernel: Arc<Kernel>,
+    /// The kernel's lanes and helper threads.
+    pool: Pool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,10 +197,22 @@ enum Backend {
 }
 
 impl NodalSession {
-    /// Creates an empty session; state materializes at the first
-    /// evaluation.
+    /// Creates an empty single-threaded session; state materializes at
+    /// the first evaluation.
     pub fn new() -> Self {
         NodalSession::default()
+    }
+
+    /// Creates an empty session whose evaluations split their solve and
+    /// reduction across `threads` threads (`0` = the machine's
+    /// parallelism). Results are bit-identical at every thread count.
+    /// The helper threads start at the first evaluation that splits and
+    /// are joined when the session drops.
+    pub fn with_threads(threads: usize) -> Self {
+        NodalSession {
+            pool: Pool::new(crate::resolve_threads(threads)),
+            ..NodalSession::default()
+        }
     }
 
     /// Accumulated statistics.
@@ -220,8 +240,8 @@ impl NodalSession {
             self.stats.full_factors += 1;
             return Ok(nc);
         }
+        let mut clock = Clock::start();
         current::validate_pairs(sub, pairs)?;
-        let t_plan = Instant::now();
         self.sync(graph, sub);
         self.materialize_edges(graph);
 
@@ -283,12 +303,12 @@ impl NodalSession {
 
         let mut need_full_factor = false;
         match backend {
-            Backend::Reuse => self.stats.plan_ns += ns_since(t_plan),
+            Backend::Reuse => self.stats.plan_ns += clock.lap(),
             Backend::Refresh => {
                 // Same membership, different conductances: refresh the
                 // cached structure's values and refactor in place.
                 let plan_reused = self.refresh_csr(graph, m, ground, sanitized)?;
-                self.stats.plan_ns += ns_since(t_plan);
+                self.stats.plan_ns += clock.lap();
                 if plan_reused {
                     let factor = self
                         .factor
@@ -298,12 +318,11 @@ impl NodalSession {
                         .base_csr
                         .as_ref()
                         .ok_or(SproutError::Internal("refresh requires a matrix"))?;
-                    let t_factor = Instant::now();
                     let refactor = {
                         let _span = telemetry::span("factor_refresh").enter();
-                        factor.try_refactor(csr)
+                        Arc::make_mut(factor).try_refactor(csr)
                     };
-                    self.stats.factor_ns += ns_since(t_factor);
+                    self.stats.factor_ns += clock.lap();
                     match refactor {
                         Ok(true) => {
                             self.base_clean = clean;
@@ -313,7 +332,7 @@ impl NodalSession {
                         Ok(false) => need_full_factor = true,
                         Err(_) => {
                             self.factor = None;
-                            return self.eval_ladder(graph, pairs, m, ground);
+                            return self.eval_ladder(graph, pairs, m, ground, clock);
                         }
                     }
                 } else {
@@ -322,18 +341,17 @@ impl NodalSession {
             }
             Backend::Full => {
                 self.refresh_csr(graph, m, ground, sanitized)?;
-                self.stats.plan_ns += ns_since(t_plan);
+                self.stats.plan_ns += clock.lap();
                 need_full_factor = true;
             }
         }
 
         if need_full_factor {
-            let t_factor = Instant::now();
             let factored = {
                 let _span = telemetry::span("factor_full").enter();
                 self.factor_current()
             };
-            self.stats.factor_ns += ns_since(t_factor);
+            self.stats.factor_ns += clock.lap();
             match factored {
                 Ok(()) => {
                     self.base_members.clear();
@@ -346,7 +364,7 @@ impl NodalSession {
                 }
                 Err(_) => {
                     self.factor = None;
-                    return self.eval_ladder(graph, pairs, m, ground);
+                    return self.eval_ladder(graph, pairs, m, ground, clock);
                 }
             }
         }
@@ -355,7 +373,7 @@ impl NodalSession {
             self.stats.factor_reuses += 1;
             telemetry::counter!("session.factor_reuse");
         }
-        self.solve_and_reduce(graph, pairs, ground)
+        self.solve_and_reduce(graph, pairs, ground, clock)
     }
 
     // ---- mutation mirroring -------------------------------------------
@@ -715,18 +733,32 @@ impl NodalSession {
             .as_ref()
             .ok_or(SproutError::Internal("full factor requires a matrix"))?;
         if let Some(f) = self.factor.as_mut() {
-            f.refactor_into(csr, &mut self.rcm_ws)
+            Arc::make_mut(f)
+                .refactor_into(csr, &mut self.rcm_ws)
                 .map_err(SproutError::from)
         } else {
-            self.factor = Some(SparseCholesky::factor(csr)?);
+            self.factor = Some(Arc::new(SparseCholesky::factor(csr)?));
             Ok(())
         }
     }
 
     /// Last-resort path: run the scratch evaluator's resilient solver
     /// ladder on the already-assembled system, emitting the same
-    /// degradation events it would.
+    /// degradation events it would. Its time counts as factor time.
     fn eval_ladder(
+        &mut self,
+        graph: &RoutingGraph,
+        pairs: &[InjectionPair],
+        m: usize,
+        ground: usize,
+        mut clock: Clock,
+    ) -> Result<NodeCurrents, SproutError> {
+        let nc = self.ladder_metric(graph, pairs, m, ground);
+        self.stats.factor_ns += clock.lap();
+        nc
+    }
+
+    fn ladder_metric(
         &mut self,
         graph: &RoutingGraph,
         pairs: &[InjectionPair],
@@ -758,21 +790,18 @@ impl NodalSession {
         )
     }
 
-    // ---- fused solve and reduction -------------------------------------
+    // ---- solve and reduction --------------------------------------------
 
     /// Solves every pair against the cached factor and reduces the
-    /// metric, one block of up to [`BLOCK`] pairs at a time. The ±I
-    /// injections are stamped straight into factor row order and
-    /// substituted in place; each solved column is then reduced into a
-    /// member-indexed accumulator in pair-major, edge-ascending order —
-    /// the order [`current::metric_from_factor`] sums in, so every node's
-    /// metric and the resistance match it bit for bit — and the
-    /// accumulator is scattered into the result once.
+    /// metric with the `core::split` kernel, on as many of the
+    /// session's threads as the pairs fill. Every node's metric and the
+    /// resistance match [`current::metric_from_factor`] bit for bit.
     fn solve_and_reduce(
         &mut self,
         graph: &RoutingGraph,
         pairs: &[InjectionPair],
         ground: usize,
+        mut clock: Clock,
     ) -> Result<NodeCurrents, SproutError> {
         let factor = self
             .factor
@@ -788,56 +817,42 @@ impl NodalSession {
             std::cmp::Ordering::Equal => n,
             std::cmp::Ordering::Greater => inv[k - 1],
         }));
-        self.edge_rows.clear();
-        self.edge_rows
-            .extend(self.edges_buf.iter().map(|&(a, b, _)| (rows[a], rows[b])));
-        self.acc.clear();
-        self.acc.resize(m, 0.0);
-        let mut resistance_weighted = 0.0f64;
-        let mut weight_total = 0.0f64;
-        for block in pairs.chunks(BLOCK) {
-            let t = Instant::now();
-            let w = block.len();
-            let y = &mut self.block;
-            y.clear();
-            y.resize((n + 1) * w, 0.0);
-            for (c, p) in block.iter().enumerate() {
-                y[rows[self.compact[p.source.index()]] * w + c] += p.current_a;
-                y[rows[self.compact[p.sink.index()]] * w + c] -= p.current_a;
-            }
-            // Injections at the ground are absorbed: the sentinel row
-            // reads zero.
-            y[n * w..].fill(0.0);
-            factor.substitute_permuted(&mut y[..n * w], w)?;
-            self.stats.substitute_ns += ns_since(t);
-
-            let t = Instant::now();
-            for (c, p) in block.iter().enumerate() {
-                for (&(a, b, g), &(ra, rb)) in self.edges_buf.iter().zip(&self.edge_rows) {
-                    let i_edge = g * (y[ra * w + c] - y[rb * w + c]);
-                    self.acc[a] += i_edge.abs();
-                    self.acc[b] += i_edge.abs();
-                }
-                let drop = y[rows[self.compact[p.source.index()]] * w + c]
-                    - y[rows[self.compact[p.sink.index()]] * w + c];
-                resistance_weighted += drop; // = R_eff · i_pair
-                weight_total += p.current_a;
-            }
-            self.stats.reduce_ns += ns_since(t);
-        }
-        let t = Instant::now();
+        Arc::make_mut(&mut self.kernel).load(
+            n,
+            rows,
+            &self.compact,
+            pairs,
+            &self.edges_buf,
+            self.pool.threads(),
+        )?;
         let mut node_metric = vec![0.0f64; graph.node_count()];
-        for (&id, &v) in self.members.iter().zip(&self.acc) {
-            node_metric[id.index()] = v;
+        self.stats.plan_ns += clock.lap();
+
+        if self.kernel.lanes() > 1 {
+            self.stats.split_evals += 1;
         }
+        let mut split = Split::default();
+        let run = self.pool.run(
+            factor,
+            &self.kernel,
+            &self.members,
+            &mut node_metric,
+            &mut clock,
+            &mut split,
+        );
+        self.stats.substitute_ns += split.substitute_ns;
+        self.stats.reduce_ns += split.reduce_ns;
+        self.stats.wait_ns += split.wait_ns;
+        let resistance_weighted = run?;
+        let weight_total: f64 = pairs.iter().fold(0.0, |w, p| w + p.current_a);
         let resistance_sq = if weight_total > 0.0 {
             resistance_weighted / weight_total
         } else {
             0.0
         };
-        self.stats.reduce_ns += ns_since(t);
         telemetry::counter!("metric.evaluations");
         telemetry::histogram!("metric.solves_per_eval", pairs.len() as u64);
+        self.stats.reduce_ns += clock.lap();
         Ok(NodeCurrents::from_parts(
             node_metric,
             resistance_sq,
@@ -946,12 +961,30 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fused_blocks_match_node_current_bit_for_bit() {
-        // Pair counts on both sides of each 16-wide block boundary, and
-        // the ground (the first pair's sink) at the first, middle and
-        // last compact index. The second pair injects at the ground,
-        // where the injection must be absorbed.
+    /// The grown two-rail subgraph and `count` random pairs grounded at
+    /// `ground`, the second pair injecting at the ground.
+    fn random_pairs(
+        members: &[NodeId],
+        count: usize,
+        ground: NodeId,
+        rng: &mut sprout_rng::SproutRng,
+    ) -> Vec<InjectionPair> {
+        let m = members.len();
+        let mut pairs: Vec<InjectionPair> = (0..count)
+            .map(|_| InjectionPair {
+                source: members[rng.usize_below(m)],
+                sink: members[rng.usize_below(m)],
+                current_a: rng.f64_range(0.05, 2.0),
+            })
+            .collect();
+        pairs[0].sink = ground;
+        if count > 1 {
+            pairs[1].source = ground;
+        }
+        pairs
+    }
+
+    fn grown() -> (RoutingGraph, Subgraph, Vec<NodeId>) {
         let (graph, mut sub, _) = setup();
         for _ in 0..2 {
             for id in sub.boundary(&graph) {
@@ -960,27 +993,94 @@ mod tests {
         }
         let mut members = sub.members().to_vec();
         members.sort_unstable();
+        (graph, sub, members)
+    }
+
+    #[test]
+    fn fused_blocks_match_node_current_bit_for_bit() {
+        // Pair counts on both sides of each 16-wide block boundary, and
+        // the ground (the first pair's sink) at the first, middle and
+        // last compact index. The second pair injects at the ground,
+        // where the injection must be absorbed. Sessions on 1, 2 and 3
+        // threads deal the same pairs into different blocks and node
+        // ranges; every one must match the scratch evaluator.
+        let (graph, sub, members) = grown();
         let m = members.len();
-        let mut rng = sprout_rng::SproutRng::seed_from_u64(0x5eed);
-        for count in [1usize, 15, 16, 17, 32, 33, 51] {
-            for ground in [members[0], members[m / 2], members[m - 1]] {
-                let mut pairs: Vec<InjectionPair> = (0..count)
-                    .map(|_| InjectionPair {
-                        source: members[rng.usize_below(m)],
-                        sink: members[rng.usize_below(m)],
-                        current_a: rng.f64_range(0.05, 2.0),
-                    })
-                    .collect();
-                pairs[0].sink = ground;
-                if count > 1 {
-                    pairs[1].source = ground;
+        for threads in [1usize, 2, 3] {
+            let mut rng = sprout_rng::SproutRng::seed_from_u64(0x5eed);
+            for count in [1usize, 15, 16, 17, 32, 33, 51] {
+                for ground in [members[0], members[m / 2], members[m - 1]] {
+                    let pairs = random_pairs(&members, count, ground, &mut rng);
+                    let mut session = NodalSession::with_threads(threads);
+                    assert_bitwise_match(&graph, &sub, &pairs, &mut session);
+                    assert_bitwise_match(&graph, &sub, &pairs, &mut session);
+                    let stats = session.stats();
+                    assert_eq!(stats.factor_reuses, 1, "{count} pairs");
+                    let splits = if threads > 1 && count > 1 { 2 } else { 0 };
+                    assert_eq!(
+                        stats.split_evals, splits,
+                        "{count} pairs on {threads} threads"
+                    );
                 }
-                let mut session = NodalSession::new();
-                assert_bitwise_match(&graph, &sub, &pairs, &mut session);
-                assert_bitwise_match(&graph, &sub, &pairs, &mut session);
-                assert_eq!(session.stats().factor_reuses, 1, "{count} pairs");
             }
         }
+    }
+
+    #[test]
+    fn split_session_joins_its_helpers_on_drop() {
+        let (graph, sub, members) = grown();
+        let mut rng = sprout_rng::SproutRng::seed_from_u64(7);
+        let pairs = random_pairs(&members, 33, members[0], &mut rng);
+        let mut session = NodalSession::with_threads(3);
+        assert_eq!(session.pool.helpers(), 0, "helpers start lazily");
+        session.eval(&graph, &sub, &pairs).unwrap();
+        session.eval(&graph, &sub, &pairs).unwrap();
+        assert_eq!(session.pool.helpers(), 2, "spawned once, parked between");
+        let shared = session.pool.probe();
+        assert!(shared.upgrade().is_some());
+        drop(session);
+        // Each helper holds the shared state until its loop returns, so
+        // nothing left to upgrade means every helper has exited.
+        assert!(shared.upgrade().is_none(), "a helper outlived its session");
+    }
+
+    #[test]
+    fn split_errors_return_and_the_next_evaluation_succeeds() {
+        use crate::split::Fault;
+        let (graph, sub, members) = grown();
+        let mut rng = sprout_rng::SproutRng::seed_from_u64(11);
+        let pairs = random_pairs(&members, 51, members[0], &mut rng);
+        let mut session = NodalSession::with_threads(2);
+        assert_bitwise_match(&graph, &sub, &pairs, &mut session);
+        // Blocks 0 and 2 are the calling thread's, 1 and 3 the helper's.
+        // A helper that panics before the barrier never arrives at it;
+        // the round must fail rather than wait, and the next split gets
+        // a fresh helper.
+        for (fault, expect) in [
+            (Fault::Error(0), "injected block failure"),
+            (Fault::Error(1), "injected block failure"),
+            (Fault::Error(3), "injected block failure"),
+            (Fault::Panic(1), "evaluation helper panicked"),
+        ] {
+            Arc::make_mut(&mut session.kernel).fault = Some(fault);
+            let err = session.eval(&graph, &sub, &pairs).unwrap_err();
+            assert!(
+                matches!(err, SproutError::Internal(msg) if msg == expect),
+                "{fault:?}: {err:?}"
+            );
+            Arc::make_mut(&mut session.kernel).fault = None;
+            assert_bitwise_match(&graph, &sub, &pairs, &mut session);
+        }
+        // A panic on the calling thread unwinds out of `eval` only after
+        // releasing the helper; the session stays usable.
+        Arc::make_mut(&mut session.kernel).fault = Some(Fault::Panic(0));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.eval(&graph, &sub, &pairs)
+        }));
+        assert!(unwound.is_err(), "the injected panic must propagate");
+        Arc::make_mut(&mut session.kernel).fault = None;
+        assert_bitwise_match(&graph, &sub, &pairs, &mut session);
+        assert_eq!(session.pool.helpers(), 1);
     }
 
     #[test]

@@ -614,7 +614,7 @@ impl<'b> Supervisor<'b> {
         if self.config.threads <= 1 || pending.len() <= 1 {
             return pending
                 .iter()
-                .map(|&i| (i, self.run_rail(i, wave_no, requests[i], claimed, start)))
+                .map(|&i| (i, self.run_rail(i, wave_no, requests[i], claimed, start, 1)))
                 .collect();
         }
         let next = AtomicUsize::new(0);
@@ -631,8 +631,9 @@ impl<'b> Supervisor<'b> {
             .iter()
             .map(|_| std::sync::Mutex::new(None))
             .collect();
+        let workers = self.config.threads.min(pending.len());
         std::thread::scope(|scope| {
-            for _ in 0..self.config.threads.min(pending.len()) {
+            for _ in 0..workers {
                 let next = &next;
                 let results = &results;
                 let recorder = recorder.clone();
@@ -642,7 +643,7 @@ impl<'b> Supervisor<'b> {
                     loop {
                         let slot = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&i) = pending.get(slot) else { break };
-                        let rail = self.run_rail(i, wave_no, requests[i], claimed, start);
+                        let rail = self.run_rail(i, wave_no, requests[i], claimed, start, workers);
                         handoff.time(|| {
                             *results[slot].lock().unwrap_or_else(|e| e.into_inner()) = Some(rail);
                         });
@@ -663,7 +664,9 @@ impl<'b> Supervisor<'b> {
     }
 
     /// Routes one rail behind the `catch_unwind` boundary, with deadline
-    /// checks between attempts and bounded retry-with-escalation.
+    /// checks between attempts and bounded retry-with-escalation. The
+    /// rail shares the router's threads with the other `workers - 1`
+    /// rails routing beside it.
     fn run_rail(
         &self,
         index: usize,
@@ -671,6 +674,7 @@ impl<'b> Supervisor<'b> {
         request: RailRequest,
         claimed: &HashMap<usize, Vec<Polygon>>,
         start: Instant,
+        workers: usize,
     ) -> RailReport {
         let (net, layer, budget) = request;
         let _rail_span = telemetry::span("rail")
@@ -699,7 +703,10 @@ impl<'b> Supervisor<'b> {
                     return self.finished_rail(request, wave, attempts, e);
                 }
             }
-            let config = self.attempt_config(attempts, start);
+            let mut config = self.attempt_config(attempts, start);
+            if workers > 1 {
+                config.threads = (crate::resolve_threads(config.threads) / workers).max(1);
+            }
             attempts += 1;
 
             let outcome = catch_unwind(AssertUnwindSafe(|| {

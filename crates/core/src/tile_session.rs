@@ -19,10 +19,11 @@
 //!   order, so this skips most of their chain. Only cells the graph
 //!   drops anyway take the shortcut; every other cell runs the
 //!   ascending-slot chain unchanged.
-//! * The clip and the contact widths run in row bands on scoped
-//!   threads. Every cell is a pure function of its blocker list and
-//!   each band writes a disjoint slice, so the graph is bit-identical
-//!   at any thread count.
+//! * The clip and the contact widths run on scoped threads that take
+//!   short row stripes off a shared cursor, so a band of costly rows
+//!   does not hold up the build. Every cell is a pure function of its
+//!   blocker list and each stripe writes a disjoint slice, so the graph
+//!   is bit-identical at any thread count.
 
 use crate::graph::{GraphEdge, NodeId, RoutingGraph, TileNode};
 use crate::tile::TileOptions;
@@ -32,16 +33,10 @@ use sprout_geom::stitch::GridFrame;
 use sprout_geom::triangulate::convex_parts;
 use sprout_geom::{ConvexClipper, IntervalSet, Point, Polygon, PolygonSet, Rect};
 use sprout_telemetry as telemetry;
+use std::sync::{Mutex, PoisonError};
 
-/// Tiling configuration carried by
-/// [`RouterConfig`](crate::router::RouterConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TileConfig {
-    /// Threads for the banded clip; `0` uses the machine parallelism.
-    /// Every cell is a pure function of its blocker list, so any value
-    /// yields bit-identical graphs.
-    pub threads: usize,
-}
+/// Row stripes per thread in the clip and the contact widths.
+const STRIPES_PER_THREAD: usize = 8;
 
 /// One blocker polygon's convex parts with their bounds: big blockers
 /// (claimed copper from earlier rails) raster onto many cells, but each
@@ -93,7 +88,7 @@ struct EdgeScratch {
 }
 
 /// Tiles the space `design_space \ ∪ blockers` at `opts` (Algorithm 1),
-/// clipping in row bands on up to `threads` threads (`0` = machine
+/// clipping row stripes on up to `threads` threads (`0` = machine
 /// parallelism). The graph is bit-identical at any thread count.
 ///
 /// # Errors
@@ -112,30 +107,38 @@ pub fn build_graph(
         cell_blockers,
     } = Lattice::new(design_space, blockers, opts)?;
     let (nx, ny) = (geo.nx, geo.ny);
-    let threads = effective_threads(threads).min(ny.max(1));
-    let band_cells = (ny.div_ceil(threads).max(1) * nx).max(1);
+    let threads = crate::resolve_threads(threads).min(ny.max(1));
+    // Short row stripes off a shared cursor: a band of buried or
+    // blocker-dense rows costs several times a free one, so one
+    // contiguous band per thread would leave the others waiting.
+    let stripe = (ny / (threads * STRIPES_PER_THREAD)).max(1) * nx.max(1);
     let mut cells_span = telemetry::span("tile.cells").enter();
     let mut cells: Vec<CellState> = Vec::with_capacity(nx * ny);
     cells.resize_with(nx * ny, || CellState::Void);
     let mut counts = CellCounts::default();
-    if threads <= 1 || ny <= 1 {
-        counts = clip_band(&geo, 0, &mut cells, &blockers, &cell_blockers);
-    } else {
-        std::thread::scope(|scope| {
-            let bands: Vec<_> = cells
-                .chunks_mut(band_cells)
-                .enumerate()
-                .map(|(band, chunk)| {
-                    let (geo, blockers, cell_blockers) = (&geo, &blockers, &cell_blockers);
-                    scope.spawn(move || {
-                        clip_band(geo, band * band_cells, chunk, blockers, cell_blockers)
-                    })
-                })
-                .collect();
-            for band in bands {
-                counts.add(band.join().expect("clip band panicked"));
+    let stripes = cells.chunks_mut(stripe).enumerate();
+    for c in deal(stripes, threads, |stripes| {
+        let mut clipper = ConvexClipper::new();
+        let mut parts = Vec::new();
+        let mut counts = CellCounts::default();
+        for (s, chunk) in stripes {
+            let base = s * stripe;
+            for (k, cell) in chunk.iter_mut().enumerate() {
+                let idx = base + k;
+                *cell = clip_cell(
+                    &geo,
+                    idx,
+                    &cell_blockers[idx],
+                    &blockers,
+                    &mut parts,
+                    &mut clipper,
+                    &mut counts,
+                );
             }
-        });
+        }
+        counts
+    }) {
+        counts.add(c);
     }
     let node_count = cells.iter().filter(|c| has_node(c, geo.min_area)).count();
     cells_span.record("nodes", node_count as u64);
@@ -150,19 +153,22 @@ pub fn build_graph(
     let mut edges_span = telemetry::span("tile.edges").enter();
     let mut west = vec![0.0; nx * ny];
     let mut south = vec![0.0; nx * ny];
-    if threads <= 1 || ny <= 1 {
-        width_band(&geo, 0, &mut west, &mut south, &cells);
-    } else {
-        std::thread::scope(|scope| {
-            let bands = west
-                .chunks_mut(band_cells)
-                .zip(south.chunks_mut(band_cells));
-            for (band, (wchunk, schunk)) in bands.enumerate() {
-                let (geo, cells) = (&geo, &cells);
-                scope.spawn(move || width_band(geo, band * band_cells, wchunk, schunk, cells));
+    let stripes = west
+        .chunks_mut(stripe)
+        .zip(south.chunks_mut(stripe))
+        .enumerate();
+    deal(stripes, threads, |stripes| {
+        let mut xs = EdgeScratch::default();
+        for (s, (west, south)) in stripes {
+            let base = s * stripe;
+            for (k, (w, so)) in west.iter_mut().zip(south.iter_mut()).enumerate() {
+                let idx = base + k;
+                let (i, j) = (idx % geo.nx, idx / geo.nx);
+                *w = edge_width_west(&geo, i, j, &cells, &mut xs);
+                *so = edge_width_south(&geo, i, j, &cells, &mut xs);
             }
-        });
-    }
+        }
+    });
     let edge_count = west.iter().chain(&south).filter(|&&w| w > 1e-9).count();
     edges_span.record("edges", edge_count as u64);
     drop(edges_span);
@@ -337,14 +343,6 @@ impl CellGeometry {
         let j0 = clamp((bounds.min().y - oy) / self.dy - 1.0, self.ny);
         let j1 = clamp((bounds.max().y - oy) / self.dy + 1.0, self.ny);
         (i0, i1, j0, j1)
-    }
-}
-
-fn effective_threads(threads: usize) -> usize {
-    if threads == 0 {
-        crate::available_threads()
-    } else {
-        threads
     }
 }
 
@@ -527,32 +525,6 @@ fn convex_covers_rect(part: &Polygon, rect: &Rect) -> bool {
     })
 }
 
-/// Clips a contiguous band of cells starting at lattice index `base`.
-fn clip_band(
-    geo: &CellGeometry,
-    base: usize,
-    out: &mut [CellState],
-    blockers: &[Blocker],
-    cell_blockers: &[Vec<u32>],
-) -> CellCounts {
-    let mut clipper = ConvexClipper::new();
-    let mut parts = Vec::new();
-    let mut counts = CellCounts::default();
-    for (k, cell) in out.iter_mut().enumerate() {
-        let idx = base + k;
-        *cell = clip_cell(
-            geo,
-            idx,
-            &cell_blockers[idx],
-            blockers,
-            &mut parts,
-            &mut clipper,
-            &mut counts,
-        );
-    }
-    counts
-}
-
 /// Cross-section of a cell at the vertical line `x`, into `out`.
 fn cell_cross_x(
     geo: &CellGeometry,
@@ -666,22 +638,38 @@ fn edge_width_south(
     xs.overlap.total_length()
 }
 
-/// Computes contact widths for a contiguous band of cells starting at
-/// lattice index `base` (both width arrays, same band).
-fn width_band(
-    geo: &CellGeometry,
-    base: usize,
-    west: &mut [f64],
-    south: &mut [f64],
-    cells: &[CellState],
-) {
-    let mut xs = EdgeScratch::default();
-    for k in 0..west.len() {
-        let idx = base + k;
-        let (i, j) = (idx % geo.nx, idx / geo.nx);
-        west[k] = edge_width_west(geo, i, j, cells, &mut xs);
-        south[k] = edge_width_south(geo, i, j, cells, &mut xs);
+/// Runs `work` on `threads` threads (the caller's included), each
+/// pulling the next item off one shared cursor, and returns each
+/// thread's result. With one thread, `work` takes every item in order
+/// on the caller.
+fn deal<I, R>(
+    items: I,
+    threads: usize,
+    work: impl Fn(&mut dyn Iterator<Item = I::Item>) -> R + Sync,
+) -> Vec<R>
+where
+    I: Iterator + Send,
+    R: Send,
+{
+    if threads <= 1 {
+        let mut items = items;
+        return vec![work(&mut items)];
     }
+    let cursor = Mutex::new(items);
+    let pull =
+        || std::iter::from_fn(|| cursor.lock().unwrap_or_else(PoisonError::into_inner).next());
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|_| scope.spawn(|| work(&mut pull())))
+            .collect();
+        let mut out = vec![work(&mut pull())];
+        out.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("tiling stripe panicked")),
+        );
+        out
+    })
 }
 
 #[cfg(test)]

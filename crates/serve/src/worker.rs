@@ -149,9 +149,9 @@ pub(crate) fn run_attempt(a: Attempt<'_>) -> (DoneFrame, Option<JobReport>) {
         router.tile_pitch_mm = pitch;
     }
     // The executor's other slots keep the rest of the host busy: tile
-    // with no more threads than this attempt's own share.
+    // and evaluate with no more threads than this attempt's own share.
     let share = a.supervisor_threads.max(1);
-    router.tile.threads = match router.tile.threads {
+    router.threads = match router.threads {
         0 => share,
         n => n.min(share),
     };

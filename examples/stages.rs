@@ -12,7 +12,9 @@
 //! the tiling and the metric evaluations spent their work: lattice
 //! cells by clip outcome (no blocker, proven empty without the
 //! subtraction chain, chained), and the nodal session's time in
-//! planning, factoring, substituting and reducing.
+//! planning, factoring, substituting, reducing and waiting for its
+//! helper threads, with the number of evaluations that split across
+//! threads.
 //!
 //! With a board name it prints the same two splits for whole
 //! `route_all` runs instead: `six_rail` routes the Table III board
@@ -72,16 +74,18 @@ fn print_tile_split(before: &Snapshot) {
     );
 }
 
-/// A nodal session's time split, in ms.
-fn print_eval_split(evals: u64, [plan, factor, substitute, reduce]: [u64; 4]) {
+/// A nodal session's time split, in ms: the calling thread's phases,
+/// which sum to its evaluation wall.
+fn print_eval_split(evals: u64, splits: u64, [plan, factor, substitute, reduce, wait]: [u64; 5]) {
     let ms = |ns: u64| ns as f64 / 1e6;
     println!(
-        "evaluation: {evals} evals — plan {:.1} ms, factor {:.1} ms, substitute {:.1} ms, reduce {:.1} ms (sum {:.1} ms)",
+        "evaluation: {evals} evals ({splits} split) — plan {:.1} ms, factor {:.1} ms, substitute {:.1} ms, reduce {:.1} ms, wait {:.1} ms (sum {:.1} ms)",
         ms(plan),
         ms(factor),
         ms(substitute),
         ms(reduce),
-        ms(plan + factor + substitute + reduce),
+        ms(wait),
+        ms(plan + factor + substitute + reduce + wait),
     );
 }
 
@@ -126,9 +130,14 @@ fn router_split(
         "session.factor_ns",
         "session.substitute_ns",
         "session.reduce_ns",
+        "session.wait_ns",
     ]
     .map(|counter| now.counter_delta(&before, counter));
-    print_eval_split(now.counter_delta(&before, "metric.evaluations"), split);
+    print_eval_split(
+        now.counter_delta(&before, "metric.evaluations"),
+        now.counter_delta(&before, "session.split_evals"),
+        split,
+    );
     Ok(())
 }
 
@@ -221,11 +230,13 @@ fn fig8() -> Result<(), Box<dyn std::error::Error>> {
     print!("refine ");
     print_eval_split(
         stats.evals as u64,
+        stats.split_evals as u64,
         [
             stats.plan_ns,
             stats.factor_ns,
             stats.substitute_ns,
             stats.reduce_ns,
+            stats.wait_ns,
         ],
     );
     println!(

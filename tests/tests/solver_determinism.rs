@@ -1,8 +1,11 @@
 //! End-to-end routing determinism through the public API.
 //!
-//! Tiling fans row bands out over threads, and every cell is a pure
-//! function of its blocker list, so the tiling thread count must not
-//! change a route. The incremental nodal session must agree bit for bit
+//! `RouterConfig::threads` drives two kernels: the tiling clip deals row
+//! stripes over threads (every cell is a pure function of its blocker
+//! list), and each metric evaluation splits its pair blocks and node
+//! sums over the same threads (every node keeps its addition order).
+//! Neither may change a route at any thread count. The incremental
+//! nodal session must agree bit for bit
 //! with the scratch evaluator ([`current::node_current`]) on what it
 //! ships, while factoring less often than one factorization per
 //! evaluation. The trajectory-level comparison against a route answered
@@ -14,9 +17,9 @@ use sprout_board::presets;
 use sprout_core::current;
 use sprout_core::reheat::ReheatConfig;
 use sprout_core::router::{Router, RouterConfig};
-use sprout_core::{NodeId, RouteResult, TileConfig};
+use sprout_core::{NodeId, RouteResult};
 
-fn config(tile_threads: usize) -> RouterConfig {
+fn config(threads: usize) -> RouterConfig {
     RouterConfig {
         tile_pitch_mm: 0.5,
         grow_iterations: 8,
@@ -25,16 +28,14 @@ fn config(tile_threads: usize) -> RouterConfig {
             dilate_iterations: 1,
             erode_step: 24,
         }),
-        tile: TileConfig {
-            threads: tile_threads,
-        },
+        threads,
         ..RouterConfig::default()
     }
 }
 
-fn route_all(tile_threads: usize) -> Vec<RouteResult> {
+fn route_all(threads: usize) -> Vec<RouteResult> {
     let board = presets::two_rail();
-    let router = Router::new(&board, config(tile_threads));
+    let router = Router::new(&board, config(threads));
     let nets: Vec<_> = board.power_nets().map(|(id, _)| id).collect();
     let layer = presets::TWO_RAIL_ROUTE_LAYER;
     let requests: Vec<_> = nets.into_iter().map(|n| (n, layer, 20.0)).collect();
@@ -88,7 +89,11 @@ fn routes_are_bit_identical_across_thread_counts_and_engines() {
 
     for threads in [2usize, 8] {
         let multi = route_all(threads);
-        assert_identical(&format!("tile threads={threads}"), &reference, &multi);
+        assert_identical(
+            &format!("router threads={threads} (tiling clip and evaluation split)"),
+            &reference,
+            &multi,
+        );
     }
 
     // The scratch evaluator, run on each shipped subgraph, must reproduce
