@@ -136,6 +136,12 @@ impl NodeCurrents {
         }
     }
 
+    /// The per-node metric vector, for reuse by the session that
+    /// produced it.
+    pub(crate) fn into_current(self) -> Vec<f64> {
+        self.current
+    }
+
     /// The metric for a node (zero outside the subgraph).
     pub fn of(&self, id: NodeId) -> f64 {
         self.current[id.index()]

@@ -39,12 +39,14 @@ pub fn smart_grow(
 ) -> Result<GrowOutcome, SproutError> {
     let metric = session.eval(graph, sub, pairs)?;
     let added = grow_with_metric(session, graph, sub, &metric, k);
-    Ok(GrowOutcome {
+    let outcome = GrowOutcome {
         added,
         resistance_sq: metric.resistance_sq(),
         max_current_a: metric.max_current_a(),
         solves: metric.solves(),
-    })
+    };
+    session.recycle(metric);
+    Ok(outcome)
 }
 
 /// Frontier expansion given an already-computed metric (shared with the

@@ -49,6 +49,7 @@ pub fn smart_refine(
     let metric = session.eval(graph, sub, pairs)?;
     let mut solves = metric.solves();
     let resistance_before_sq = metric.resistance_sq();
+    let mut max_current_a = metric.max_current_a();
 
     let mut protected_mask = vec![false; graph.node_count()];
     for &p in protected {
@@ -63,6 +64,7 @@ pub fn smart_refine(
             .total_cmp(&metric.of(b))
             .then_with(|| a.cmp(&b))
     });
+    session.recycle(metric);
 
     let mut check = RemovalCheck::new();
     let mut removed = 0usize;
@@ -84,15 +86,16 @@ pub fn smart_refine(
     // Reinvest next to the hot spots (Algorithm 5 line 7 calls
     // SmartGrow). A fresh metric reflects the removals.
     let mut resistance_after_sq = resistance_before_sq;
-    let mut max_current_a = metric.max_current_a();
     if removed > 0 {
         let metric_after = session.eval(graph, sub, pairs)?;
         solves += metric_after.solves();
         grow_with_metric(session, graph, sub, &metric_after, removed);
+        session.recycle(metric_after);
         let metric_final = session.eval(graph, sub, pairs)?;
         solves += metric_final.solves();
         resistance_after_sq = metric_final.resistance_sq();
         max_current_a = metric_final.max_current_a();
+        session.recycle(metric_final);
     }
 
     Ok(RefineOutcome {

@@ -139,6 +139,7 @@ pub fn reheat(
             removed_this_round += 1;
             eroded += 1;
         }
+        session.recycle(metric);
         if removed_this_round == 0 {
             break; // every remaining node is protected or critical
         }

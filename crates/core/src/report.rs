@@ -431,6 +431,8 @@ mod tests {
             factor_updates: 39,
             tile_rebuilds: 1,
             tile_reuses: 0,
+            space_buffered: 0,
+            space_served: 0,
         }
     }
 

@@ -28,7 +28,7 @@ use crate::refine::smart_refine;
 use crate::reheat::{reheat, ReheatConfig};
 use crate::seed::{seed_subgraph, SeedOptions};
 use crate::session::NodalSession;
-use crate::space::{SpaceSpec, TerminalShape};
+use crate::space::{BlockerStore, Buffered, SpaceSpec, TerminalShape};
 use crate::tile::{identify_terminals, Terminal, TileOptions};
 use crate::tile_cache::{TileCache, TileOutcome};
 use crate::SproutError;
@@ -116,6 +116,12 @@ pub struct StageTimings {
     /// Routing graphs shared from a [`TileCache`]: the identical space
     /// was tiled before.
     pub tile_reuses: usize,
+    /// Blocker pieces the space stage buffered itself: each source
+    /// shape is buffered once per job.
+    pub space_buffered: usize,
+    /// Blocker pieces the space stage took from the job's
+    /// [`BlockerStore`], buffered by an earlier space of the job.
+    pub space_served: usize,
 }
 
 impl StageTimings {
@@ -179,29 +185,35 @@ pub struct Router<'b> {
     /// Finished graphs by exact space, shared across clones of this
     /// router.
     tile_cache: TileCache,
+    /// Buffered blockers by source shape, shared across clones of this
+    /// router.
+    blockers: BlockerStore,
 }
 
 impl<'b> Router<'b> {
-    /// Creates a router over `board` with `config` and a private tiling
-    /// cache.
+    /// Creates a router over `board` with `config`, a private tiling
+    /// cache and a private blocker store.
     pub fn new(board: &'b Board, config: RouterConfig) -> Self {
-        Router::with_tile_cache(board, config, TileCache::new())
+        Router::with_caches(board, config, TileCache::new(), BlockerStore::new())
     }
 
     /// Creates a router that tiles through `cache`, which may hold
-    /// graphs of other boards: a graph is keyed by its exact space. The
-    /// supervisor builds one router per attempt over the job's cache (or
+    /// graphs of other boards (a graph is keyed by its exact space), and
+    /// buffers blockers through `blockers`. The supervisor builds one
+    /// router per attempt over the job's store and the job's cache (or
     /// its executor's), so retries, later waves and repeat boards share
-    /// the graphs already built.
-    pub(crate) fn with_tile_cache(
+    /// the blockers and graphs already built.
+    pub(crate) fn with_caches(
         board: &'b Board,
         config: RouterConfig,
         cache: TileCache,
+        blockers: BlockerStore,
     ) -> Self {
         Router {
             board,
             config,
             tile_cache: cache,
+            blockers,
         }
     }
 
@@ -213,6 +225,42 @@ impl<'b> Router<'b> {
     /// The board this router is bound to.
     pub fn board(&self) -> &'b Board {
         self.board
+    }
+
+    /// The space stage of both routing paths: the space of `net` on
+    /// `layer` from this router's blocker store, with a pitch-sized pad
+    /// for each of `extra_terminals`. Transit layers (multilayer
+    /// routing) may have no board terminals of their own — the via
+    /// landing points in `extra_terminals` stand in.
+    fn space(
+        &self,
+        net: NetId,
+        layer: usize,
+        extra_blockers: &[Polygon],
+        extra_terminals: &[(Point, ElementRole)],
+    ) -> Result<(SpaceSpec, Buffered), SproutError> {
+        let (mut spec, buffered) = SpaceSpec::build_in(
+            &self.blockers,
+            self.board,
+            net,
+            layer,
+            extra_blockers,
+            extra_terminals.is_empty(),
+        )?;
+        let pad = self.config.tile_pitch_mm;
+        for &(p, role) in extra_terminals {
+            spec.terminals.push(TerminalShape {
+                shape: Polygon::rectangle(
+                    Point::new(p.x - pad / 2.0, p.y - pad / 2.0),
+                    Point::new(p.x + pad / 2.0, p.y + pad / 2.0),
+                )?,
+                role,
+            });
+        }
+        if spec.terminals.is_empty() {
+            return Err(SproutError::NoTerminals { net, layer });
+        }
+        Ok((spec, buffered))
     }
 
     /// The graph of `spec` at `opts` from this router's cache.
@@ -314,32 +362,15 @@ impl<'b> Router<'b> {
             .enter();
         let mut timings = StageTimings::default();
 
-        // Stage 1: available space. Transit layers (multilayer routing)
-        // may have no board terminals of their own — the via landing
-        // points supplied in `extra_terminals` stand in.
+        // Stage 1: available space.
         let t = Instant::now();
         let mut space_span = telemetry::span("space").enter();
-        let mut spec = if extra_terminals.is_empty() {
-            SpaceSpec::build(self.board, net, layer, extra_blockers)?
-        } else {
-            SpaceSpec::build_transit(self.board, net, layer, extra_blockers)?
-        };
-        let pad = self.config.tile_pitch_mm;
-        for &(p, role) in extra_terminals {
-            spec.terminals.push(TerminalShape {
-                shape: Polygon::rectangle(
-                    Point::new(p.x - pad / 2.0, p.y - pad / 2.0),
-                    Point::new(p.x + pad / 2.0, p.y + pad / 2.0),
-                )?,
-                role,
-            });
-        }
-        if spec.terminals.is_empty() {
-            return Err(SproutError::NoTerminals { net, layer });
-        }
+        let (spec, buffered) = self.space(net, layer, extra_blockers, extra_terminals)?;
         space_span.record("terminals", spec.terminals.len());
         drop(space_span);
         timings.space_ms = t.elapsed().as_secs_f64() * 1e3;
+        timings.space_buffered = buffered.fresh;
+        timings.space_served = buffered.served;
 
         // Stage 2: tiling (Algorithm 1).
         let graph = self.tiled_graph(&spec, &mut timings)?;
@@ -388,25 +419,12 @@ impl<'b> Router<'b> {
             .field("budget_mm2", area_budget_mm2)
             .field("components", true)
             .enter();
-        let mut spec = if extra_terminals.is_empty() {
-            SpaceSpec::build(self.board, net, layer, extra_blockers)?
-        } else {
-            SpaceSpec::build_transit(self.board, net, layer, extra_blockers)?
+        let (spec, buffered) = self.space(net, layer, extra_blockers, extra_terminals)?;
+        let mut base_timings = StageTimings {
+            space_buffered: buffered.fresh,
+            space_served: buffered.served,
+            ..StageTimings::default()
         };
-        let pad = self.config.tile_pitch_mm;
-        for &(p, role) in extra_terminals {
-            spec.terminals.push(TerminalShape {
-                shape: Polygon::rectangle(
-                    Point::new(p.x - pad / 2.0, p.y - pad / 2.0),
-                    Point::new(p.x + pad / 2.0, p.y + pad / 2.0),
-                )?,
-                role,
-            });
-        }
-        if spec.terminals.is_empty() {
-            return Err(SproutError::NoTerminals { net, layer });
-        }
-        let mut base_timings = StageTimings::default();
         let graph = self.tiled_graph(&spec, &mut base_timings)?;
         let terminals = identify_terminals(&graph, &spec, net)?;
 
@@ -613,6 +631,7 @@ impl<'b> Router<'b> {
                     best_resistance = r;
                     best_sub = sub.clone();
                 }
+                session.recycle(nc);
             }
             Err(e) => match rec.policy {
                 RecoveryPolicy::FailFast => return Err(e),

@@ -187,6 +187,14 @@ pub struct NodalSession {
     kernel: Arc<Kernel>,
     /// The kernel's lanes and helper threads.
     pool: Pool,
+    /// A zeroed metric vector handed back through
+    /// [`NodalSession::recycle`], reused by the next evaluation.
+    spare: Vec<f64>,
+    /// Address of the metric vector the last evaluation returned (if
+    /// the kernel wrote it) and the members it wrote: a recycled vector
+    /// is re-zeroed at exactly those entries.
+    handed: Option<usize>,
+    written: Vec<NodeId>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,6 +228,20 @@ impl NodalSession {
         self.stats
     }
 
+    /// Hands back the result of this session's last evaluation, so the
+    /// next evaluation reuses its per-node vector instead of allocating
+    /// and zeroing a graph-sized one. Any other result is dropped.
+    pub fn recycle(&mut self, metric: NodeCurrents) {
+        let mut current = metric.into_current();
+        if self.handed.take() != Some(current.as_ptr() as usize) {
+            return;
+        }
+        for id in &self.written {
+            current[id.index()] = 0.0;
+        }
+        self.spare = current;
+    }
+
     /// Evaluates the node-current metric, reusing as much cached solver
     /// state as the accumulated deltas allow. Bit-identical to
     /// [`current::node_current`].
@@ -233,6 +255,7 @@ impl NodalSession {
         sub: &Subgraph,
         pairs: &[InjectionPair],
     ) -> Result<NodeCurrents, SproutError> {
+        self.handed = None;
         #[cfg(test)]
         if SCRATCH_ORACLE.get() {
             let nc = current::node_current(graph, sub, pairs)?;
@@ -825,7 +848,11 @@ impl NodalSession {
             &self.edges_buf,
             self.pool.threads(),
         )?;
-        let mut node_metric = vec![0.0f64; graph.node_count()];
+        let mut node_metric = if self.spare.len() == graph.node_count() {
+            std::mem::take(&mut self.spare)
+        } else {
+            vec![0.0f64; graph.node_count()]
+        };
         self.stats.plan_ns += clock.lap();
 
         if self.kernel.lanes() > 1 {
@@ -852,6 +879,9 @@ impl NodalSession {
         };
         telemetry::counter!("metric.evaluations");
         telemetry::histogram!("metric.solves_per_eval", pairs.len() as u64);
+        self.handed = Some(node_metric.as_ptr() as usize);
+        self.written.clear();
+        self.written.extend_from_slice(&self.members);
         self.stats.reduce_ns += clock.lap();
         Ok(NodeCurrents::from_parts(
             node_metric,
@@ -1024,6 +1054,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn recycled_metric_vectors_match_fresh_ones() {
+        // Each evaluation reuses the vector the last one handed back,
+        // re-zeroed at the members it wrote: through growth and removal
+        // every node, inside the subgraph or left behind, must match the
+        // scratch evaluator. A stale result handed back is dropped.
+        let (graph, mut sub, terminals) = setup();
+        let pairs = injection_pairs(&terminals, PairPolicy::SourceToSinks, 3.0);
+        let mut session = NodalSession::with_threads(2);
+        let stale = session.eval(&graph, &sub, &pairs).unwrap();
+        for round in 0..4 {
+            if round % 2 == 0 {
+                for id in sub.boundary(&graph) {
+                    session.insert(&graph, &mut sub, id);
+                }
+            } else {
+                let tnodes: Vec<NodeId> = terminals.iter().map(|t| t.node).collect();
+                let mut check = RemovalCheck::new();
+                for id in sub.members().to_vec().into_iter().rev().take(40) {
+                    if !tnodes.contains(&id) && check.keeps_connected(&graph, &sub, id, &tnodes) {
+                        session.remove(&graph, &mut sub, id);
+                    }
+                }
+            }
+            let metric = session.eval(&graph, &sub, &pairs).unwrap();
+            let scratch = node_current(&graph, &sub, &pairs).unwrap();
+            for i in 0..graph.node_count() as u32 {
+                let id = NodeId(i);
+                assert_eq!(
+                    metric.of(id).to_bits(),
+                    scratch.of(id).to_bits(),
+                    "node {i}"
+                );
+            }
+            assert!(
+                session.spare.is_empty(),
+                "round {round}: the spare was reused"
+            );
+            session.recycle(metric);
+            assert_eq!(session.spare.len(), graph.node_count(), "round {round}");
+            assert!(session.spare.iter().all(|&x| x == 0.0), "round {round}");
+        }
+        let kept = session.spare.as_ptr();
+        session.recycle(stale);
+        assert_eq!(session.spare.as_ptr(), kept, "a stale result is dropped");
     }
 
     #[test]

@@ -41,6 +41,7 @@
 use crate::backconv::RoutedShape;
 use crate::recovery::{CancelScope, CancelToken, RecoveryPolicy};
 use crate::router::{RouteResult, Router, RouterConfig};
+use crate::space::BlockerStore;
 use crate::tile_cache::TileCache;
 use crate::SproutError;
 use sprout_board::io::{board_fingerprint, fnv1a64};
@@ -405,6 +406,15 @@ impl JobReport {
     }
 }
 
+/// What every rail of one [`Supervisor::run`] reads: the requests, the
+/// claims merged so far, the job's blocker store and its start.
+struct Job<'j> {
+    requests: &'j [RailRequest],
+    claimed: &'j HashMap<usize, Vec<Polygon>>,
+    store: &'j BlockerStore,
+    start: Instant,
+}
+
 /// The routing job supervisor. See the module docs for the model.
 #[derive(Debug, Clone)]
 pub struct Supervisor<'b> {
@@ -501,6 +511,9 @@ impl<'b> Supervisor<'b> {
         // Claimed geometry, per layer, merged between waves in request
         // order (the ordering guarantee in the module docs).
         let mut claimed: HashMap<usize, Vec<Polygon>> = HashMap::new();
+        // The job's buffered blockers: every attempt of every wave
+        // buffers a foreign element or a claimed shape at most once.
+        let store = BlockerStore::new();
 
         for (wave_no, wave) in waves.iter().enumerate() {
             let pending: Vec<usize> = wave
@@ -514,7 +527,13 @@ impl<'b> Supervisor<'b> {
                 .enter();
 
             if !pending.is_empty() {
-                let outcomes = self.run_wave(wave_no, &pending, requests, &claimed, start);
+                let job = Job {
+                    requests,
+                    claimed: &claimed,
+                    store: &store,
+                    start,
+                };
+                let outcomes = self.run_wave(wave_no, &pending, &job);
                 for (i, rail_report) in outcomes {
                     slots[i] = Some(rail_report);
                 }
@@ -603,18 +622,11 @@ impl<'b> Supervisor<'b> {
 
     /// Routes one wave's pending rails, on the calling thread or across
     /// a worker pool, and returns `(request index, report)` pairs.
-    fn run_wave(
-        &self,
-        wave_no: usize,
-        pending: &[usize],
-        requests: &[RailRequest],
-        claimed: &HashMap<usize, Vec<Polygon>>,
-        start: Instant,
-    ) -> Vec<(usize, RailReport)> {
+    fn run_wave(&self, wave_no: usize, pending: &[usize], job: &Job) -> Vec<(usize, RailReport)> {
         if self.config.threads <= 1 || pending.len() <= 1 {
             return pending
                 .iter()
-                .map(|&i| (i, self.run_rail(i, wave_no, requests[i], claimed, start, 1)))
+                .map(|&i| (i, self.run_rail(i, wave_no, job, 1)))
                 .collect();
         }
         let next = AtomicUsize::new(0);
@@ -643,7 +655,7 @@ impl<'b> Supervisor<'b> {
                     loop {
                         let slot = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&i) = pending.get(slot) else { break };
-                        let rail = self.run_rail(i, wave_no, requests[i], claimed, start, workers);
+                        let rail = self.run_rail(i, wave_no, job, workers);
                         handoff.time(|| {
                             *results[slot].lock().unwrap_or_else(|e| e.into_inner()) = Some(rail);
                         });
@@ -667,15 +679,9 @@ impl<'b> Supervisor<'b> {
     /// checks between attempts and bounded retry-with-escalation. The
     /// rail shares the router's threads with the other `workers - 1`
     /// rails routing beside it.
-    fn run_rail(
-        &self,
-        index: usize,
-        wave: usize,
-        request: RailRequest,
-        claimed: &HashMap<usize, Vec<Polygon>>,
-        start: Instant,
-        workers: usize,
-    ) -> RailReport {
+    fn run_rail(&self, index: usize, wave: usize, job: &Job, workers: usize) -> RailReport {
+        let request = job.requests[index];
+        let start = job.start;
         let (net, layer, budget) = request;
         let _rail_span = telemetry::span("rail")
             .field("net", net.0 as u64)
@@ -683,7 +689,7 @@ impl<'b> Supervisor<'b> {
             .field("budget_mm2", budget)
             .field("wave", wave)
             .enter();
-        let blockers: &[Polygon] = claimed.get(&layer).map(Vec::as_slice).unwrap_or(&[]);
+        let blockers: &[Polygon] = job.claimed.get(&layer).map(Vec::as_slice).unwrap_or(&[]);
         let mut attempts = 0usize;
         let mut last_err: Option<SproutError> = None;
 
@@ -719,7 +725,12 @@ impl<'b> Supervisor<'b> {
                         );
                     }
                 }
-                let router = Router::with_tile_cache(self.board, config, self.tile_cache.clone());
+                let router = Router::with_caches(
+                    self.board,
+                    config,
+                    self.tile_cache.clone(),
+                    job.store.clone(),
+                );
                 router.route_net_with(net, layer, budget, blockers, &[])
             }));
 
@@ -1184,6 +1195,76 @@ mod tests {
             (n, 2, 10.0), // wave 0
         ]);
         assert_eq!(waves, vec![vec![0, 2, 4], vec![1, 3]]);
+    }
+
+    /// The two_rail preset with its layer-6 terminals mirrored onto
+    /// layer 4, so a wave routes a rail on each layer at once and the
+    /// two layers' spaces share foreign shapes.
+    fn stacked_two_rail() -> Board {
+        let mut board = sprout_board::presets::two_rail();
+        let mirrored: Vec<_> = board
+            .elements()
+            .iter()
+            .filter(|e| e.layer == 6 && e.is_terminal())
+            .cloned()
+            .collect();
+        for mut e in mirrored {
+            e.layer = 4;
+            board.add_element(e).unwrap();
+        }
+        board
+    }
+
+    #[test]
+    fn one_store_serves_concurrent_layers_alike_at_one_and_two_threads() {
+        let board = stacked_two_rail();
+        let nets: Vec<NetId> = board.power_nets().map(|(id, _)| id).collect();
+        let requests = [
+            (nets[0], 6, 20.0),
+            (nets[0], 4, 20.0),
+            (nets[1], 6, 20.0),
+            (nets[1], 4, 20.0),
+        ];
+        let router = RouterConfig {
+            tile_pitch_mm: 0.5,
+            grow_iterations: 8,
+            refine_iterations: 2,
+            reheat: None,
+            ..RouterConfig::default()
+        };
+        let run = |threads| {
+            let job = SupervisorConfig {
+                threads,
+                ..SupervisorConfig::default()
+            };
+            let report = Supervisor::new(&board, router, job).run(&requests);
+            assert_eq!(report.waves, 2);
+            report.into_results().unwrap()
+        };
+        let pieces = |results: &[RouteResult]| {
+            let buffered: usize = results.iter().map(|r| r.timings.space_buffered).sum();
+            let served: usize = results.iter().map(|r| r.timings.space_served).sum();
+            (buffered, served)
+        };
+        let (one, two) = (run(1), run(2));
+        assert_eq!(one.len(), 4);
+        for (a, b) in one.iter().zip(&two) {
+            assert_eq!(a.shape.area_mm2().to_bits(), b.shape.area_mm2().to_bits());
+            assert_eq!(a.shape.blocker_polygons(), b.shape.blocker_polygons());
+            assert_eq!(
+                a.final_resistance_sq.to_bits(),
+                b.final_resistance_sq.to_bits()
+            );
+            assert_eq!(a.timings.solves, b.timings.solves);
+        }
+        // Whichever rail of a wave asks first, each shape is buffered
+        // once and served to every other space of the job.
+        let (buffered, served) = pieces(&one);
+        assert_eq!(pieces(&two), (buffered, served));
+        assert!(
+            served > 0 && buffered > 0,
+            "{buffered} buffered, {served} served"
+        );
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! keys finished graphs by exactly that, bit for bit, and hands every
 //! request for a space it has seen the same [`Arc<RoutingGraph>`]:
 //! nothing is clipped or assembled again. Net, layer and board drop out
-//! of the key, because the graph reads none of them.
+//! of the key, because the graph reads none of them. An entry shares
+//! its space's prepared [`Blocker`]s rather than copying them, and a
+//! blocker served from the same job's store matches by pointer before
+//! its bits are compared.
 //!
 //! A [`Router`](crate::router::Router) tiles through one of these. By
 //! default each router and each [`Supervisor`](crate::supervisor::Supervisor)
@@ -21,11 +24,11 @@
 //! kept; the least recently used one is dropped to make room.
 
 use crate::graph::RoutingGraph;
-use crate::space::SpaceSpec;
+use crate::space::{Blocker, Fnv, SpaceSpec};
 use crate::tile::TileOptions;
 use crate::tile_session::build_graph;
 use crate::SproutError;
-use sprout_geom::{Polygon, Rect};
+use sprout_geom::Rect;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -60,35 +63,26 @@ fn shape_bits(space: Rect, opts: TileOptions) -> ShapeBits {
     .map(f64::to_bits)
 }
 
-/// FNV-1a over the shape bits and every blocker vertex's bits. Only a
-/// prefilter: a hit is confirmed by full bitwise equality.
-fn space_hash(shape: &ShapeBits, blockers: &[Polygon]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        h ^= word;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    shape.iter().for_each(|&w| mix(w));
-    for poly in blockers {
-        mix(poly.vertices().len() as u64);
-        for v in poly.vertices() {
-            mix(v.x.to_bits());
-            mix(v.y.to_bits());
+/// FNV-1a over the shape bits and every blocker's vertex count and
+/// bounds. Only a prefilter: a hit is confirmed by full bitwise
+/// equality.
+fn space_hash(shape: &ShapeBits, blockers: &[Blocker]) -> u64 {
+    let mut h = Fnv::new();
+    shape.iter().for_each(|&w| h.mix(w));
+    for b in blockers {
+        let (lo, hi) = (b.bounds().min(), b.bounds().max());
+        h.mix(b.polygon().vertices().len() as u64);
+        for w in [lo.x, lo.y, hi.x, hi.y] {
+            h.mix(w.to_bits());
         }
     }
-    h
+    h.finish()
 }
 
-fn blockers_bit_equal(a: &[Polygon], b: &[Polygon]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(p, q)| {
-            let (pv, qv) = (p.vertices(), q.vertices());
-            pv.len() == qv.len()
-                && pv
-                    .iter()
-                    .zip(qv)
-                    .all(|(u, v)| u.x.to_bits() == v.x.to_bits() && u.y.to_bits() == v.y.to_bits())
-        })
+/// Bitwise equality of two blocker lists; blockers shared from one
+/// job's store compare by pointer.
+fn blockers_bit_equal(a: &[Blocker], b: &[Blocker]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(p, q)| p.bit_eq(q))
 }
 
 /// A graph, or the claim of the thread building it.
@@ -100,7 +94,8 @@ enum Slot {
 struct Entry {
     hash: u64,
     shape: ShapeBits,
-    blockers: Vec<Polygon>,
+    /// Shared with the spaces that built it, not copied.
+    blockers: Vec<Blocker>,
     slot: Slot,
     /// Tick of the last hand-out, for LRU eviction.
     used: u64,
@@ -115,7 +110,7 @@ struct Entries {
 }
 
 impl Entries {
-    fn find(&self, hash: u64, shape: &ShapeBits, blockers: &[Polygon]) -> Option<usize> {
+    fn find(&self, hash: u64, shape: &ShapeBits, blockers: &[Blocker]) -> Option<usize> {
         self.list.iter().position(|e| {
             e.hash == hash && e.shape == *shape && blockers_bit_equal(&e.blockers, blockers)
         })
@@ -157,7 +152,7 @@ struct Claim<'c> {
     cache: &'c TileCache,
     hash: u64,
     shape: ShapeBits,
-    blockers: &'c [Polygon],
+    blockers: &'c [Blocker],
     filled: bool,
 }
 
@@ -245,7 +240,7 @@ impl TileCache {
     fn graph_with(
         &self,
         space: Rect,
-        blockers: &[Polygon],
+        blockers: &[Blocker],
         opts: TileOptions,
         build: impl FnOnce() -> Result<RoutingGraph, SproutError>,
     ) -> Result<(Arc<RoutingGraph>, TileOutcome), SproutError> {
@@ -292,7 +287,7 @@ impl TileCache {
 mod tests {
     use super::*;
     use sprout_board::presets;
-    use sprout_geom::Point;
+    use sprout_geom::{Point, Polygon};
     use std::sync::mpsc;
 
     fn spec() -> SpaceSpec {
@@ -302,10 +297,11 @@ mod tests {
     }
 
     /// The `n`-th distinct space: the base spec plus one small blocker.
-    fn variant(base: &SpaceSpec, n: usize) -> Vec<Polygon> {
+    fn variant(base: &SpaceSpec, n: usize) -> Vec<Blocker> {
         let x = 1.0 + 0.01 * n as f64;
         let mut blockers = base.blockers.clone();
-        blockers.push(Polygon::rectangle(Point::new(x, 1.0), Point::new(x + 0.1, 1.1)).unwrap());
+        let small = Polygon::rectangle(Point::new(x, 1.0), Point::new(x + 0.1, 1.1)).unwrap();
+        blockers.push(Blocker::new(small));
         blockers
     }
 

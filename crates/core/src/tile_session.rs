@@ -8,6 +8,9 @@
 //! so reuse is the [`TileCache`](crate::tile_cache::TileCache)'s job: it
 //! keys finished graphs by that exact space.
 //!
+//! * Each blocker arrives prepared ([`Blocker`]): its bounds and its
+//!   convex parts were computed once, when the job's store buffered it,
+//!   and the clip reads them as they are.
 //! * Cells find their blockers through a uniform lattice raster of
 //!   blocker bounds (one list of ascending blocker slots per cell)
 //!   instead of a per-cell spatial-index query.
@@ -26,25 +29,17 @@
 //!   is bit-identical at any thread count.
 
 use crate::graph::{GraphEdge, NodeId, RoutingGraph, TileNode};
+use crate::space::Blocker;
 use crate::tile::TileOptions;
 use crate::SproutError;
 use sprout_geom::clip::HalfPlane;
 use sprout_geom::stitch::GridFrame;
-use sprout_geom::triangulate::convex_parts;
 use sprout_geom::{ConvexClipper, IntervalSet, Point, Polygon, PolygonSet, Rect};
 use sprout_telemetry as telemetry;
 use std::sync::{Mutex, PoisonError};
 
 /// Row stripes per thread in the clip and the contact widths.
 const STRIPES_PER_THREAD: usize = 8;
-
-/// One blocker polygon's convex parts with their bounds: big blockers
-/// (claimed copper from earlier rails) raster onto many cells, but each
-/// cell only has to subtract the parts whose bounds actually reach it.
-struct Blocker {
-    parts: Vec<(Polygon, Rect)>,
-    bounds: Rect,
-}
 
 /// Clip result of one lattice cell.
 enum CellState {
@@ -89,7 +84,8 @@ struct EdgeScratch {
 
 /// Tiles the space `design_space \ ∪ blockers` at `opts` (Algorithm 1),
 /// clipping row stripes on up to `threads` threads (`0` = machine
-/// parallelism). The graph is bit-identical at any thread count.
+/// parallelism). The clip reads each blocker's prepared convex parts.
+/// The graph is bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -97,15 +93,11 @@ struct EdgeScratch {
 /// sliver threshold outside `[0, 1)`.
 pub fn build_graph(
     design_space: Rect,
-    blockers: &[Polygon],
+    blockers: &[Blocker],
     opts: TileOptions,
     threads: usize,
 ) -> Result<RoutingGraph, SproutError> {
-    let Lattice {
-        geo,
-        blockers,
-        cell_blockers,
-    } = Lattice::new(design_space, blockers, opts)?;
+    let Lattice { geo, cell_blockers } = Lattice::new(design_space, blockers, opts)?;
     let (nx, ny) = (geo.nx, geo.ny);
     let threads = crate::resolve_threads(threads).min(ny.max(1));
     // Short row stripes off a shared cursor: a band of buried or
@@ -129,7 +121,7 @@ pub fn build_graph(
                     &geo,
                     idx,
                     &cell_blockers[idx],
-                    &blockers,
+                    blockers,
                     &mut parts,
                     &mut clipper,
                     &mut counts,
@@ -176,18 +168,17 @@ pub fn build_graph(
     Ok(assemble(&geo, cells, &west, &south, node_count, edge_count))
 }
 
-/// The clip kernel's inputs: the lattice, each blocker's convex parts,
-/// and each cell's ascending list of the blocker slots that reach it.
+/// The clip kernel's lattice: its geometry and each cell's ascending
+/// list of the blocker slots that reach it.
 struct Lattice {
     geo: CellGeometry,
-    blockers: Vec<Blocker>,
     cell_blockers: Vec<Vec<u32>>,
 }
 
 impl Lattice {
     fn new(
         design_space: Rect,
-        blockers: &[Polygon],
+        blockers: &[Blocker],
         opts: TileOptions,
     ) -> Result<Self, SproutError> {
         if opts.dx <= 0.0 || opts.dy <= 0.0 {
@@ -209,33 +200,16 @@ impl Lattice {
             ny,
             min_area: opts.min_cell_fraction * opts.dx * opts.dy,
         };
-        let blockers: Vec<Blocker> = blockers
-            .iter()
-            .map(|poly| Blocker {
-                parts: convex_parts(poly)
-                    .into_iter()
-                    .map(|part| {
-                        let bounds = part.bounds();
-                        (part, bounds)
-                    })
-                    .collect(),
-                bounds: poly.bounds(),
-            })
-            .collect();
         let mut cell_blockers: Vec<Vec<u32>> = vec![Vec::new(); nx * ny];
         for (slot, b) in blockers.iter().enumerate() {
-            let (i0, i1, j0, j1) = geo.raster_range(&b.bounds);
+            let (i0, i1, j0, j1) = geo.raster_range(&b.bounds());
             for j in j0..=j1 {
                 for i in i0..=i1 {
                     cell_blockers[j * nx + i].push(slot as u32);
                 }
             }
         }
-        Ok(Lattice {
-            geo,
-            blockers,
-            cell_blockers,
-        })
+        Ok(Lattice { geo, cell_blockers })
     }
 }
 
@@ -386,8 +360,8 @@ fn clip_cell<'a>(
     parts.clear();
     for &slot in slots {
         let b = &blockers[slot as usize];
-        if b.bounds.intersects(&rect) {
-            parts.extend(b.parts.iter().filter(|(_, pb)| pb.intersects(&rect)));
+        if b.bounds().intersects(&rect) {
+            parts.extend(b.parts().iter().filter(|(_, pb)| pb.intersects(&rect)));
         }
     }
     if parts.is_empty() {
@@ -464,10 +438,10 @@ fn chain_cell(
     let mut touched = false;
     for &slot in slots {
         let b = &blockers[slot as usize];
-        if !b.bounds.intersects(&rect) {
+        if !b.bounds().intersects(&rect) {
             continue;
         }
-        for (part, part_bounds) in &b.parts {
+        for (part, part_bounds) in b.parts() {
             if !part_bounds.intersects(&rect) {
                 continue;
             }
@@ -744,13 +718,14 @@ mod tests {
     /// runs on a 0.25 mm lattice. Two runs of a stack meet half-way
     /// through a row, so that row's cells are covered only by the union
     /// of both; overlapping discs cover cells no single disc holds.
-    fn hostile_space(seed: u64) -> (Rect, Vec<Polygon>) {
+    fn hostile_space(seed: u64) -> (Rect, Vec<Blocker>) {
         let mut rng = sprout_rng::SproutRng::seed_from_u64(seed);
         let space = Rect::new(Point::new(0.0, 0.0), Point::new(8.0, 8.0)).unwrap();
         let mut blockers = Vec::new();
         for _ in 0..140 {
             let c = Point::new(rng.f64_range(0.3, 7.7), rng.f64_range(0.3, 7.7));
-            blockers.push(Polygon::regular(c, rng.f64_range(0.12, 0.55), 24).unwrap());
+            let disc = Polygon::regular(c, rng.f64_range(0.12, 0.55), 24).unwrap();
+            blockers.push(Blocker::new(disc));
         }
         let pitch = 0.25;
         for _ in 0..24 {
@@ -760,7 +735,7 @@ mod tests {
             let mid = y0 + 1.5 * pitch;
             for (lo, hi) in [(y0, mid), (mid, mid + 1.5 * pitch)] {
                 let run = Rect::new(Point::new(x0, lo), Point::new(x1, hi)).unwrap();
-                blockers.push(run.to_polygon());
+                blockers.push(Blocker::new(run.to_polygon()));
             }
         }
         (space, blockers)
@@ -779,18 +754,14 @@ mod tests {
     #[test]
     fn clip_gate_matches_the_plain_chain_on_every_cell() {
         for seed in 1..=3 {
-            let (space, polys) = hostile_space(seed);
+            let (space, blockers) = hostile_space(seed);
             for frac in [0.05, 0.0] {
                 let opts = TileOptions {
                     dx: 0.25,
                     dy: 0.25,
                     min_cell_fraction: frac,
                 };
-                let Lattice {
-                    geo,
-                    blockers,
-                    cell_blockers,
-                } = Lattice::new(space, &polys, opts).unwrap();
+                let Lattice { geo, cell_blockers } = Lattice::new(space, &blockers, opts).unwrap();
                 let (mut parts, mut clipper, mut plain_clipper) =
                     (Vec::new(), ConvexClipper::new(), ConvexClipper::new());
                 let mut counts = CellCounts::default();

@@ -16,11 +16,12 @@
 //! helper threads, with the number of evaluations that split across
 //! threads.
 //!
-//! With a board name it prints the same two splits for whole
-//! `route_all` runs instead: `six_rail` routes the Table III board
-//! (0.25 mm pitch, budgets `16 + 1.8·I` mm²), `three_rail` the nine
-//! Table IV layouts (0.3 mm pitch, 1 normalized unit = 1.7 mm², as
-//! `fig12` maps them).
+//! With a board name it prints, for whole `route_all` runs instead, the
+//! space stage's time with the blocker pieces it buffered against those
+//! it took from the job's blocker store, then the same two splits.
+//! `six_rail` routes the Table III board (0.25 mm pitch,
+//! budgets `16 + 1.8·I` mm²), `three_rail` the nine Table IV layouts
+//! (0.3 mm pitch, 1 normalized unit = 1.7 mm², as `fig12` maps them).
 
 use sprout_board::{presets, Board};
 use sprout_core::current::{injection_pairs, node_current, PairPolicy};
@@ -106,6 +107,7 @@ fn router_split(
     };
     let before = metrics::global().snapshot();
     let (mut rails, mut tile_ms, mut optimize_ms) = (0, 0.0, 0.0);
+    let (mut space_ms, mut buffered, mut served) = (0.0, 0, 0);
     let router = Router::new(board, config);
     for budgets in layouts {
         let requests: Vec<_> = board
@@ -115,6 +117,9 @@ fn router_split(
             .collect();
         for r in router.route_all(&requests).into_results()? {
             rails += 1;
+            space_ms += r.timings.space_ms;
+            buffered += r.timings.space_buffered;
+            served += r.timings.space_served;
             tile_ms += r.timings.tile_ms;
             optimize_ms += r.timings.grow_ms + r.timings.refine_ms + r.timings.reheat_ms;
         }
@@ -122,6 +127,12 @@ fn router_split(
     println!(
         "{name}: {} layouts, {rails} rails at {pitch_mm} mm — tile {tile_ms:.1} ms, grow + refine + reheat {optimize_ms:.1} ms",
         layouts.len()
+    );
+    println!(
+        "space:   {space_ms:.1} ms — {} blocker pieces, buffered {buffered} ({:.1} %), served from the store {served} ({:.1} %)",
+        buffered + served,
+        100.0 * buffered as f64 / (buffered + served).max(1) as f64,
+        100.0 * served as f64 / (buffered + served).max(1) as f64,
     );
     print_tile_split(&before);
     let now = metrics::global().snapshot();

@@ -13,7 +13,7 @@
 //! `proptest`); each case prints its seed on failure.
 
 use sprout_board::presets;
-use sprout_core::space::SpaceSpec;
+use sprout_core::space::{Blocker, SpaceSpec};
 use sprout_core::tile::{space_to_graph, TileOptions};
 use sprout_core::tile_session::build_graph;
 use sprout_core::{RoutingGraph, TileCache, TileOutcome};
@@ -115,7 +115,7 @@ fn randomized_spaces_match_scratch_through_the_cache() {
         let mut spec = base.clone();
         for _ in 0..1 + rng.usize_below(3) {
             let poly = random_blocker(&mut rng, spec.design_space);
-            spec.blockers.push(poly);
+            spec.blockers.push(Blocker::new(poly));
         }
         for _ in 0..rng.usize_below(3) {
             let pos = rng.usize_below(spec.blockers.len());
@@ -131,7 +131,7 @@ fn randomized_spaces_match_scratch_through_the_cache() {
 
         let mut flipped = spec.clone();
         let k = rng.usize_below(flipped.blockers.len());
-        flipped.blockers[k] = flip_one_bit(&mut rng, &flipped.blockers[k]);
+        flipped.blockers[k] = Blocker::new(flip_one_bit(&mut rng, flipped.blockers[k].polygon()));
         assert_ne!(flipped.blockers[k], spec.blockers[k], "case {case}");
         let (graph, outcome) = cache.graph(&flipped, opts, threads).unwrap();
         assert_eq!(outcome, TileOutcome::Rebuilt, "case {case}: vertex bit");
