@@ -389,21 +389,17 @@ pub fn route_multilayer_report(
     };
     let mut stopped = false;
     for (wave, &layer) in plan.layers_used.iter().enumerate() {
-        let rail = |attempts: usize, outcome: RailOutcome| RailReport {
+        let rail = |outcome: RailOutcome| RailReport {
             net,
             layer,
             budget_mm2: budget_per_layer_mm2,
             wave,
-            attempts,
             outcome,
         };
         if stopped {
-            report.rails.push(rail(
-                0,
-                RailOutcome::Skipped {
-                    reason: "not attempted after a fail-fast stop".into(),
-                },
-            ));
+            report.rails.push(rail(RailOutcome::Skipped {
+                reason: "not attempted after a fail-fast stop".into(),
+            }));
             continue;
         }
         let extra: Vec<(Point, ElementRole)> = plan
@@ -415,22 +411,17 @@ pub fn route_multilayer_report(
         // route (e.g. a via lands directly on the only terminal).
         let own_terminals = board.terminals(net, layer).len();
         if own_terminals + extra.len() < 2 {
-            report.rails.push(rail(
-                0,
-                RailOutcome::Skipped {
-                    reason: "fewer than two terminals on this layer".into(),
-                },
-            ));
+            report.rails.push(rail(RailOutcome::Skipped {
+                reason: "fewer than two terminals on this layer".into(),
+            }));
             continue;
         }
         // Within a layer the terminals may sit in disjoint space regions
         // (that is exactly why vias were needed); route each region.
         match router.route_net_components(net, layer, budget_per_layer_mm2, &[], &extra) {
-            Ok(layer_results) => report
-                .rails
-                .push(rail(1, RailOutcome::Routed(layer_results))),
+            Ok(layer_results) => report.rails.push(rail(RailOutcome::Routed(layer_results))),
             Err(e) => {
-                report.rails.push(rail(1, RailOutcome::Failed(e)));
+                report.rails.push(rail(RailOutcome::Failed(e)));
                 if fail_fast {
                     stopped = true;
                 }

@@ -126,8 +126,6 @@ pub struct RailRunRecord {
     pub warnings: Vec<String>,
     /// The error, for failed rails; the skip reason, for skipped ones.
     pub error: Option<String>,
-    /// Routing attempts made (retries included).
-    pub attempts: usize,
     /// Scheduling wave.
     pub wave: usize,
 }
@@ -151,7 +149,6 @@ impl RailRunRecord {
             tile_reuses: r.timings.tile_reuses,
             total_ms: r.timings.total_ms(),
             stages: stage_breakdown(&r.timings),
-            attempts: 1,
             ..RailRunRecord::default()
         };
         rec.absorb_diagnostics(&r.diagnostics);
@@ -210,8 +207,7 @@ impl RailRunRecord {
         if let Some(e) = &self.error {
             o.str("error", e);
         }
-        o.u64("attempts", self.attempts as u64)
-            .u64("wave", self.wave as u64);
+        o.u64("wave", self.wave as u64);
         o.finish()
     }
 }
@@ -305,7 +301,6 @@ impl RunReport {
                     for r in results {
                         let mut rec = RailRunRecord::from_result(r);
                         rec.budget_mm2 = rail.budget_mm2;
-                        rec.attempts = rail.attempts;
                         rec.wave = rail.wave;
                         rails.push(rec);
                     }
@@ -329,7 +324,6 @@ impl RunReport {
                     budget_mm2: rail.budget_mm2,
                     outcome: "failed",
                     error: Some(e.to_string()),
-                    attempts: rail.attempts,
                     wave: rail.wave,
                     ..RailRunRecord::default()
                 }),
@@ -469,7 +463,6 @@ mod tests {
                 total_ms: 25.5,
                 stages: stage_breakdown(&timings()),
                 degradations: vec!["grow stage skipped".into()],
-                attempts: 1,
                 ..RailRunRecord::default()
             }],
             waves: 1,

@@ -1,5 +1,5 @@
 //! Routing job supervisor: panic-isolated concurrent multi-net routing
-//! with deadlines, retries, and checkpoint/resume.
+//! with deadlines, cancellation, and checkpoint/resume.
 //!
 //! A real board run is many rails × many layers (§II-G back-conversion
 //! ordering, §III multilayer experiments). [`Router::route_all`] gives
@@ -18,16 +18,20 @@
 //!   concurrently. Wave `k` holds the `k`-th request of every layer;
 //!   claimed geometry is merged between waves in request order, so a
 //!   concurrent run reproduces the sequential result bit for bit.
-//! * **Deadlines, cancellation, retry** — a job-level wall-clock
-//!   deadline is folded into the per-stage [`StageBudget`]s of every
-//!   worker; a cooperative [`CancelToken`] is polled between pipeline
-//!   stages and between rails; transient failures are retried with
-//!   policy escalation (`FailFast` → `BestSoFar`) and relaxed budgets.
+//! * **Deadlines and cancellation** — a job-level wall-clock deadline
+//!   is folded into the per-stage [`StageBudget`]s of every worker; a
+//!   cooperative [`CancelToken`] is polled between pipeline stages and
+//!   between rails. Each rail routes once: the supervisor does not
+//!   retry. A caller that wants another try runs the job again over
+//!   the same checkpoint (the service's job ledger does exactly that,
+//!   with seeded backoff), and [`is_retryable`] tells it which failures
+//!   are worth one.
 //! * **Checkpoint/resume** — after each wave the completed shapes are
 //!   serialized to a versioned text checkpoint (same line-oriented
 //!   discipline as [`sprout_board::io`], fingerprint-guarded). A
-//!   restarted run over the same board and request list restores the
-//!   completed rails bit-identically and resumes mid-board.
+//!   restarted run over the same board and request list restores each
+//!   layer's completed prefix bit-identically and re-routes the rest
+//!   of that layer in request order.
 //!
 //! # Claimed-geometry ordering guarantee
 //!
@@ -35,11 +39,15 @@
 //! with request `i`'s shape (if `i` completed) among its blockers, and
 //! blockers accumulate in request order. Requests on different layers
 //! never block each other. Failed rails claim nothing. This holds for
-//! every thread count, for retried rails, and across checkpoint/resume
-//! — which is why shapes are reproducible run to run.
+//! every thread count and across checkpoint/resume — which is why
+//! shapes are reproducible run to run. A rail that completed after a
+//! failed rail of its layer routed without that rail's copper, so a
+//! checkpoint restores a rail only when every earlier request of its
+//! layer is restored too; once the failed rail re-routes, everything
+//! after it on that layer re-routes around its copper.
 
 use crate::backconv::RoutedShape;
-use crate::recovery::{CancelScope, CancelToken, RecoveryPolicy};
+use crate::recovery::{CancelScope, CancelToken};
 use crate::router::{RouteResult, Router, RouterConfig};
 use crate::space::BlockerStore;
 use crate::tile_cache::TileCache;
@@ -126,7 +134,8 @@ impl From<String> for CheckpointError {
 
 /// Inspects a checkpoint file against a board and request list without
 /// running a job: `Ok(None)` when no file exists, `Ok(Some(n))` when
-/// the file would restore `n` rails, and a typed [`CheckpointError`]
+/// the file would restore `n` rails (each layer's completed prefix of
+/// requests), and a typed [`CheckpointError`]
 /// when the file exists but cannot be used. Never panics, whatever the
 /// file contains — this is the same hardened loader the supervisor
 /// resume path uses.
@@ -184,11 +193,6 @@ pub struct SupervisorConfig {
     /// per-stage wall-clock budget; rails considered after expiry fail
     /// with [`SproutError::DeadlineExpired`] without routing.
     pub deadline_ms: Option<f64>,
-    /// Retries per rail after a retryable failure (0 = single attempt).
-    pub max_retries: usize,
-    /// Stage-budget relaxation factor per retry (wall-clock multiplied,
-    /// solve cap doubled per attempt). Values below 1 are treated as 1.
-    pub retry_budget_relax: f64,
     /// Checkpoint file. `Some` enables write-after-every-wave and
     /// resume-on-start; `None` disables checkpointing entirely.
     pub checkpoint: Option<PathBuf>,
@@ -209,8 +213,6 @@ impl fmt::Debug for SupervisorConfig {
         f.debug_struct("SupervisorConfig")
             .field("threads", &self.threads)
             .field("deadline_ms", &self.deadline_ms)
-            .field("max_retries", &self.max_retries)
-            .field("retry_budget_relax", &self.retry_budget_relax)
             .field("checkpoint", &self.checkpoint)
             .field("cancel", &self.cancel)
             .field("kill_after_wave", &self.kill_after_wave)
@@ -224,8 +226,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             threads: crate::available_threads().min(8),
             deadline_ms: None,
-            max_retries: 0,
-            retry_budget_relax: 2.0,
             checkpoint: None,
             cancel: CancelToken::new(),
             kill_after_wave: None,
@@ -236,7 +236,7 @@ impl Default for SupervisorConfig {
 
 impl SupervisorConfig {
     /// The configuration [`Router::route_all`] uses: calling-thread
-    /// execution, no deadline, no retries, no checkpoint — sequential
+    /// execution, no deadline, no checkpoint — sequential
     /// semantics, per-rail outcomes.
     pub fn sequential() -> Self {
         SupervisorConfig {
@@ -268,7 +268,7 @@ pub enum RailOutcome {
     Routed(Vec<RouteResult>),
     /// Restored from a checkpoint; not re-routed.
     Restored(RestoredRail),
-    /// Failed with a typed error (after any retries). Worker panics
+    /// Failed with a typed error. Worker panics
     /// surface here as [`SproutError::WorkerPanicked`], cancellation as
     /// [`SproutError::Cancelled`], deadline expiry as
     /// [`SproutError::DeadlineExpired`].
@@ -307,8 +307,6 @@ pub struct RailReport {
     pub budget_mm2: f64,
     /// Wave the rail was scheduled in.
     pub wave: usize,
-    /// Routing attempts made this run (0 for restored/skipped rails).
-    pub attempts: usize,
     /// What happened.
     pub outcome: RailOutcome,
 }
@@ -421,8 +419,8 @@ pub struct Supervisor<'b> {
     board: &'b Board,
     router_config: RouterConfig,
     config: SupervisorConfig,
-    /// The graphs every attempt's router draws from, so retries and
-    /// repeated spaces share a graph instead of re-tiling from scratch.
+    /// The graphs every rail's router draws from, so repeated spaces
+    /// share a graph instead of re-tiling from scratch.
     /// Graphs are immutable and shared by reference, so sharing is safe
     /// at any thread count.
     tile_cache: TileCache,
@@ -432,8 +430,7 @@ pub struct Supervisor<'b> {
 
 impl<'b> Supervisor<'b> {
     /// Creates a supervisor over `board`, routing every rail with
-    /// `router_config` (possibly escalated on retries) under the job
-    /// policy in `config`. The job tiles through a cache of its own,
+    /// `router_config` under the job policy in `config`. The job tiles through a cache of its own,
     /// dropped with the supervisor.
     pub fn new(board: &'b Board, router_config: RouterConfig, config: SupervisorConfig) -> Self {
         Supervisor {
@@ -494,7 +491,6 @@ impl<'b> Supervisor<'b> {
                             layer: requests[r.index].1,
                             budget_mm2: requests[r.index].2,
                             wave: wave_of(&waves, r.index),
-                            attempts: 0,
                             outcome: RailOutcome::Restored(r.rail),
                         });
                     }
@@ -610,7 +606,7 @@ impl<'b> Supervisor<'b> {
             .enumerate()
             .map(|(i, slot)| {
                 slot.unwrap_or_else(|| {
-                    self.unrun_rail(requests[i], wave_of(&waves, i), SproutError::Cancelled)
+                    finished_rail(requests[i], wave_of(&waves, i), SproutError::Cancelled)
                 })
             })
             .collect();
@@ -675,13 +671,12 @@ impl<'b> Supervisor<'b> {
             .collect()
     }
 
-    /// Routes one rail behind the `catch_unwind` boundary, with deadline
-    /// checks between attempts and bounded retry-with-escalation. The
-    /// rail shares the router's threads with the other `workers - 1`
-    /// rails routing beside it.
+    /// Routes one rail once, behind the `catch_unwind` boundary, with
+    /// the job deadline folded into its stage budgets. The rail shares
+    /// the router's threads with the other `workers - 1` rails routing
+    /// beside it.
     fn run_rail(&self, index: usize, wave: usize, job: &Job, workers: usize) -> RailReport {
         let request = job.requests[index];
-        let start = job.start;
         let (net, layer, budget) = request;
         let _rail_span = telemetry::span("rail")
             .field("net", net.0 as u64)
@@ -689,146 +684,84 @@ impl<'b> Supervisor<'b> {
             .field("budget_mm2", budget)
             .field("wave", wave)
             .enter();
-        let blockers: &[Polygon] = job.claimed.get(&layer).map(Vec::as_slice).unwrap_or(&[]);
-        let mut attempts = 0usize;
-        let mut last_err: Option<SproutError> = None;
-
-        while attempts <= self.config.max_retries {
-            if self.config.cancel.is_cancelled() {
-                return self.finished_rail(request, wave, attempts, SproutError::Cancelled);
-            }
-            if let Some(deadline_ms) = self.config.deadline_ms {
-                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                if elapsed_ms >= deadline_ms {
-                    // Prefer reporting the real failure over the expiry
-                    // when an attempt already ran.
-                    let e = last_err.take().unwrap_or(SproutError::DeadlineExpired {
-                        deadline_ms,
-                        elapsed_ms,
-                    });
-                    return self.finished_rail(request, wave, attempts, e);
-                }
-            }
-            let mut config = self.attempt_config(attempts, start);
-            if workers > 1 {
-                config.threads = (crate::resolve_threads(config.threads) / workers).max(1);
-            }
-            attempts += 1;
-
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let _cancel = CancelScope::install(self.config.cancel.clone());
-                if let Some(plan) = config.recovery.fault {
-                    if plan.worker_panics(index) {
-                        panic!(
-                            "injected worker panic (fault seed {}, rail {index})",
-                            plan.seed
-                        );
-                    }
-                }
-                let router = Router::with_caches(
-                    self.board,
-                    config,
-                    self.tile_cache.clone(),
-                    job.store.clone(),
-                );
-                router.route_net_with(net, layer, budget, blockers, &[])
-            }));
-
-            match outcome {
-                Ok(Ok(result)) => {
-                    return RailReport {
-                        net,
-                        layer,
-                        budget_mm2: budget,
-                        wave,
-                        attempts,
-                        outcome: RailOutcome::Routed(vec![result]),
-                    }
-                }
-                Ok(Err(e)) => {
-                    if !is_retryable(&e) {
-                        return self.finished_rail(request, wave, attempts, e);
-                    }
-                    telemetry::counter!("supervisor.retries");
-                    telemetry::point("retry")
-                        .field("net", net.0 as u64)
-                        .field("layer", layer)
-                        .field("attempt", attempts)
-                        .field("error", e.to_string())
-                        .emit();
-                    last_err = Some(e);
-                }
-                Err(payload) => {
-                    let message = panic_message(payload);
-                    telemetry::counter!("supervisor.worker_panics");
-                    telemetry::point("worker_panic")
-                        .field("net", net.0 as u64)
-                        .field("layer", layer)
-                        .field("attempt", attempts)
-                        .field("message", message.clone())
-                        .emit();
-                    last_err = Some(SproutError::WorkerPanicked {
-                        net,
-                        layer,
-                        message,
-                    });
-                }
-            }
+        if self.config.cancel.is_cancelled() {
+            return finished_rail(request, wave, SproutError::Cancelled);
         }
-        let e = last_err.unwrap_or(SproutError::InvalidConfig(
-            "rail exhausted its attempts without running", // unreachable
-        ));
-        self.finished_rail(request, wave, attempts, e)
-    }
-
-    fn finished_rail(
-        &self,
-        (net, layer, budget): RailRequest,
-        wave: usize,
-        attempts: usize,
-        e: SproutError,
-    ) -> RailReport {
-        RailReport {
-            net,
-            layer,
-            budget_mm2: budget,
-            wave,
-            attempts,
-            outcome: RailOutcome::Failed(e),
-        }
-    }
-
-    fn unrun_rail(&self, request: RailRequest, wave: usize, e: SproutError) -> RailReport {
-        self.finished_rail(request, wave, 0, e)
-    }
-
-    /// The router configuration for retry attempt `attempt` (0-based):
-    /// escalated policy and relaxed budgets after the first failure,
-    /// with the job deadline folded into the per-stage wall-clock cap.
-    fn attempt_config(&self, attempt: usize, start: Instant) -> RouterConfig {
         let mut config = self.router_config;
-        if attempt > 0 {
-            // A rail that failed under FailFast gets the lenient ladder:
-            // better a degraded shape than a dead rail.
-            if config.recovery.policy == RecoveryPolicy::FailFast {
-                config.recovery.policy = RecoveryPolicy::BestSoFar;
-            }
-            let relax = self.config.retry_budget_relax.max(1.0).powi(attempt as i32);
-            if config.recovery.budget.wall_clock_ms.is_finite() {
-                config.recovery.budget.wall_clock_ms *= relax;
-            }
-            config.recovery.budget.max_solves = config
-                .recovery
-                .budget
-                .max_solves
-                .saturating_mul(1usize << attempt.min(16));
-        }
         if let Some(deadline_ms) = self.config.deadline_ms {
-            let remaining = (deadline_ms - start.elapsed().as_secs_f64() * 1e3).max(1.0);
+            let elapsed_ms = job.start.elapsed().as_secs_f64() * 1e3;
+            if elapsed_ms >= deadline_ms {
+                let e = SproutError::DeadlineExpired {
+                    deadline_ms,
+                    elapsed_ms,
+                };
+                return finished_rail(request, wave, e);
+            }
+            let remaining = (deadline_ms - elapsed_ms).max(1.0);
             config.recovery.budget.wall_clock_ms =
                 config.recovery.budget.wall_clock_ms.min(remaining);
         }
-        config
+        if workers > 1 {
+            config.threads = (crate::resolve_threads(config.threads) / workers).max(1);
+        }
+        let blockers: &[Polygon] = job.claimed.get(&layer).map(Vec::as_slice).unwrap_or(&[]);
+
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let _cancel = CancelScope::install(self.config.cancel.clone());
+            if let Some(plan) = config.recovery.fault {
+                if plan.worker_panics(index) {
+                    panic!(
+                        "injected worker panic (fault seed {}, rail {index})",
+                        plan.seed
+                    );
+                }
+            }
+            let router = Router::with_caches(
+                self.board,
+                config,
+                self.tile_cache.clone(),
+                job.store.clone(),
+            );
+            router.route_net_with(net, layer, budget, blockers, &[])
+        }));
+        let e = match outcome {
+            Ok(Ok(result)) => {
+                return RailReport {
+                    net,
+                    layer,
+                    budget_mm2: budget,
+                    wave,
+                    outcome: RailOutcome::Routed(vec![result]),
+                }
+            }
+            Ok(Err(e)) => e,
+            Err(payload) => {
+                let message = panic_message(payload);
+                telemetry::counter!("supervisor.worker_panics");
+                telemetry::point("worker_panic")
+                    .field("net", net.0 as u64)
+                    .field("layer", layer)
+                    .field("message", message.clone())
+                    .emit();
+                SproutError::WorkerPanicked {
+                    net,
+                    layer,
+                    message,
+                }
+            }
+        };
+        finished_rail(request, wave, e)
+    }
+}
+
+/// The report of a rail that ends in `e` — failed, or never run.
+fn finished_rail((net, layer, budget): RailRequest, wave: usize, e: SproutError) -> RailReport {
+    RailReport {
+        net,
+        layer,
+        budget_mm2: budget,
+        wave,
+        outcome: RailOutcome::Failed(e),
     }
 }
 
@@ -867,14 +800,15 @@ fn job_fingerprint(requests: &[RailRequest]) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// Errors that should not be retried: they are deterministic properties
-/// of the input (bad config, blocked terminals, impossible budgets) or
-/// job-control outcomes (cancellation, deadline expiry). Solver
-/// breakdowns, degraded multilayer runs, and worker panics may be
-/// transient — those retry under an escalated policy.
+/// Whether a rail failure is worth another run of the job. Failures
+/// that are deterministic properties of the input (bad config, blocked
+/// terminals, impossible budgets) or job-control outcomes
+/// (cancellation, deadline expiry) are not; solver breakdowns, degraded
+/// multilayer runs, and worker panics may be transient.
 ///
-/// Public so service layers (retry queues, schedulers) share the
-/// supervisor's classification instead of inventing their own.
+/// The supervisor itself never retries; service layers (the job
+/// ledger's retry queue) read this classification instead of inventing
+/// their own.
 pub fn is_retryable(e: &SproutError) -> bool {
     !matches!(
         e,
@@ -1154,6 +1088,14 @@ mod checkpoint {
         if !out.iter().all(|r| seen.insert(r.index)) {
             return Err(CheckpointError::Malformed("duplicate rail record".into()));
         }
+        // A rail that completed after a failed rail of its layer routed
+        // without that rail's copper; once the failed rail re-routes,
+        // the later one would overlap it. Restore each layer's completed
+        // prefix only, and let the rest of the layer re-route in order.
+        out.retain(|r| {
+            let layer = requests[r.index].1;
+            (0..r.index).all(|j| requests[j].1 != layer || seen.contains(&j))
+        });
         Ok(out)
     }
 

@@ -14,12 +14,10 @@
 
 #[path = "common/batch.rs"]
 mod batch;
-#[path = "common/cli.rs"]
-mod cli;
 
 use batch::{submit_sweep, Tally};
-use cli::{or_exit, parse, take};
 use sprout_serve::chaos::ServeFaultPlan;
+use sprout_serve::cli::{or_exit, parse, take};
 use sprout_serve::service::{RoutingService, ServiceConfig};
 use sprout_serve::worker::fast_router;
 use std::time::{Duration, Instant};

@@ -17,12 +17,10 @@
 
 #[path = "common/batch.rs"]
 mod batch;
-#[path = "common/cli.rs"]
-mod cli;
 
 use batch::{submit_sweep, Tally};
-use cli::{or_exit, parse, take};
 use sprout_serve::chaos::FleetFaultPlan;
+use sprout_serve::cli::{or_exit, parse, take};
 use sprout_serve::fleet::{sigterm_flag, FleetConfig, FleetCoordinator};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};

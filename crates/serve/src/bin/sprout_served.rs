@@ -14,10 +14,7 @@
 //!               [--fleet N]
 //! ```
 
-#[path = "common/cli.rs"]
-mod cli;
-
-use cli::{or_exit, parse, take};
+use sprout_serve::cli::{or_exit, parse, take};
 use sprout_serve::fleet::{sigterm_flag, FleetConfig, FleetCoordinator};
 use sprout_serve::http::HttpServer;
 use sprout_serve::ledger::{Executor, Ledger, ServeError};

@@ -1,4 +1,5 @@
-//! Command-line helpers shared by the crate's binaries.
+//! Command-line helpers shared by the crate's binaries and
+//! [`crate::worker::worker_main`].
 
 /// The value of the flag at `args[*i]`, advancing `i` past it; exits
 /// with status 2 when it is missing.

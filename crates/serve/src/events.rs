@@ -3,8 +3,8 @@
 //! Everything a client can watch over `GET /jobs/:id/events` flows
 //! through one [`EventBus`]: supervisor wave progress, per-stage span
 //! timings (grow/refine/reheat — the paper's §II stages), solver
-//! residual points, retry/panic incidents, and exactly one terminal
-//! event per job. Producers never block on consumers: each job owns a
+//! residual points, worker panics, the ledger's job retries, and
+//! exactly one terminal event per job. Producers never block on consumers: each job owns a
 //! bounded drop-oldest ring and every publish is a short mutex hold
 //! plus a condvar notify — whether zero or many HTTP streams are
 //! attached.
@@ -49,7 +49,7 @@ pub enum EventKind {
     /// A solver/iteration point: objective residuals, a rail's final
     /// record, solver fallbacks, budget overruns.
     Residual,
-    /// A rail or job attempt is being retried.
+    /// The job ledger re-queued the job for another attempt.
     Retry,
     /// A worker panic was caught at the isolation boundary.
     Panic,
@@ -258,7 +258,7 @@ impl EventBus {
 /// current so existing sinks keep seeing everything.
 ///
 /// Only an allowlist is forwarded — stage span ends
-/// ([`STAGE_ORDER`]), [`CONVERGENCE_POINTS`] as residuals, retry and
+/// ([`STAGE_ORDER`]), [`CONVERGENCE_POINTS`] as residuals, and worker
 /// panic points — so the per-event cost stays a filtered match for the
 /// torrent of solver-internal events. Each forwarded event names its
 /// rail: the event's tag keys follow the lead fields, and the event's
@@ -291,7 +291,6 @@ impl Recorder for JobRecorder {
             }
             Event::Point { name, .. } => {
                 let kind = match *name {
-                    "retry" => EventKind::Retry,
                     "worker_panic" => EventKind::Panic,
                     n if CONVERGENCE_POINTS.contains(&n) => EventKind::Residual,
                     _ => {

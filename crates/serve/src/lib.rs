@@ -68,6 +68,7 @@
 
 pub mod backoff;
 pub mod chaos;
+pub mod cli;
 pub mod events;
 pub mod fleet;
 pub mod http;

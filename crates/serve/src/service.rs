@@ -56,8 +56,6 @@ pub struct ServiceConfig {
     pub router: RouterConfig,
     /// Supervisor threads per job (rails of one job in parallel).
     pub supervisor_threads: usize,
-    /// Supervisor-level retries per rail within one attempt.
-    pub supervisor_retries: usize,
     /// Service-level retries per job (re-queued with backoff).
     pub max_job_retries: usize,
     /// Retry-delay schedule.
@@ -87,7 +85,6 @@ impl Default for ServiceConfig {
             queue_capacity: 32,
             router: RouterConfig::default(),
             supervisor_threads: 1,
-            supervisor_retries: 1,
             max_job_retries: 2,
             backoff: BackoffConfig::default(),
             default_deadline_ms: None,
@@ -281,7 +278,6 @@ impl Threads {
             spec: &lease.spec,
             router,
             supervisor_threads: c.supervisor_threads,
-            supervisor_retries: c.supervisor_retries,
             deadline_ms: lease.remaining_ms(),
             checkpoint: lease.checkpoint.clone(),
             cancel: lease.cancel.clone(),

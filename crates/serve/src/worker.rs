@@ -32,6 +32,7 @@
 //! resume what it re-dispatches.
 
 use crate::chaos::FleetFaultPlan;
+use crate::cli::{parse, take};
 use crate::events::{EventKind, Feed, JobRecorder};
 use crate::job::JobSpec;
 use crate::proto::{CoordFrame, DoneFrame, WorkerFrame};
@@ -60,8 +61,6 @@ pub struct WorkerConfig {
     pub router: RouterConfig,
     /// Supervisor threads per job.
     pub supervisor_threads: usize,
-    /// Supervisor-level retries per rail.
-    pub supervisor_retries: usize,
     /// Process-level fault injection (testing only).
     pub fault: Option<FleetFaultPlan>,
 }
@@ -72,7 +71,6 @@ impl Default for WorkerConfig {
             heartbeat_ms: 100,
             router: RouterConfig::default(),
             supervisor_threads: 1,
-            supervisor_retries: 1,
             fault: None,
         }
     }
@@ -104,7 +102,6 @@ pub(crate) struct Attempt<'a> {
     /// Router settings; the spec's pitch override is applied on top.
     pub router: RouterConfig,
     pub supervisor_threads: usize,
-    pub supervisor_retries: usize,
     /// Wall budget left before the job's deadline (ms).
     pub deadline_ms: Option<f64>,
     pub checkpoint: Option<PathBuf>,
@@ -156,7 +153,7 @@ pub(crate) fn run_attempt(a: Attempt<'_>) -> (DoneFrame, Option<JobReport>) {
         n => n.min(share),
     };
     // Wave completions and the allowlisted telemetry (stage spans,
-    // residual, retry and panic points) both go out on the feed; the
+    // residual and panic points) both go out on the feed; the
     // hook runs after the wave's checkpoint save, off the hot path.
     let on_wave: WaveHook = {
         let feed = Arc::clone(&a.feed);
@@ -186,12 +183,10 @@ pub(crate) fn run_attempt(a: Attempt<'_>) -> (DoneFrame, Option<JobReport>) {
     let sup_config = SupervisorConfig {
         threads: a.supervisor_threads,
         deadline_ms: a.deadline_ms,
-        max_retries: a.supervisor_retries,
         checkpoint: a.checkpoint,
         cancel: a.cancel,
         kill_after_wave: a.kill_after_wave,
         on_wave: Some(on_wave),
-        ..SupervisorConfig::default()
     };
 
     let start = Instant::now();
@@ -351,7 +346,6 @@ where
             spec: &spec,
             router: config.router,
             supervisor_threads: config.supervisor_threads,
-            supervisor_retries: config.supervisor_retries,
             deadline_ms,
             checkpoint: checkpoint.map(PathBuf::from),
             cancel: CancelToken::new(),
@@ -407,12 +401,6 @@ pub fn worker_main() {
                     "--supervisor-threads",
                 )
             }
-            "--supervisor-retries" => {
-                config.supervisor_retries = parse(
-                    &take(&args, &mut i, "--supervisor-retries"),
-                    "--supervisor-retries",
-                )
-            }
             flag if FleetFaultPlan::FLAGS.contains(&flag) => {
                 let value = take(&args, &mut i, flag);
                 if let Err(e) = fault.set_flag(flag, &value) {
@@ -424,7 +412,7 @@ pub fn worker_main() {
             "--help" | "-h" => {
                 println!(
                     "sprout_fleet_worker [--heartbeat-ms N] [--router fast|default] \
-                     [--supervisor-threads N] [--supervisor-retries N] [--chaos-seed S] \
+                     [--supervisor-threads N] [--chaos-seed S] \
                      [--kill-rate F] [--stall-rate F] [--stall-ms N] \
                      [--blackout-rate F] [--blackout-ms N]"
                 );
@@ -443,21 +431,6 @@ pub fn worker_main() {
 
     let stdin = std::io::stdin();
     run_worker(config, stdin.lock(), std::io::stdout());
-}
-
-fn take(args: &[String], i: &mut usize, what: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("missing value for {what}");
-        std::process::exit(2);
-    })
-}
-
-fn parse<T: std::str::FromStr>(v: &str, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value `{v}` for {what}");
-        std::process::exit(2);
-    })
 }
 
 #[cfg(test)]

@@ -111,8 +111,8 @@ fn print_rails(report: &sprout_core::supervisor::JobReport) {
             RailOutcome::Skipped { reason } => format!("skipped: {reason}"),
         };
         println!(
-            "    {:?} layer {} (wave {}, {} attempt(s)): {verdict}",
-            rail.net, rail.layer, rail.wave, rail.attempts
+            "    {:?} layer {} (wave {}): {verdict}",
+            rail.net, rail.layer, rail.wave
         );
     }
     for w in &report.warnings {

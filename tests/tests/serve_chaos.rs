@@ -10,9 +10,11 @@
 //! they stay non-terminal until a restarted service recovers them from
 //! their journal and checkpoint — which this suite also asserts.
 
-use sprout_core::recovery::{RecoveryConfig, RecoveryPolicy, StageBudget};
+use sprout_core::recovery::{FaultPlan, RecoveryConfig, RecoveryPolicy, StageBudget};
 use sprout_core::router::RouterConfig;
+use sprout_serve::backoff::BackoffConfig;
 use sprout_serve::chaos::ServeFaultPlan;
+use sprout_serve::events::EventKind;
 use sprout_serve::job::{JobSpec, JobState, Priority};
 use sprout_serve::ledger::{replay_journal, JournalReplay, JOURNAL_FILE};
 use sprout_serve::service::{RoutingService, ServiceConfig, SubmitError};
@@ -270,6 +272,67 @@ fn mid_job_kill_resumes_from_checkpoint_after_restart() {
         journal(&dir).terminal.contains_key(&id),
         "the recovered job must journal its terminal state"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failing_rail_is_retried_by_the_ledger_alone() {
+    // Rail 0 of two_rail panics on every route. The ledger is the one
+    // retry layer: each of the 1 + max_job_retries attempts routes the
+    // rail once (one panic event each), each re-queue is one retry
+    // event, and the job ends best-so-far on the rail that completes.
+    let dir = data_dir("ledger-retry");
+    let seed = (0..10_000u64)
+        .find(|&s| {
+            let plan = FaultPlan {
+                worker_panic_rate: 0.5,
+                ..FaultPlan::quiet(s)
+            };
+            plan.worker_panics(0) && !plan.worker_panics(1)
+        })
+        .expect("a seed panicking rail 0 only");
+    let mut router = fast_router();
+    router.recovery.fault = Some(FaultPlan {
+        worker_panic_rate: 0.5,
+        ..FaultPlan::quiet(seed)
+    });
+    let svc = RoutingService::start(ServiceConfig {
+        workers: 1,
+        router,
+        max_job_retries: 2,
+        backoff: BackoffConfig {
+            base_ms: 1.0,
+            max_ms: 2.0,
+            ..BackoffConfig::default()
+        },
+        data_dir: Some(dir.clone()),
+        ..service_config()
+    })
+    .expect("start");
+    let id = svc.submit(JobSpec::two_rail(20.0)).expect("accepted");
+    assert!(
+        svc.wait_idle(Duration::from_secs(300)),
+        "job did not settle"
+    );
+    let snap = svc.status(id).expect("known");
+    assert_eq!(snap.state, JobState::BestSoFar);
+    assert_eq!(snap.attempts, 3);
+
+    let page = svc.events().snapshot_since(id, 0);
+    assert_eq!(page.dropped, 0, "the whole stream must be in the ring");
+    assert!(page.terminal);
+    let count = |kind| page.events.iter().filter(|e| e.kind == kind).count();
+    assert_eq!(count(EventKind::Panic), 3, "one routed panic per attempt");
+    assert_eq!(count(EventKind::Retry), 2, "one retry per re-queue");
+    let last = page.events.last().expect("events");
+    assert_eq!(last.kind, EventKind::Terminal);
+    assert!(
+        last.line.contains(r#""state":"best_so_far""#),
+        "{}",
+        last.line
+    );
+    svc.shutdown(true);
+    assert_terminal_contract(&svc);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -3,7 +3,8 @@
 //!
 //! Every scenario here — injected worker panics, deadline expiry,
 //! cooperative cancellation, mid-run kill with checkpoint/resume,
-//! corrupt or stale checkpoints, retry escalation — must end with a
+//! resume after a failed rail, corrupt or stale checkpoints — must end
+//! with a
 //! [`JobReport`] in which each rail is either complete (connected,
 //! budget-respecting, DRC-clean against the claims of earlier same-layer
 //! rails) or carries a typed [`SproutError`]. A panic that escapes the
@@ -14,9 +15,12 @@ use sprout_core::backconv::RoutedShape;
 use sprout_core::drc::check_route;
 use sprout_core::recovery::{FaultPlan, RecoveryConfig, RecoveryPolicy, StageBudget};
 use sprout_core::router::{Router, RouterConfig};
-use sprout_core::supervisor::{RailOutcome, Supervisor, SupervisorConfig};
+use sprout_core::supervisor::{verify_checkpoint, RailOutcome, Supervisor, SupervisorConfig};
 use sprout_core::{CancelToken, JobReport, NodeId, SproutError};
+use sprout_telemetry::sinks::MemorySink;
+use sprout_telemetry::RecorderScope;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const BUDGET_MM2: f64 = 20.0;
 
@@ -125,25 +129,37 @@ fn assert_job_contract(board: &sprout_board::Board, report: &JobReport) {
     }
 }
 
-/// The lowest seed whose fault plan panics rail 0 but not rail 1 —
-/// deterministic, so every run of the harness picks the same one.
-fn seed_panicking_rail(panicking: usize, spared: usize) -> u64 {
+/// The lowest seed whose fault plan panics rail `panicking` and no
+/// other of the job's `rails` rails — deterministic, so every run of
+/// the harness picks the same one.
+fn seed_panicking_only(panicking: usize, rails: usize) -> u64 {
     (0..10_000u64)
         .find(|&s| {
             let plan = FaultPlan {
                 worker_panic_rate: 0.5,
                 ..FaultPlan::quiet(s)
             };
-            plan.worker_panics(panicking) && !plan.worker_panics(spared)
+            (0..rails).all(|i| plan.worker_panics(i) == (i == panicking))
         })
         .expect("a panic-splitting seed exists")
+}
+
+/// Asserts that `report`'s shapes, restored and routed alike, equal
+/// `baseline`'s bit for bit, rail by rail.
+fn assert_same_shapes(baseline: &JobReport, report: &JobReport) {
+    let (base, got) = (baseline.shapes(), report.shapes());
+    assert_eq!(base.len(), got.len());
+    for ((net_a, layer_a, a), (net_b, layer_b, b)) in base.iter().zip(got.iter()) {
+        assert_eq!((net_a, layer_a), (net_b, layer_b));
+        assert!(same_shape(a, b), "shape diverged for {net_a:?}");
+    }
 }
 
 #[test]
 fn worker_panic_is_contained_and_the_other_rail_completes() {
     let board = presets::two_rail();
     let requests = two_rail_requests(&board);
-    let seed = seed_panicking_rail(0, 1);
+    let seed = seed_panicking_only(0, 2);
     let plan = FaultPlan {
         worker_panic_rate: 0.5,
         ..FaultPlan::quiet(seed)
@@ -178,33 +194,39 @@ fn worker_panic_is_contained_and_the_other_rail_completes() {
 }
 
 #[test]
-fn panicked_rail_retries_and_still_reports_the_panic() {
-    // The injected panic is deterministic per rail index, so retries
-    // re-panic: the report must show the exhausted attempts and the
-    // typed outcome, never an abort.
+fn panicked_rail_reports_the_panic_once() {
+    // The supervisor routes each rail once: an injected panic is caught,
+    // emitted as one `worker_panic` point and reported as one typed
+    // outcome, and the sibling rail still completes. Another try is the
+    // caller's call (the service's job ledger re-runs the whole job).
     let board = presets::two_rail();
     let requests = two_rail_requests(&board);
-    let seed = seed_panicking_rail(0, 1);
+    let seed = seed_panicking_only(0, 2);
     let plan = FaultPlan {
         worker_panic_rate: 0.5,
         ..FaultPlan::quiet(seed)
     };
-    let supervisor_config = SupervisorConfig {
-        threads: 1,
-        max_retries: 2,
-        ..SupervisorConfig::default()
+    let sink = Arc::new(MemorySink::new());
+    let report = {
+        let _scope = RecorderScope::install(sink.clone());
+        Supervisor::new(
+            &board,
+            faulted_config(plan, RecoveryPolicy::BestSoFar),
+            SupervisorConfig::sequential(),
+        )
+        .run(&requests)
     };
-    let report = Supervisor::new(
-        &board,
-        faulted_config(plan, RecoveryPolicy::BestSoFar),
-        supervisor_config,
-    )
-    .run(&requests);
-    assert_eq!(report.rails[0].attempts, 3);
+    let panics = sink
+        .names()
+        .iter()
+        .filter(|&&n| n == "worker_panic")
+        .count();
+    assert_eq!(panics, 1, "the panicked rail must route exactly once");
     assert!(matches!(
         report.rails[0].outcome,
         RailOutcome::Failed(SproutError::WorkerPanicked { .. })
     ));
+    assert_eq!(report.failures().count(), 1);
     assert!(report.rails[1].outcome.is_complete());
 }
 
@@ -261,72 +283,118 @@ fn mid_run_kill_and_resume_reproduce_the_sequential_shapes() {
 
     // Shapes — restored and freshly routed alike — match the
     // uninterrupted sequential run exactly.
-    let base_shapes = baseline.shapes();
-    let resumed_shapes = resumed.shapes();
-    assert_eq!(base_shapes.len(), resumed_shapes.len());
-    for ((net_a, layer_a, a), (net_b, layer_b, b)) in base_shapes.iter().zip(resumed_shapes.iter())
-    {
-        assert_eq!((net_a, layer_a), (net_b, layer_b));
-        assert!(same_shape(a, b), "resumed shape diverged for {net_a:?}");
-    }
+    assert_same_shapes(&baseline, &resumed);
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn crash_of_one_worker_then_restart_completes_the_job_identically() {
-    // The acceptance scenario end to end: run A suffers an injected
-    // worker panic in rail 1 (typed outcome, rail 0 checkpointed);
-    // run B models the post-crash restart — no fault plan — restores
-    // rail 0 and routes rail 1, and the final shapes are identical to an
-    // uninterrupted sequential route_all.
+    // The acceptance scenario end to end, for either rail of two_rail:
+    // run A suffers an injected worker panic in one rail (typed
+    // outcome, the other rail checkpointed); run B models the
+    // post-crash restart — no fault plan — and the final shapes are
+    // identical to an uninterrupted sequential route_all. When rail 1
+    // panicked, run B restores rail 0 and routes rail 1. When rail 0
+    // panicked, rail 1 completed without rail 0's copper, so run B
+    // restores nothing and routes both in order.
     let board = presets::two_rail();
     let requests = two_rail_requests(&board);
-    let path = checkpoint_path("crash-restart");
-    let seed = seed_panicking_rail(1, 0);
-    let plan = FaultPlan {
-        worker_panic_rate: 0.5,
-        ..FaultPlan::quiet(seed)
-    };
-
     let baseline = Router::new(&board, fast_config()).route_all(&requests);
     assert!(baseline.is_complete());
 
-    let crashed = Supervisor::new(
-        &board,
-        faulted_config(plan, RecoveryPolicy::BestSoFar),
-        SupervisorConfig {
-            threads: 1,
-            checkpoint: Some(path.clone()),
-            ..SupervisorConfig::default()
+    for panicking in [1, 0] {
+        let path = checkpoint_path(&format!("crash-restart-{panicking}"));
+        let plan = FaultPlan {
+            worker_panic_rate: 0.5,
+            ..FaultPlan::quiet(seed_panicking_only(panicking, 2))
+        };
+        let crashed = Supervisor::new(
+            &board,
+            faulted_config(plan, RecoveryPolicy::BestSoFar),
+            SupervisorConfig {
+                threads: 1,
+                checkpoint: Some(path.clone()),
+                ..SupervisorConfig::default()
+            },
+        )
+        .run(&requests);
+        assert!(crashed.rails[1 - panicking].outcome.is_complete());
+        assert!(matches!(
+            crashed.rails[panicking].outcome,
+            RailOutcome::Failed(SproutError::WorkerPanicked { .. })
+        ));
+
+        let restarted = Supervisor::new(
+            &board,
+            fast_config(),
+            SupervisorConfig {
+                threads: 1,
+                checkpoint: Some(path.clone()),
+                ..SupervisorConfig::default()
+            },
+        )
+        .run(&requests);
+        assert_job_contract(&board, &restarted);
+        assert!(restarted.is_complete(), "{:?}", restarted.warnings);
+        assert_eq!(restarted.resumed, panicking, "rail {panicking} panicked");
+        assert_same_shapes(&baseline, &restarted);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+fn resume_restores_only_each_layers_completed_prefix() {
+    // Six rails on one layer; run A panics rail 0 only, so rails 1–5
+    // complete without rail 0's copper and land in the checkpoint. Run
+    // B (no faults) re-routes rail 0, so it must re-route every later
+    // rail of the layer too: a restored rail 1 would overlap the new
+    // rail 0 (two power nets sharing copper).
+    let board = presets::six_rail();
+    let layer = presets::TEN_LAYER_ROUTE_LAYER;
+    let requests: Vec<_> = board
+        .power_nets()
+        .map(|(id, _)| (id, layer, 15.0))
+        .collect();
+    assert_eq!(requests.len(), 6);
+    let config = RouterConfig {
+        tile_pitch_mm: 0.25,
+        ..fast_config()
+    };
+    let plan = FaultPlan {
+        worker_panic_rate: 0.5,
+        ..FaultPlan::quiet(seed_panicking_only(0, requests.len()))
+    };
+    let path = checkpoint_path("prefix-resume");
+    let job = || SupervisorConfig {
+        threads: 1,
+        checkpoint: Some(path.clone()),
+        ..SupervisorConfig::default()
+    };
+
+    let baseline = Router::new(&board, config).route_all(&requests);
+    assert!(baseline.is_complete(), "{:?}", baseline.warnings);
+
+    let faulted = RouterConfig {
+        recovery: RecoveryConfig {
+            fault: Some(plan),
+            ..config.recovery
         },
-    )
-    .run(&requests);
-    assert!(crashed.rails[0].outcome.is_complete());
+        ..config
+    };
+    let crashed = Supervisor::new(&board, faulted, job()).run(&requests);
     assert!(matches!(
-        crashed.rails[1].outcome,
+        crashed.rails[0].outcome,
         RailOutcome::Failed(SproutError::WorkerPanicked { .. })
     ));
+    assert!(crashed.rails[1..].iter().all(|r| r.outcome.is_complete()));
+    let restorable = verify_checkpoint(&path, &board, &requests);
 
-    let restarted = Supervisor::new(
-        &board,
-        fast_config(),
-        SupervisorConfig {
-            threads: 1,
-            checkpoint: Some(path.clone()),
-            ..SupervisorConfig::default()
-        },
-    )
-    .run(&requests);
+    let restarted = Supervisor::new(&board, config, job()).run(&requests);
     assert_job_contract(&board, &restarted);
     assert!(restarted.is_complete(), "{:?}", restarted.warnings);
-    assert_eq!(restarted.resumed, 1);
-
-    let base_shapes = baseline.shapes();
-    let final_shapes = restarted.shapes();
-    assert_eq!(base_shapes.len(), final_shapes.len());
-    for ((_, _, a), (_, _, b)) in base_shapes.iter().zip(final_shapes.iter()) {
-        assert!(same_shape(a, b), "post-restart shapes diverged");
-    }
+    assert_eq!(restarted.resumed, 0);
+    assert_eq!(restorable, Ok(Some(0)), "the checkpoint loader agrees");
+    assert_same_shapes(&baseline, &restarted);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -395,52 +463,6 @@ fn pre_cancelled_job_reports_every_rail_cancelled() {
 }
 
 #[test]
-fn retry_escalates_fail_fast_to_best_so_far() {
-    // Every solver call fails: attempt 1 under FailFast returns the
-    // Linalg error, the retry escalates to BestSoFar and ships the seed
-    // with an infinite objective.
-    let board = presets::two_rail();
-    let requests = two_rail_requests(&board);
-    let certain = FaultPlan {
-        solver_failure_rate: 1.0,
-        ..FaultPlan::quiet(11)
-    };
-    let no_retry = Supervisor::new(
-        &board,
-        faulted_config(certain, RecoveryPolicy::FailFast),
-        SupervisorConfig {
-            threads: 1,
-            ..SupervisorConfig::default()
-        },
-    )
-    .run(&requests);
-    assert!(matches!(
-        no_retry.rails[0].outcome,
-        RailOutcome::Failed(SproutError::Linalg(_))
-    ));
-
-    let with_retry = Supervisor::new(
-        &board,
-        faulted_config(certain, RecoveryPolicy::FailFast),
-        SupervisorConfig {
-            threads: 1,
-            max_retries: 1,
-            ..SupervisorConfig::default()
-        },
-    )
-    .run(&requests);
-    assert_job_contract(&board, &with_retry);
-    for rail in &with_retry.rails {
-        assert_eq!(rail.attempts, 2, "retry must have run");
-        let RailOutcome::Routed(results) = &rail.outcome else {
-            panic!("escalated retry must ship a result: {:?}", rail.outcome);
-        };
-        assert!(results[0].final_resistance_sq.is_infinite());
-        assert!(!results[0].diagnostics.is_clean());
-    }
-}
-
-#[test]
 fn corrupt_and_stale_checkpoints_are_ignored_with_a_warning() {
     let board = presets::two_rail();
     let requests = two_rail_requests(&board);
@@ -494,7 +516,7 @@ fn corrupt_and_stale_checkpoints_are_ignored_with_a_warning() {
 fn seeded_scenario_sweep_never_panics() {
     // ≥ 16 seeded scenarios mixing injected faults (solver failures,
     // NaN conductances, degenerate polygons, stage timeouts, worker
-    // panics), thread counts, deadlines, retries, and checkpoint/resume.
+    // panics), thread counts, deadlines, and checkpoint/resume.
     // Every job must satisfy the rail contract; resumed jobs must end
     // complete or with the same typed outcomes.
     let board = presets::two_rail();
@@ -511,7 +533,6 @@ fn seeded_scenario_sweep_never_panics() {
         let supervisor_config = || SupervisorConfig {
             threads: [1, 2, 4][(seed % 3) as usize],
             deadline_ms: if seed % 5 == 0 { Some(0.0) } else { None },
-            max_retries: (seed % 2) as usize,
             checkpoint: use_checkpoint.then(|| path.clone()),
             ..SupervisorConfig::default()
         };
