@@ -71,10 +71,7 @@ pub mod tile_cache;
 pub mod tile_session;
 
 pub use graph::{NodeId, RoutingGraph, Subgraph};
-pub use recovery::{
-    CancelToken, Degradation, FaultPlan, RecoveryConfig, RecoveryPolicy, RouteDiagnostics,
-    StageBudget,
-};
+pub use recovery::{CancelToken, Degradation, FaultPlan, RecoveryConfig, RouteDiagnostics};
 pub use report::{HotspotRecord, RailRunRecord, RunReport, StageBreakdown};
 pub use router::{RouteResult, Router, RouterConfig};
 pub use session::{NodalSession, SessionStats};
@@ -152,14 +149,6 @@ pub enum SproutError {
     InvalidConfig(&'static str),
     /// Multilayer routing could not find any layer stack path.
     NoMultilayerPath,
-    /// Part of a multilayer route succeeded before another part failed;
-    /// the diagnostics describe what was lost.
-    Degraded {
-        /// Degradations and warnings accumulated before the failure.
-        diagnostics: Box<recovery::RouteDiagnostics>,
-        /// The error that stopped the remainder of the route.
-        source: Box<SproutError>,
-    },
     /// A supervisor worker thread panicked while routing a rail. The
     /// panic was contained by the worker's `catch_unwind` boundary; the
     /// rest of the job is unaffected.
@@ -213,12 +202,6 @@ impl fmt::Display for SproutError {
             SproutError::NoMultilayerPath => {
                 write!(f, "no multilayer path connects the terminals")
             }
-            SproutError::Degraded { diagnostics, source } => write!(
-                f,
-                "route partially failed ({} warning(s), {} degradation(s)): {source}",
-                diagnostics.warnings.len(),
-                diagnostics.degradations.len()
-            ),
             SproutError::WorkerPanicked { net, layer, message } => write!(
                 f,
                 "worker routing {net} on layer {layer} panicked: {message}"
@@ -244,7 +227,6 @@ impl std::error::Error for SproutError {
             SproutError::Board(e) => Some(e),
             SproutError::Geometry(e) => Some(e),
             SproutError::Linalg(e) => Some(e),
-            SproutError::Degraded { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }

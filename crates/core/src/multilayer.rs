@@ -8,7 +8,7 @@
 //! it joins, decomposing the problem into single-layer routing runs.
 
 use crate::graph::{NodeId, RoutingGraph};
-use crate::router::{RouteResult, Router};
+use crate::router::Router;
 use crate::space::SpaceSpec;
 use crate::supervisor::{JobReport, RailOutcome, RailReport};
 use crate::tile::{space_to_graph, TileOptions};
@@ -106,7 +106,7 @@ pub fn plan_multilayer(
 }
 
 /// The planner body, generic over how per-layer graphs are produced so
-/// [`route_multilayer_report`] can share them from the router's tiling
+/// [`route_multilayer`] can share them from the router's tiling
 /// cache while the free-standing [`plan_multilayer`] stays a one-shot
 /// scratch build.
 fn plan_multilayer_impl<F>(
@@ -337,30 +337,24 @@ fn dijkstra_3d(
     None
 }
 
-/// Executes a multilayer plan and reports every layer's outcome — the
-/// supervisor-style counterpart of [`route_multilayer`]. The net is
-/// routed on every used layer, via landing points acting as extra sink
-/// terminals, and each layer's shape blocking nothing on other layers
-/// (layers are independent copper).
+/// Executes a multilayer plan and reports every layer's outcome. The
+/// net is routed on every used layer, via landing points acting as
+/// extra sink terminals, and each layer's shape blocking nothing on
+/// other layers (layers are independent copper).
 ///
 /// `budget_per_layer_mm2` applies to each layer that carries routing.
 ///
-/// Each used layer becomes one [`RailReport`]: layers with fewer than
-/// two terminals (a via landing directly on the only terminal) come
-/// back [`RailOutcome::Skipped`]; a failing layer comes back
-/// [`RailOutcome::Failed`] with its typed error instead of collapsing
-/// the whole run into one `Degraded` chain. Under
-/// [`RecoveryPolicy::FailFast`] the first failure stops execution and
-/// the remaining layers report as skipped; the lenient policies route
-/// every layer regardless.
+/// Each used layer becomes one [`RailReport`] and every layer is
+/// attempted: layers with fewer than two terminals (a via landing
+/// directly on the only terminal) come back [`RailOutcome::Skipped`];
+/// a failing layer comes back [`RailOutcome::Failed`] with its typed
+/// error and costs no other layer its result.
 ///
 /// # Errors
 ///
 /// Only planning errors ([`plan_multilayer`]); per-layer routing
 /// failures are in the report.
-///
-/// [`RecoveryPolicy::FailFast`]: crate::recovery::RecoveryPolicy::FailFast
-pub fn route_multilayer_report(
+pub fn route_multilayer(
     router: &Router<'_>,
     board: &Board,
     net: NetId,
@@ -368,8 +362,6 @@ pub fn route_multilayer_report(
     budget_per_layer_mm2: f64,
     config: MultilayerConfig,
 ) -> Result<(MultilayerPlan, JobReport), SproutError> {
-    use crate::recovery::RecoveryPolicy;
-
     let start = Instant::now();
     let mut plan_span = telemetry::span("plan")
         .field("net", net.0 as u64)
@@ -382,26 +374,11 @@ pub fn route_multilayer_report(
     plan_span.record("layers_used", plan.layers_used.len());
     plan_span.record("vias", plan.vias.len());
     drop(plan_span);
-    let fail_fast = router.config().recovery.policy == RecoveryPolicy::FailFast;
     let mut report = JobReport {
         waves: plan.layers_used.len(),
         ..JobReport::default()
     };
-    let mut stopped = false;
     for (wave, &layer) in plan.layers_used.iter().enumerate() {
-        let rail = |outcome: RailOutcome| RailReport {
-            net,
-            layer,
-            budget_mm2: budget_per_layer_mm2,
-            wave,
-            outcome,
-        };
-        if stopped {
-            report.rails.push(rail(RailOutcome::Skipped {
-                reason: "not attempted after a fail-fast stop".into(),
-            }));
-            continue;
-        }
         let extra: Vec<(Point, ElementRole)> = plan
             .layer_terminals
             .get(&layer)
@@ -410,89 +387,29 @@ pub fn route_multilayer_report(
         // A layer with fewer than two terminals total has nothing to
         // route (e.g. a via lands directly on the only terminal).
         let own_terminals = board.terminals(net, layer).len();
-        if own_terminals + extra.len() < 2 {
-            report.rails.push(rail(RailOutcome::Skipped {
+        let outcome = if own_terminals + extra.len() < 2 {
+            RailOutcome::Skipped {
                 reason: "fewer than two terminals on this layer".into(),
-            }));
-            continue;
-        }
-        // Within a layer the terminals may sit in disjoint space regions
-        // (that is exactly why vias were needed); route each region.
-        match router.route_net_components(net, layer, budget_per_layer_mm2, &[], &extra) {
-            Ok(layer_results) => report.rails.push(rail(RailOutcome::Routed(layer_results))),
-            Err(e) => {
-                report.rails.push(rail(RailOutcome::Failed(e)));
-                if fail_fast {
-                    stopped = true;
-                }
             }
-        }
+        } else {
+            // Within a layer the terminals may sit in disjoint space
+            // regions (that is exactly why vias were needed); route
+            // each region.
+            match router.route_net_components(net, layer, budget_per_layer_mm2, &[], &extra) {
+                Ok(layer_results) => RailOutcome::Routed(layer_results),
+                Err(e) => RailOutcome::Failed(e),
+            }
+        };
+        report.rails.push(RailReport {
+            net,
+            layer,
+            budget_mm2: budget_per_layer_mm2,
+            wave,
+            outcome,
+        });
     }
     report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
     Ok((plan, report))
-}
-
-/// Executes a multilayer plan with the classic result contract. Thin
-/// wrapper over [`route_multilayer_report`].
-///
-/// `budget_per_layer_mm2` applies to each layer that carries routing.
-///
-/// # Errors
-///
-/// Propagates planning errors. Per-layer routing errors propagate
-/// directly under [`RecoveryPolicy::FailFast`]; under the lenient
-/// policies a failing layer aborts the route with
-/// [`SproutError::Degraded`], whose diagnostics name the lost layers and
-/// whose source is the first layer error — so a partial multilayer
-/// failure is distinguishable from a total one.
-///
-/// [`RecoveryPolicy::FailFast`]: crate::recovery::RecoveryPolicy::FailFast
-pub fn route_multilayer(
-    router: &Router<'_>,
-    board: &Board,
-    net: NetId,
-    layers: &[usize],
-    budget_per_layer_mm2: f64,
-    config: MultilayerConfig,
-) -> Result<(MultilayerPlan, Vec<RouteResult>), SproutError> {
-    use crate::recovery::{Degradation, RecoveryPolicy, RouteDiagnostics};
-
-    let (plan, report) =
-        route_multilayer_report(router, board, net, layers, budget_per_layer_mm2, config)?;
-    let fail_fast = router.config().recovery.policy == RecoveryPolicy::FailFast;
-    let mut results = Vec::new();
-    let mut diagnostics = RouteDiagnostics::default();
-    let mut first_err: Option<SproutError> = None;
-    for rail in report.rails {
-        match rail.outcome {
-            RailOutcome::Routed(layer_results) => results.extend(layer_results),
-            RailOutcome::Failed(e) => {
-                if fail_fast {
-                    return Err(e);
-                }
-                diagnostics.record(Degradation::LayerFailed { layer: rail.layer });
-                diagnostics.warn(format!("layer {} failed: {e}", rail.layer));
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-            RailOutcome::Restored(_) | RailOutcome::Skipped { .. } => {}
-        }
-    }
-    if let Some(e) = first_err {
-        // Fold the diagnostics of what *was* routed into the report.
-        for r in &results {
-            diagnostics.warn(format!(
-                "completed before failure: {} on layer {}",
-                r.net, r.layer
-            ));
-        }
-        return Err(SproutError::Degraded {
-            diagnostics: Box::new(diagnostics),
-            source: Box::new(e),
-        });
-    }
-    Ok((plan, results))
 }
 
 #[cfg(test)]
@@ -593,7 +510,7 @@ mod tests {
                 ..RouterConfig::default()
             },
         );
-        let (plan, results) = route_multilayer(
+        let (plan, report) = route_multilayer(
             &router,
             &board,
             vdd,
@@ -602,6 +519,7 @@ mod tests {
             MultilayerConfig::default(),
         )
         .unwrap();
+        let results: Vec<_> = report.results().collect();
         assert_eq!(plan.vias.len(), 2);
         // Layer 6 splits into two regions (source→via, via→sink) and
         // layer 4 carries the via-to-via transit: three routed shapes.
@@ -630,7 +548,7 @@ mod tests {
                 ..RouterConfig::default()
             },
         );
-        let (plan, report) = route_multilayer_report(
+        let (plan, report) = route_multilayer(
             &router,
             &board,
             vdd,
@@ -645,8 +563,9 @@ mod tests {
     }
 
     #[test]
-    fn report_isolates_a_failing_layer_and_fail_fast_stops() {
-        use crate::recovery::{RecoveryConfig, RecoveryPolicy};
+    fn each_routed_layer_builds_its_space_once() {
+        use sprout_telemetry::sinks::MemorySink;
+        use sprout_telemetry::{Event, RecorderScope};
 
         let (board, vdd) = walled_board();
         let router = Router::new(
@@ -656,15 +575,60 @@ mod tests {
                 grow_iterations: 8,
                 refine_iterations: 2,
                 reheat: None,
-                recovery: RecoveryConfig {
-                    policy: RecoveryPolicy::FailFast,
-                    ..RecoveryConfig::default()
-                },
                 ..RouterConfig::default()
             },
         );
-        // A budget below any connected seed fails every attempted layer.
-        let (_, report) = route_multilayer_report(
+        let sink = Arc::new(MemorySink::new());
+        let (_, report) = {
+            let _scope = RecorderScope::install(sink.clone());
+            route_multilayer(
+                &router,
+                &board,
+                vdd,
+                &[4, 6],
+                10.0,
+                MultilayerConfig::default(),
+            )
+            .unwrap()
+        };
+        let routed = report
+            .rails
+            .iter()
+            .filter(|r| matches!(r.outcome, RailOutcome::Routed(_)))
+            .count();
+        assert_eq!(routed, 2, "{:?}", report.warnings);
+        let spaces = sink
+            .events()
+            .iter()
+            .filter(|e| matches!(e, Event::SpanEnd { name: "space", .. }))
+            .count();
+        assert_eq!(spaces, routed, "one space span per routed layer");
+        // The space stage is timed and attributed to each layer's first
+        // region only.
+        for rail in &report.rails {
+            let RailOutcome::Routed(results) = &rail.outcome else {
+                continue;
+            };
+            assert!(results[0].timings.space_ms > 0.0, "layer {}", rail.layer);
+            assert!(results[1..].iter().all(|r| r.timings.space_ms == 0.0));
+        }
+    }
+
+    #[test]
+    fn report_isolates_each_failing_layer() {
+        let (board, vdd) = walled_board();
+        let router = Router::new(
+            &board,
+            RouterConfig {
+                tile_pitch_mm: 0.5,
+                grow_iterations: 8,
+                refine_iterations: 2,
+                reheat: None,
+                ..RouterConfig::default()
+            },
+        );
+        // A budget below any connected seed fails every layer.
+        let (plan, report) = route_multilayer(
             &router,
             &board,
             vdd,
@@ -674,31 +638,21 @@ mod tests {
         )
         .unwrap();
         assert!(!report.is_complete());
-        let first = &report.rails[0];
-        assert!(
-            matches!(
-                first.outcome,
-                RailOutcome::Failed(SproutError::AreaBudgetTooSmall { .. })
-            ),
-            "{:?}",
-            first.outcome
-        );
-        // Under fail-fast the remaining layers are skipped, not
-        // attempted.
-        assert!(report.rails[1..]
-            .iter()
-            .all(|r| matches!(r.outcome, RailOutcome::Skipped { .. })));
-        // The classic wrapper preserves its error contract.
-        let err = route_multilayer(
-            &router,
-            &board,
-            vdd,
-            &[4, 6],
-            0.05,
-            MultilayerConfig::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, SproutError::AreaBudgetTooSmall { .. }));
+        // Every used layer is attempted, and each fails with its own
+        // typed error; none is skipped.
+        assert_eq!(report.rails.len(), plan.layers_used.len());
+        assert_eq!(report.rails.len(), 2);
+        for rail in &report.rails {
+            assert!(
+                matches!(
+                    rail.outcome,
+                    RailOutcome::Failed(SproutError::AreaBudgetTooSmall { .. })
+                ),
+                "layer {}: {:?}",
+                rail.layer,
+                rail.outcome
+            );
+        }
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! Stage guards, recovery policies, route diagnostics, and the
-//! fault-injection harness.
+//! Stage guards, route diagnostics, and the fault-injection harness.
 //!
 //! The routing pipeline (seed → SmartGrow → SmartRefine → reheat) is a
 //! long chain of numerical stages, any of which can fail on marginal
 //! inputs: a solver breakdown, a NaN conductance from a degenerate
 //! tile, a stage that stops converging and eats the wall-clock budget.
 //! This module gives the router the vocabulary to *degrade* instead of
-//! *die*:
+//! *die*. A failed optimization stage has one response: the router
+//! reverts to the best subgraph it has evaluated and carries on.
 //!
-//! * [`RecoveryPolicy`] — what to do when a stage fails: propagate the
-//!   error, skip the stage, or revert to the best subgraph seen.
-//! * [`StageBudget`] / [`StageGuard`] — per-stage wall-clock and solve
-//!   budgets, checked between optimization steps.
+//! * [`RecoveryConfig`] / [`StageGuard`] — a per-stage wall-clock cap,
+//!   checked between optimization steps.
 //! * [`RouteDiagnostics`] — a record of every degradation taken while
 //!   producing a result, attached to
 //!   [`RouteResult`](crate::router::RouteResult).
@@ -63,53 +61,26 @@ impl fmt::Display for Stage {
     }
 }
 
-/// What the router does when an optimization stage fails.
-///
-/// Seed failures always propagate — without a connected seed there is
-/// nothing to degrade to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryPolicy {
-    /// Propagate the first stage error (the pre-recovery behaviour).
-    FailFast,
-    /// Abandon the failing stage and continue the pipeline with the
-    /// current subgraph.
-    SkipStage,
-    /// Revert to the best fully evaluated subgraph and continue
-    /// (default: a wandering stage never costs a result it already had).
-    #[default]
-    BestSoFar,
-}
-
-/// Per-stage resource budget. The guard is checked between optimization
-/// steps, so a stage overruns by at most one step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageBudget {
-    /// Wall-clock cap per stage (ms). Infinite by default.
-    pub wall_clock_ms: f64,
-    /// Linear-solve cap per stage. Unbounded by default.
-    pub max_solves: usize,
-}
-
-impl Default for StageBudget {
-    fn default() -> Self {
-        StageBudget {
-            wall_clock_ms: f64::INFINITY,
-            max_solves: usize::MAX,
-        }
-    }
-}
-
 /// Recovery configuration carried by
 /// [`RouterConfig`](crate::router::RouterConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
-    /// Stage-failure policy.
-    pub policy: RecoveryPolicy,
-    /// Per-stage budget.
-    pub budget: StageBudget,
+    /// Wall-clock cap per optimization stage (ms), checked between
+    /// steps, so a stage overruns by at most one step. Infinite by
+    /// default.
+    pub stage_wall_ms: f64,
     /// Deterministic fault injection (testing only; `None` in
     /// production).
     pub fault: Option<FaultPlan>,
+}
+
+impl Default for RecoveryConfig {
+    fn default() -> Self {
+        RecoveryConfig {
+            stage_wall_ms: f64::INFINITY,
+            fault: None,
+        }
+    }
 }
 
 /// One degradation taken while producing a route.
@@ -131,25 +102,18 @@ pub enum Degradation {
         /// Number of edges dropped.
         count: usize,
     },
-    /// A stage failed and was abandoned ([`RecoveryPolicy::SkipStage`]).
-    StageSkipped {
-        /// The abandoned stage.
-        stage: Stage,
-    },
-    /// A stage failed and the subgraph reverted to the best seen
-    /// ([`RecoveryPolicy::BestSoFar`]).
+    /// A stage failed and the subgraph reverted to the best seen.
     RevertedToBest {
         /// The failing stage.
         stage: Stage,
     },
-    /// A stage hit its [`StageBudget`] and was cut short.
+    /// A stage hit its wall-clock cap (or a forced timeout) and was cut
+    /// short.
     BudgetOverrun {
         /// The truncated stage.
         stage: Stage,
         /// Wall-clock spent when the guard fired (ms).
         elapsed_ms: f64,
-        /// Solves spent when the guard fired.
-        solves: usize,
     },
     /// Degenerate fragments were dropped from the back-converted shape.
     FragmentsDropped {
@@ -158,11 +122,6 @@ pub enum Degradation {
     },
     /// A connected-component group could not be routed and was skipped.
     GroupSkipped,
-    /// A layer of a multilayer route failed entirely.
-    LayerFailed {
-        /// The failing layer (stackup index).
-        layer: usize,
-    },
 }
 
 impl fmt::Display for Degradation {
@@ -174,23 +133,16 @@ impl fmt::Display for Degradation {
             Degradation::EdgesSanitized { stage, count } => {
                 write!(f, "{count} non-finite edge(s) sanitized during {stage}")
             }
-            Degradation::StageSkipped { stage } => write!(f, "{stage} stage skipped"),
             Degradation::RevertedToBest { stage } => {
                 write!(f, "{stage} stage reverted to best subgraph")
             }
-            Degradation::BudgetOverrun {
-                stage,
-                elapsed_ms,
-                solves,
-            } => write!(
-                f,
-                "{stage} stage over budget ({elapsed_ms:.1} ms, {solves} solve(s))"
-            ),
+            Degradation::BudgetOverrun { stage, elapsed_ms } => {
+                write!(f, "{stage} stage over budget ({elapsed_ms:.1} ms)")
+            }
             Degradation::FragmentsDropped { count } => {
                 write!(f, "{count} degenerate fragment(s) dropped")
             }
             Degradation::GroupSkipped => f.write_str("terminal group skipped"),
-            Degradation::LayerFailed { layer } => write!(f, "layer {layer} failed"),
         }
     }
 }
@@ -205,13 +157,13 @@ impl fmt::Display for Degradation {
 pub struct RouteDiagnostics {
     /// Every degradation, in the order it occurred.
     pub degradations: Vec<Degradation>,
-    /// Human-readable warnings (stage errors absorbed by the policy).
+    /// Human-readable warnings (stage errors the router absorbed).
     pub warnings: Vec<String>,
     /// Count of [`Degradation::SolverFallback`] entries.
     pub solver_fallbacks: usize,
     /// Total edges dropped across [`Degradation::EdgesSanitized`].
     pub edges_sanitized: usize,
-    /// Count of skipped/reverted stages.
+    /// Count of reverted stages and skipped terminal groups.
     pub stages_skipped: usize,
     /// Count of [`Degradation::BudgetOverrun`] entries.
     pub budget_overruns: usize,
@@ -228,10 +180,9 @@ impl RouteDiagnostics {
         match &d {
             Degradation::SolverFallback { .. } => self.solver_fallbacks += 1,
             Degradation::EdgesSanitized { count, .. } => self.edges_sanitized += count,
-            Degradation::StageSkipped { .. }
-            | Degradation::RevertedToBest { .. }
-            | Degradation::GroupSkipped
-            | Degradation::LayerFailed { .. } => self.stages_skipped += 1,
+            Degradation::RevertedToBest { .. } | Degradation::GroupSkipped => {
+                self.stages_skipped += 1
+            }
             Degradation::BudgetOverrun { .. } => self.budget_overruns += 1,
             Degradation::FragmentsDropped { .. } => {}
         }
@@ -259,47 +210,38 @@ impl RouteDiagnostics {
     }
 }
 
-/// Budget guard for one stage run. Construct with [`StageGuard::begin`]
-/// before the stage's loop; call [`StageGuard::over_budget`] between
-/// steps.
+/// Wall-clock guard for one stage run. Construct with
+/// [`StageGuard::begin`] before the stage's loop; call
+/// [`StageGuard::over_budget`] between steps.
 pub struct StageGuard {
     stage: Stage,
-    budget: StageBudget,
+    wall_ms: f64,
     start: Instant,
-    solves_at_start: usize,
 }
 
 impl StageGuard {
-    /// Starts guarding `stage` with `solves_so_far` as the pipeline's
-    /// solve counter at stage entry.
-    pub fn begin(stage: Stage, budget: StageBudget, solves_so_far: usize) -> Self {
+    /// Starts guarding `stage` under a `wall_ms` cap.
+    pub fn begin(stage: Stage, wall_ms: f64) -> Self {
         StageGuard {
             stage,
-            budget,
+            wall_ms,
             start: Instant::now(),
-            solves_at_start: solves_so_far,
         }
     }
 
-    /// Returns the overrun degradation once the stage has exhausted its
-    /// wall-clock or solve budget (or a fault plan forces a timeout).
-    pub fn over_budget(&self, solves_now: usize) -> Option<Degradation> {
+    /// Returns the overrun degradation once the stage has spent its
+    /// wall-clock cap (or a fault plan forces a timeout).
+    pub fn over_budget(&self) -> Option<Degradation> {
         let elapsed_ms = self.start.elapsed().as_secs_f64() * 1e3;
-        let solves = solves_now.saturating_sub(self.solves_at_start);
-        if fault_timeout(self.stage)
-            || elapsed_ms > self.budget.wall_clock_ms
-            || solves > self.budget.max_solves
-        {
+        if fault_timeout(self.stage) || elapsed_ms > self.wall_ms {
             telemetry::counter!("router.budget_overruns");
             telemetry::point("budget_overrun")
                 .field("stage", self.stage.to_string())
                 .field("elapsed_ms", elapsed_ms)
-                .field("solves", solves)
                 .emit();
             Some(Degradation::BudgetOverrun {
                 stage: self.stage,
                 elapsed_ms,
-                solves,
             })
         } else {
             None
@@ -589,13 +531,12 @@ mod tests {
             stage: Stage::Refine,
             count: 3,
         });
-        d.record(Degradation::StageSkipped {
+        d.record(Degradation::RevertedToBest {
             stage: Stage::Reheat,
         });
         d.record(Degradation::BudgetOverrun {
             stage: Stage::Grow,
             elapsed_ms: 12.0,
-            solves: 40,
         });
         assert_eq!(d.solver_fallbacks, 1);
         assert_eq!(d.edges_sanitized, 3);
@@ -670,17 +611,16 @@ mod tests {
     }
 
     #[test]
-    fn guard_fires_on_solve_budget() {
-        let budget = StageBudget {
-            wall_clock_ms: f64::INFINITY,
-            max_solves: 10,
-        };
-        let guard = StageGuard::begin(Stage::Grow, budget, 100);
-        assert!(guard.over_budget(105).is_none());
-        match guard.over_budget(111) {
-            Some(Degradation::BudgetOverrun { stage, solves, .. }) => {
+    fn guard_fires_on_the_wall_cap() {
+        let open = StageGuard::begin(Stage::Grow, f64::INFINITY);
+        let capped = StageGuard::begin(Stage::Grow, 0.0);
+        // Any positive elapsed time exceeds a zero cap.
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(open.over_budget().is_none());
+        match capped.over_budget() {
+            Some(Degradation::BudgetOverrun { stage, elapsed_ms }) => {
                 assert_eq!(stage, Stage::Grow);
-                assert_eq!(solves, 11);
+                assert!(elapsed_ms > 0.0);
             }
             other => panic!("expected overrun, got {other:?}"),
         }
@@ -693,10 +633,10 @@ mod tests {
             ..FaultPlan::quiet(3)
         };
         let _scope = FaultScope::install(plan);
-        let guard = StageGuard::begin(Stage::Refine, StageBudget::default(), 0);
-        assert!(guard.over_budget(0).is_some());
-        let other = StageGuard::begin(Stage::Grow, StageBudget::default(), 0);
-        assert!(other.over_budget(0).is_none(), "only the named stage");
+        let guard = StageGuard::begin(Stage::Refine, f64::INFINITY);
+        assert!(guard.over_budget().is_some());
+        let other = StageGuard::begin(Stage::Grow, f64::INFINITY);
+        assert!(other.over_budget().is_none(), "only the named stage");
     }
 
     #[test]

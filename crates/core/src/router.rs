@@ -6,24 +6,22 @@
 //! tracks the best subgraph seen so a wandering refinement never ships a
 //! worse result than it already had.
 //!
-//! Every stage runs under a [`StageGuard`]: wall-clock and solve-count
-//! budgets from [`RecoveryConfig`] are checked between steps, and stage
-//! errors are resolved by the configured [`RecoveryPolicy`] — fail
-//! fast, skip the rest of the stage, or revert to the best
-//! fully-evaluated subgraph. Whatever the router absorbs (solver
-//! fallbacks, sanitized conductances, skipped stages, dropped sliver
-//! fragments) is recorded in the [`RouteDiagnostics`] attached to the
-//! [`RouteResult`], so degraded routes are always distinguishable from
-//! clean ones. Seed-stage failures still propagate: with no subgraph
-//! yet, there is nothing to degrade to.
+//! Every stage runs under a [`StageGuard`]: the per-stage wall-clock
+//! cap from [`RecoveryConfig`] is checked between steps. A failed
+//! optimization stage has one response: the subgraph reverts to the
+//! best fully evaluated one and the pipeline carries on. Whatever the
+//! router absorbs (solver fallbacks, sanitized conductances, reverted
+//! stages, dropped sliver fragments) is recorded in the
+//! [`RouteDiagnostics`] attached to the [`RouteResult`], so degraded
+//! routes are always distinguishable from clean ones. Seed-stage
+//! failures still propagate: with no subgraph yet, there is nothing to
+//! degrade to.
 
 use crate::backconv::{back_convert, RoutedShape};
 use crate::current::{injection_pairs, InjectionPair, PairPolicy};
 use crate::graph::{NodeId, RoutingGraph, Subgraph};
 use crate::grow::smart_grow;
-use crate::recovery::{
-    self, Degradation, RecoveryConfig, RecoveryPolicy, RouteDiagnostics, Stage, StageGuard,
-};
+use crate::recovery::{self, Degradation, RecoveryConfig, RouteDiagnostics, Stage, StageGuard};
 use crate::refine::smart_refine;
 use crate::reheat::{reheat, ReheatConfig};
 use crate::seed::{seed_subgraph, SeedOptions};
@@ -59,8 +57,7 @@ pub struct RouterConfig {
     pub pair_policy: PairPolicy,
     /// Seed options (void filling).
     pub seed: SeedOptions,
-    /// Stage-failure policy, per-stage budgets, and (test-only) fault
-    /// injection.
+    /// Per-stage wall-clock cap and (test-only) fault injection.
     pub recovery: RecoveryConfig,
     /// Threads for the tiling clip and for each metric evaluation's
     /// solve and reduction; `0` uses the machine's parallelism. Graphs,
@@ -324,6 +321,60 @@ impl<'b> Router<'b> {
         self.route_net_with(net, layer, area_budget_mm2, &[], &[])
     }
 
+    /// The steps both single-layer paths take before optimizing:
+    /// validation, the entry cancel check, the `route` span (returned,
+    /// so it stays open over the optimization), available space,
+    /// tiling and terminal identification. The returned timings carry
+    /// the space and tile stages.
+    #[allow(clippy::type_complexity)]
+    fn prelude(
+        &self,
+        net: NetId,
+        layer: usize,
+        area_budget_mm2: f64,
+        extra_blockers: &[Polygon],
+        extra_terminals: &[(Point, ElementRole)],
+    ) -> Result<
+        (
+            telemetry::SpanGuard,
+            Arc<RoutingGraph>,
+            Vec<Terminal>,
+            StageTimings,
+        ),
+        SproutError,
+    > {
+        if self.config.tile_pitch_mm <= 0.0 {
+            return Err(SproutError::InvalidConfig("tile pitch must be positive"));
+        }
+        if area_budget_mm2 <= 0.0 {
+            return Err(SproutError::InvalidConfig("area budget must be positive"));
+        }
+        if recovery::cancel_requested() {
+            return Err(SproutError::Cancelled);
+        }
+        let route_span = telemetry::span("route")
+            .field("net", net.0 as u64)
+            .field("layer", layer)
+            .field("budget_mm2", area_budget_mm2)
+            .enter();
+        let mut timings = StageTimings::default();
+
+        // Stage 1: available space.
+        let t = Instant::now();
+        let mut space_span = telemetry::span("space").enter();
+        let (spec, buffered) = self.space(net, layer, extra_blockers, extra_terminals)?;
+        space_span.record("terminals", spec.terminals.len());
+        drop(space_span);
+        timings.space_ms = t.elapsed().as_secs_f64() * 1e3;
+        timings.space_buffered = buffered.fresh;
+        timings.space_served = buffered.served;
+
+        // Stage 2: tiling (Algorithm 1).
+        let graph = self.tiled_graph(&spec, &mut timings)?;
+        let terminals = identify_terminals(&graph, &spec, net)?;
+        Ok((route_span, graph, terminals, timings))
+    }
+
     /// Routes one net with extra blockers (shapes of previously routed
     /// nets, §II-G) and extra terminals (via landing points from the
     /// multilayer planner, Algorithm 6).
@@ -346,36 +397,8 @@ impl<'b> Router<'b> {
         extra_blockers: &[Polygon],
         extra_terminals: &[(Point, ElementRole)],
     ) -> Result<RouteResult, SproutError> {
-        if self.config.tile_pitch_mm <= 0.0 {
-            return Err(SproutError::InvalidConfig("tile pitch must be positive"));
-        }
-        if area_budget_mm2 <= 0.0 {
-            return Err(SproutError::InvalidConfig("area budget must be positive"));
-        }
-        if recovery::cancel_requested() {
-            return Err(SproutError::Cancelled);
-        }
-        let _route_span = telemetry::span("route")
-            .field("net", net.0 as u64)
-            .field("layer", layer)
-            .field("budget_mm2", area_budget_mm2)
-            .enter();
-        let mut timings = StageTimings::default();
-
-        // Stage 1: available space.
-        let t = Instant::now();
-        let mut space_span = telemetry::span("space").enter();
-        let (spec, buffered) = self.space(net, layer, extra_blockers, extra_terminals)?;
-        space_span.record("terminals", spec.terminals.len());
-        drop(space_span);
-        timings.space_ms = t.elapsed().as_secs_f64() * 1e3;
-        timings.space_buffered = buffered.fresh;
-        timings.space_served = buffered.served;
-
-        // Stage 2: tiling (Algorithm 1).
-        let graph = self.tiled_graph(&spec, &mut timings)?;
-
-        let terminals = identify_terminals(&graph, &spec, net)?;
+        let (_route_span, graph, terminals, timings) =
+            self.prelude(net, layer, area_budget_mm2, extra_blockers, extra_terminals)?;
         if terminals.len() < 2 {
             return Err(SproutError::InvalidConfig(
                 "routing needs at least two terminals",
@@ -394,6 +417,8 @@ impl<'b> Router<'b> {
     /// to via, between vias, and from via to target"). Each region with
     /// at least two terminals is routed independently; the total budget
     /// is split across regions proportionally to their terminal counts.
+    /// A region that fails is skipped and named in the other regions'
+    /// diagnostics; the call fails only when every region does.
     ///
     /// # Errors
     ///
@@ -407,26 +432,8 @@ impl<'b> Router<'b> {
         extra_blockers: &[Polygon],
         extra_terminals: &[(Point, ElementRole)],
     ) -> Result<Vec<RouteResult>, SproutError> {
-        if self.config.tile_pitch_mm <= 0.0 {
-            return Err(SproutError::InvalidConfig("tile pitch must be positive"));
-        }
-        if area_budget_mm2 <= 0.0 {
-            return Err(SproutError::InvalidConfig("area budget must be positive"));
-        }
-        let _route_span = telemetry::span("route")
-            .field("net", net.0 as u64)
-            .field("layer", layer)
-            .field("budget_mm2", area_budget_mm2)
-            .field("components", true)
-            .enter();
-        let (spec, buffered) = self.space(net, layer, extra_blockers, extra_terminals)?;
-        let mut base_timings = StageTimings {
-            space_buffered: buffered.fresh,
-            space_served: buffered.served,
-            ..StageTimings::default()
-        };
-        let graph = self.tiled_graph(&spec, &mut base_timings)?;
-        let terminals = identify_terminals(&graph, &spec, net)?;
+        let (_route_span, graph, terminals, mut base_timings) =
+            self.prelude(net, layer, area_budget_mm2, extra_blockers, extra_terminals)?;
 
         // Group terminals by connected component of the graph.
         let component = component_labels(&graph);
@@ -445,8 +452,8 @@ impl<'b> Router<'b> {
         let mut first_err: Option<SproutError> = None;
         for group in group_list {
             let share = area_budget_mm2 * group.len() as f64 / total_terms as f64;
-            // The shared graph build is attributed to the first group so
-            // aggregated reports count it exactly once.
+            // The shared space and graph builds are attributed to the
+            // first group so aggregated reports count them exactly once.
             match self.optimize_group(
                 Arc::clone(&graph),
                 group,
@@ -457,11 +464,8 @@ impl<'b> Router<'b> {
             ) {
                 Ok(result) => results.push(result),
                 Err(e) => {
-                    // Under a lenient policy a dead terminal group must
-                    // not cost the groups that can still be routed.
-                    if self.config.recovery.policy == RecoveryPolicy::FailFast {
-                        return Err(e);
-                    }
+                    // A dead terminal group must not cost the groups
+                    // that can still be routed.
                     skipped.push(format!("terminal group skipped: {e}"));
                     if first_err.is_none() {
                         first_err = Some(e);
@@ -486,9 +490,9 @@ impl<'b> Router<'b> {
     /// The optimization pipeline for one connected terminal group:
     /// seed → SmartGrow → SmartRefine → reheat → back conversion.
     ///
-    /// Every optimization stage runs under a [`StageGuard`]; stage
-    /// failures after seeding are absorbed per the configured
-    /// [`RecoveryPolicy`] and recorded in the result's
+    /// Every optimization stage runs under a [`StageGuard`]; a stage
+    /// that fails after seeding reverts the subgraph to the best one
+    /// evaluated, and the revert is recorded in the result's
     /// [`RouteDiagnostics`]. Seed failures always propagate — without a
     /// connected seed there is nothing to degrade to.
     fn optimize_group(
@@ -517,12 +521,12 @@ impl<'b> Router<'b> {
         let mut seed_span = telemetry::span("seed")
             .field("terminals", terminals.len())
             .enter();
-        let guard = StageGuard::begin(Stage::Seed, rec.budget, timings.solves);
+        let guard = StageGuard::begin(Stage::Seed, rec.stage_wall_ms);
         let mut sub = seed_subgraph(&graph, &terminals, net, layer, self.config.seed)?;
         seed_span.record("nodes", sub.order());
         drop(seed_span);
         timings.seed_ms = t.elapsed().as_secs_f64() * 1e3;
-        if let Some(d) = guard.over_budget(timings.solves) {
+        if let Some(d) = guard.over_budget() {
             diagnostics.record(d);
         }
         diagnostics.absorb_events(Stage::Seed);
@@ -565,7 +569,7 @@ impl<'b> Router<'b> {
             .field("budget_cells", budget_cells)
             .field("step", grow_step)
             .enter();
-        let guard = StageGuard::begin(Stage::Grow, rec.budget, timings.solves);
+        let guard = StageGuard::begin(Stage::Grow, rec.stage_wall_ms);
         let frame_cell_area = {
             let f = graph.frame();
             f.dx * f.dy
@@ -574,7 +578,7 @@ impl<'b> Router<'b> {
         let mut grow_iter = 0usize;
         let mut prev_objective = f64::NAN;
         while sub.area_mm2() < area_budget_mm2 {
-            if let Some(d) = guard.over_budget(timings.solves) {
+            if let Some(d) = guard.over_budget() {
                 diagnostics.record(d);
                 break;
             }
@@ -611,14 +615,7 @@ impl<'b> Router<'b> {
         drop(grow_span);
         timings.grow_ms = t.elapsed().as_secs_f64() * 1e3;
         if let Some(e) = stage_err {
-            apply_policy(
-                rec.policy,
-                Stage::Grow,
-                e,
-                &mut sub,
-                &best_sub,
-                &mut diagnostics,
-            )?;
+            revert_to_best(Stage::Grow, e, &mut sub, &best_sub, &mut diagnostics);
         }
 
         // Objective after growth; feeds best-seen tracking.
@@ -633,10 +630,7 @@ impl<'b> Router<'b> {
                 }
                 session.recycle(nc);
             }
-            Err(e) => match rec.policy {
-                RecoveryPolicy::FailFast => return Err(e),
-                _ => diagnostics.warn(format!("post-grow evaluation failed: {e}")),
-            },
+            Err(e) => diagnostics.warn(format!("post-grow evaluation failed: {e}")),
         }
         diagnostics.absorb_events(Stage::Grow);
 
@@ -651,10 +645,10 @@ impl<'b> Router<'b> {
         let mut refine_span = telemetry::span("refine")
             .field("iterations", self.config.refine_iterations)
             .enter();
-        let guard = StageGuard::begin(Stage::Refine, rec.budget, timings.solves);
+        let guard = StageGuard::begin(Stage::Refine, rec.stage_wall_ms);
         let base_step = self.config.refine_step.unwrap_or((grow_step / 2).max(2));
         for i in 0..self.config.refine_iterations {
-            if let Some(d) = guard.over_budget(timings.solves) {
+            if let Some(d) = guard.over_budget() {
                 diagnostics.record(d);
                 break;
             }
@@ -694,14 +688,7 @@ impl<'b> Router<'b> {
                     }
                 }
                 Err(e) => {
-                    apply_policy(
-                        rec.policy,
-                        Stage::Refine,
-                        e,
-                        &mut sub,
-                        &best_sub,
-                        &mut diagnostics,
-                    )?;
+                    revert_to_best(Stage::Refine, e, &mut sub, &best_sub, &mut diagnostics);
                     break;
                 }
             }
@@ -721,16 +708,15 @@ impl<'b> Router<'b> {
             let t = Instant::now();
             let solves_at_reheat = timings.solves;
             let mut reheat_span = telemetry::span("reheat").enter();
-            let guard = StageGuard::begin(Stage::Reheat, rec.budget, timings.solves);
+            let guard = StageGuard::begin(Stage::Reheat, rec.stage_wall_ms);
             'reheat: {
-                if let Some(d) = guard.over_budget(timings.solves) {
+                if let Some(d) = guard.over_budget() {
                     diagnostics.record(d);
                     break 'reheat;
                 }
                 // Reheat transiently overshoots the area budget before
-                // shrinking back, so abandoning it mid-way must restore
-                // the pre-reheat subgraph rather than ship the overshoot.
-                let pre_reheat = sub.clone();
+                // shrinking back; a failure mid-way reverts to the best
+                // evaluated subgraph rather than ship the overshoot.
                 match reheat(
                     &mut session,
                     &graph,
@@ -759,22 +745,12 @@ impl<'b> Router<'b> {
                         }
                     }
                     Err(e) => {
-                        apply_policy(
-                            rec.policy,
-                            Stage::Reheat,
-                            e,
-                            &mut sub,
-                            &best_sub,
-                            &mut diagnostics,
-                        )?;
-                        if rec.policy == RecoveryPolicy::SkipStage {
-                            sub = pre_reheat;
-                        }
+                        revert_to_best(Stage::Reheat, e, &mut sub, &best_sub, &mut diagnostics);
                         break 'reheat;
                     }
                 }
                 for post_iter in 0..2 {
-                    if let Some(d) = guard.over_budget(timings.solves) {
+                    if let Some(d) = guard.over_budget() {
                         diagnostics.record(d);
                         break;
                     }
@@ -809,14 +785,7 @@ impl<'b> Router<'b> {
                             }
                         }
                         Err(e) => {
-                            apply_policy(
-                                rec.policy,
-                                Stage::Reheat,
-                                e,
-                                &mut sub,
-                                &best_sub,
-                                &mut diagnostics,
-                            )?;
+                            revert_to_best(Stage::Reheat, e, &mut sub, &best_sub, &mut diagnostics);
                             break;
                         }
                     }
@@ -955,34 +924,21 @@ impl<'b> Router<'b> {
 /// magnitude above this).
 const SLIVER_AREA_MM2: f64 = 1e-4;
 
-/// Applies the recovery policy to a failed optimization stage: under
-/// `FailFast` the error propagates; otherwise it is downgraded to a
-/// warning and the subgraph is either kept as-is (`SkipStage`) or
-/// reverted to the best evaluated one (`BestSoFar`).
-fn apply_policy(
-    policy: RecoveryPolicy,
+/// The router's one response to a failed optimization stage: the
+/// error becomes a warning and the subgraph reverts to the best
+/// evaluated one.
+fn revert_to_best(
     stage: Stage,
     err: SproutError,
     sub: &mut Subgraph,
     best_sub: &Subgraph,
     diagnostics: &mut RouteDiagnostics,
-) -> Result<(), SproutError> {
-    match policy {
-        RecoveryPolicy::FailFast => Err(err),
-        RecoveryPolicy::SkipStage => {
-            diagnostics.record(Degradation::StageSkipped { stage });
-            diagnostics.warn(format!("{stage} stage abandoned: {err}"));
-            Ok(())
-        }
-        RecoveryPolicy::BestSoFar => {
-            *sub = best_sub.clone();
-            diagnostics.record(Degradation::RevertedToBest { stage });
-            diagnostics.warn(format!(
-                "{stage} stage failed, reverted to best subgraph: {err}"
-            ));
-            Ok(())
-        }
-    }
+) {
+    *sub = best_sub.clone();
+    diagnostics.record(Degradation::RevertedToBest { stage });
+    diagnostics.warn(format!(
+        "{stage} stage failed, reverted to best subgraph: {err}"
+    ));
 }
 
 /// Connected-component label per node (BFS).

@@ -19,7 +19,8 @@
 //!   claimed geometry is merged between waves in request order, so a
 //!   concurrent run reproduces the sequential result bit for bit.
 //! * **Deadlines and cancellation** — a job-level wall-clock deadline
-//!   is folded into the per-stage [`StageBudget`]s of every worker; a
+//!   is folded into every worker's per-stage wall cap
+//!   ([`RecoveryConfig::stage_wall_ms`](crate::recovery::RecoveryConfig::stage_wall_ms)); a
 //!   cooperative [`CancelToken`] is polled between pipeline stages and
 //!   between rails. Each rail routes once: the supervisor does not
 //!   retry. A caller that wants another try runs the job again over
@@ -273,8 +274,8 @@ pub enum RailOutcome {
     /// [`SproutError::Cancelled`], deadline expiry as
     /// [`SproutError::DeadlineExpired`].
     Failed(SproutError),
-    /// Nothing to route (multilayer: a layer whose only terminal is a
-    /// via landing, or layers behind a fail-fast stop).
+    /// Nothing to route (multilayer: a layer with fewer than two
+    /// terminals, such as one whose only terminal is a via landing).
     Skipped {
         /// Why the rail was not attempted.
         reason: String,
@@ -698,8 +699,7 @@ impl<'b> Supervisor<'b> {
                 return finished_rail(request, wave, e);
             }
             let remaining = (deadline_ms - elapsed_ms).max(1.0);
-            config.recovery.budget.wall_clock_ms =
-                config.recovery.budget.wall_clock_ms.min(remaining);
+            config.recovery.stage_wall_ms = config.recovery.stage_wall_ms.min(remaining);
         }
         if workers > 1 {
             config.threads = (crate::resolve_threads(config.threads) / workers).max(1);
@@ -803,8 +803,8 @@ fn job_fingerprint(requests: &[RailRequest]) -> u64 {
 /// Whether a rail failure is worth another run of the job. Failures
 /// that are deterministic properties of the input (bad config, blocked
 /// terminals, impossible budgets) or job-control outcomes
-/// (cancellation, deadline expiry) are not; solver breakdowns, degraded
-/// multilayer runs, and worker panics may be transient.
+/// (cancellation, deadline expiry) are not; solver breakdowns and
+/// worker panics may be transient.
 ///
 /// The supervisor itself never retries; service layers (the job
 /// ledger's retry queue) read this classification instead of inventing
@@ -877,6 +877,38 @@ mod checkpoint {
         out.push('\n');
     }
 
+    /// Whether rail `index` can be restored, given which rails are
+    /// `complete`: every earlier request of its layer must be too. A
+    /// rail that completed after a failed rail of its layer routed
+    /// without that rail's copper; once the failed rail re-routes, the
+    /// later one would overlap it. [`save`] writes only these rails,
+    /// and [`parse`] keeps only these (a hostile or older file may hold
+    /// others).
+    fn in_completed_prefix(
+        requests: &[RailRequest],
+        index: usize,
+        complete: impl Fn(usize) -> bool,
+    ) -> bool {
+        let layer = requests[index].1;
+        (0..index).all(|j| requests[j].1 != layer || complete(j))
+    }
+
+    /// The shape, objective and cleanliness a rail's checkpoint record
+    /// carries; `None` for a rail that has no record. Failed rails
+    /// re-run on resume; multi-result rails are not produced by the
+    /// supervisor.
+    fn record(slot: &Option<RailReport>) -> Option<(&RoutedShape, f64, bool)> {
+        match &slot.as_ref()?.outcome {
+            RailOutcome::Routed(v) if v.len() == 1 => Some((
+                &v[0].shape,
+                v[0].final_resistance_sq,
+                v[0].diagnostics.is_clean(),
+            )),
+            RailOutcome::Restored(rr) => Some((&rr.shape, rr.final_resistance_sq, rr.was_clean)),
+            _ => None,
+        }
+    }
+
     pub(super) fn save(
         path: &Path,
         board_fp: u64,
@@ -889,19 +921,14 @@ mod checkpoint {
         let _ = writeln!(out, "board {board_fp:016x}");
         let _ = writeln!(out, "job {job_fp:016x}");
         let _ = writeln!(out, "rails {}", requests.len());
+        let complete = |j: usize| record(&slots[j]).is_some();
         for (i, slot) in slots.iter().enumerate() {
-            let Some(rail) = slot else { continue };
-            let (shape, resistance, clean) = match &rail.outcome {
-                RailOutcome::Routed(v) if v.len() == 1 => (
-                    &v[0].shape,
-                    v[0].final_resistance_sq,
-                    v[0].diagnostics.is_clean(),
-                ),
-                RailOutcome::Restored(rr) => (&rr.shape, rr.final_resistance_sq, rr.was_clean),
-                // Failed rails re-run on resume; multi-result rails are
-                // not produced by the supervisor.
-                _ => continue,
+            let Some((shape, resistance, clean)) = record(slot) else {
+                continue;
             };
+            if !in_completed_prefix(requests, i, complete) {
+                continue;
+            }
             let (net, layer, budget) = requests[i];
             let _ = writeln!(
                 out,
@@ -1088,14 +1115,9 @@ mod checkpoint {
         if !out.iter().all(|r| seen.insert(r.index)) {
             return Err(CheckpointError::Malformed("duplicate rail record".into()));
         }
-        // A rail that completed after a failed rail of its layer routed
-        // without that rail's copper; once the failed rail re-routes,
-        // the later one would overlap it. Restore each layer's completed
-        // prefix only, and let the rest of the layer re-route in order.
-        out.retain(|r| {
-            let layer = requests[r.index].1;
-            (0..r.index).all(|j| requests[j].1 != layer || seen.contains(&j))
-        });
+        // Restore each layer's completed prefix only, and let the rest
+        // of the layer re-route in order.
+        out.retain(|r| in_completed_prefix(requests, r.index, |j| seen.contains(&j)));
         Ok(out)
     }
 

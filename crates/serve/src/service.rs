@@ -13,8 +13,9 @@
 //! * **Cancelling running jobs** — the ledger's cancel token reaches the
 //!   supervisor directly.
 //! * **Graceful degradation** — under queue pressure attempts run with
-//!   the `BestSoFar` recovery policy and a tightened wall budget: a
-//!   partial result beats a timed-out queue.
+//!   a tightened per-stage wall cap, so a stage that overruns ships the
+//!   best subgraph it has evaluated: a partial result beats a timed-out
+//!   queue.
 //! * **Chaos** — [`ServeFaultPlan`] injects panics, stalls, and the
 //!   simulated in-lifetime kill (the job checkpoints its first wave and
 //!   is then abandoned; only a restarted service finishes it).
@@ -32,7 +33,6 @@ use crate::ledger::{lock, Core, Executor, Lease, Ledger, Lost, Next, Policy};
 pub use crate::ledger::{Readiness, ServeError, ServiceMetrics, SubmitError};
 use crate::proto::DoneFrame;
 use crate::worker::{run_attempt, Attempt};
-use sprout_core::recovery::RecoveryPolicy;
 use sprout_core::report::RunReport;
 use sprout_core::router::RouterConfig;
 use sprout_core::TileCache;
@@ -67,7 +67,8 @@ pub struct ServiceConfig {
     /// (jobs still run, but a killed service forgets them).
     pub data_dir: Option<PathBuf>,
     /// Queue-depth fraction at which the service reports itself
-    /// overloaded and degrades new attempts to `BestSoFar`.
+    /// overloaded and caps each stage of new attempts at
+    /// [`ServiceConfig::degraded_wall_ms`].
     pub overload_watermark: f64,
     /// Per-stage wall budget (ms) applied to attempts started while
     /// overloaded.
@@ -256,9 +257,7 @@ impl Threads {
         }
         let mut router = c.router;
         if self.core.overloaded() {
-            router.recovery.policy = RecoveryPolicy::BestSoFar;
-            router.recovery.budget.wall_clock_ms =
-                router.recovery.budget.wall_clock_ms.min(c.degraded_wall_ms);
+            router.recovery.stage_wall_ms = router.recovery.stage_wall_ms.min(c.degraded_wall_ms);
             telemetry::counter!("serve.degraded_attempts");
         }
         let killed = c.fault.is_some_and(|p| p.kills(id, attempt));

@@ -36,7 +36,7 @@ use crate::cli::{parse, take};
 use crate::events::{EventKind, Feed, JobRecorder};
 use crate::job::JobSpec;
 use crate::proto::{CoordFrame, DoneFrame, WorkerFrame};
-use sprout_core::recovery::{CancelToken, RecoveryConfig, RecoveryPolicy, StageBudget};
+use sprout_core::recovery::CancelToken;
 use sprout_core::router::RouterConfig;
 use sprout_core::supervisor::{
     is_retryable, JobReport, Supervisor, SupervisorConfig, WaveHook, WaveProgress,
@@ -77,19 +77,14 @@ impl Default for WorkerConfig {
 }
 
 /// The router profile the chaos suites and smoke binaries use: coarse
-/// pitch, few iterations, `BestSoFar` — fast enough to run dozens of
-/// jobs per test, complete enough to exercise every wave path.
+/// pitch, few iterations — fast enough to run dozens of jobs per test,
+/// complete enough to exercise every wave path.
 pub fn fast_router() -> RouterConfig {
     RouterConfig {
         tile_pitch_mm: 0.5,
         grow_iterations: 8,
         refine_iterations: 2,
         reheat: None,
-        recovery: RecoveryConfig {
-            policy: RecoveryPolicy::BestSoFar,
-            budget: StageBudget::default(),
-            fault: None,
-        },
         ..RouterConfig::default()
     }
 }

@@ -6,14 +6,15 @@
 //!
 //! Routes the two-rail board under increasingly hostile deterministic
 //! [`FaultPlan`]s — solver failures, NaN conductances, a degenerate
-//! polygon, a stage timeout — and prints what each [`RecoveryPolicy`]
-//! does about it: the shipped objective, the diagnostics trail, or the
-//! typed error. The final two sections move up a level to the job
+//! polygon, a stage timeout — and prints one line per scenario: the
+//! shipped objective and the diagnostics trail (a failed stage reverts
+//! to the best evaluated subgraph), or the typed error. The final two
+//! sections move up a level to the job
 //! supervisor: a worker panic contained to its rail, and a mid-run
 //! kill followed by a checkpoint resume.
 
 use sprout_board::presets;
-use sprout_core::recovery::{FaultPlan, RecoveryConfig, RecoveryPolicy};
+use sprout_core::recovery::{FaultPlan, RecoveryConfig, Stage};
 use sprout_core::router::Router;
 use sprout_core::supervisor::{RailOutcome, Supervisor, SupervisorConfig};
 use sprout_examples::example_config;
@@ -23,7 +24,7 @@ fn main() {
     let layer = presets::TWO_RAIL_ROUTE_LAYER;
     let (net, _) = board.power_nets().next().expect("two_rail has power nets");
 
-    let scenarios: [(&str, FaultPlan); 4] = [
+    let scenarios: [(&str, FaultPlan); 5] = [
         ("quiet (no faults)", FaultPlan::quiet(0)),
         (
             "flaky solver (30% failures)",
@@ -41,6 +42,13 @@ fn main() {
             },
         ),
         (
+            "refine stage timeout",
+            FaultPlan {
+                timeout_stage: Some(Stage::Refine),
+                ..FaultPlan::quiet(5)
+            },
+        ),
+        (
             "certain solver failure",
             FaultPlan {
                 solver_failure_rate: 1.0,
@@ -51,38 +59,31 @@ fn main() {
 
     for (label, plan) in scenarios {
         println!("=== {label} ===");
-        for policy in [
-            RecoveryPolicy::BestSoFar,
-            RecoveryPolicy::SkipStage,
-            RecoveryPolicy::FailFast,
-        ] {
-            let mut config = example_config();
-            config.recovery = RecoveryConfig {
-                policy,
-                fault: Some(plan),
-                ..RecoveryConfig::default()
-            };
-            let router = Router::new(&board, config);
-            match router.route_net(net, layer, 22.0) {
-                Ok(r) => {
-                    let d = &r.diagnostics;
-                    println!(
-                        "  {policy:<9?} ok: R = {:>9.4} sq, area {:>5.1} mm², \
-                         {} fallback(s), {} sanitized edge-batch(es), \
-                         {} skip/revert(s), {} overrun(s)",
-                        r.final_resistance_sq,
-                        r.shape.area_mm2(),
-                        d.solver_fallbacks,
-                        d.edges_sanitized,
-                        d.stages_skipped,
-                        d.budget_overruns,
-                    );
-                    for w in &d.warnings {
-                        println!("            warn: {w}");
-                    }
+        let mut config = example_config();
+        config.recovery = RecoveryConfig {
+            fault: Some(plan),
+            ..RecoveryConfig::default()
+        };
+        let router = Router::new(&board, config);
+        match router.route_net(net, layer, 22.0) {
+            Ok(r) => {
+                let d = &r.diagnostics;
+                println!(
+                    "  ok: R = {:>9.4} sq, area {:>5.1} mm², \
+                     {} fallback(s), {} sanitized edge-batch(es), \
+                     {} revert(s), {} overrun(s)",
+                    r.final_resistance_sq,
+                    r.shape.area_mm2(),
+                    d.solver_fallbacks,
+                    d.edges_sanitized,
+                    d.stages_skipped,
+                    d.budget_overruns,
+                );
+                for w in &d.warnings {
+                    println!("      warn: {w}");
                 }
-                Err(e) => println!("  {policy:<9?} error: {e}"),
             }
+            Err(e) => println!("  error: {e}"),
         }
     }
 

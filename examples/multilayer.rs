@@ -6,7 +6,8 @@
 //!
 //! Builds a board whose routing layer is split by a full-height wall,
 //! shows that single-layer routing fails, then plans vias through a
-//! second layer and routes each region.
+//! second layer and routes each region. Exits non-zero if a layer
+//! fails.
 
 use sprout_board::{Board, DesignRules, Element, ElementRole, Net, Stackup};
 use sprout_core::multilayer::{plan_multilayer, route_multilayer, MultilayerConfig};
@@ -83,7 +84,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let (_, results) = route_multilayer(&router, &board, vdd, &[4, 6], 10.0, ml)?;
+    let (_, report) = route_multilayer(&router, &board, vdd, &[4, 6], 10.0, ml)?;
+    for (rail, e) in report.failures() {
+        println!("layer {} failed: {e}", rail.layer + 1);
+    }
+    let results: Vec<_> = report.results().collect();
     println!("routed {} shapes:", results.len());
     let dir = out_dir();
     for (k, r) in results.iter().enumerate() {
@@ -100,5 +105,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::write(&path, scene.to_svg())?;
     }
     println!("snapshots written to {}", dir.display());
+    if report.failures().next().is_some() {
+        return Err("a layer failed to route".into());
+    }
     Ok(())
 }

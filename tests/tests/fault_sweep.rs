@@ -10,7 +10,7 @@
 
 use sprout_board::presets;
 use sprout_core::drc::check_route;
-use sprout_core::recovery::{FaultPlan, RecoveryConfig, RecoveryPolicy, StageBudget};
+use sprout_core::recovery::{FaultPlan, RecoveryConfig, Stage};
 use sprout_core::router::{RouteResult, Router, RouterConfig};
 use sprout_core::{NodeId, RailRunRecord, RunReport, SproutError};
 use std::io::Write as _;
@@ -19,15 +19,14 @@ use std::path::PathBuf;
 const SWEEP_SEEDS: u64 = 24;
 const BUDGET_MM2: f64 = 20.0;
 
-fn sweep_config(plan: FaultPlan, policy: RecoveryPolicy) -> RouterConfig {
+fn sweep_config(plan: FaultPlan) -> RouterConfig {
     RouterConfig {
         tile_pitch_mm: 0.5,
         grow_iterations: 8,
         refine_iterations: 2,
         recovery: RecoveryConfig {
-            policy,
-            budget: StageBudget::default(),
             fault: Some(plan),
+            ..RecoveryConfig::default()
         },
         ..RouterConfig::default()
     }
@@ -107,15 +106,9 @@ fn fault_sweep_scenarios_never_panic() {
     let (net, _) = board.power_nets().next().unwrap();
     for seed in 0..SWEEP_SEEDS {
         let plan = FaultPlan::for_scenario(seed);
-        for policy in [
-            RecoveryPolicy::BestSoFar,
-            RecoveryPolicy::SkipStage,
-            RecoveryPolicy::FailFast,
-        ] {
-            let router = Router::new(&board, sweep_config(plan, policy));
-            let result = router.route_net(net, layer, BUDGET_MM2);
-            assert_route_contract(result, plan);
-        }
+        let router = Router::new(&board, sweep_config(plan));
+        let result = router.route_net(net, layer, BUDGET_MM2);
+        assert_route_contract(result, plan);
     }
 }
 
@@ -130,7 +123,7 @@ fn fault_sweep_writes_run_report_artifact() {
     let mut lines = Vec::new();
     for seed in 0..8 {
         let plan = FaultPlan::for_scenario(seed);
-        let router = Router::new(&board, sweep_config(plan, RecoveryPolicy::BestSoFar));
+        let router = Router::new(&board, sweep_config(plan));
         let label = format!("fault_sweep seed={seed}");
         let mut report = match router.route_net(net, layer, BUDGET_MM2) {
             Ok(r) => RunReport::from_results(&label, std::slice::from_ref(&r)),
@@ -173,18 +166,15 @@ fn quiet_plan_matches_fault_free_run() {
     let layer = presets::TWO_RAIL_ROUTE_LAYER;
     let (net, _) = board.power_nets().next().unwrap();
 
-    let mut plain_cfg = sweep_config(FaultPlan::quiet(0), RecoveryPolicy::BestSoFar);
+    let mut plain_cfg = sweep_config(FaultPlan::quiet(0));
     plain_cfg.recovery.fault = None;
     let plain = Router::new(&board, plain_cfg)
         .route_net(net, layer, BUDGET_MM2)
         .unwrap();
 
-    let quiet = Router::new(
-        &board,
-        sweep_config(FaultPlan::quiet(0), RecoveryPolicy::BestSoFar),
-    )
-    .route_net(net, layer, BUDGET_MM2)
-    .unwrap();
+    let quiet = Router::new(&board, sweep_config(FaultPlan::quiet(0)))
+        .route_net(net, layer, BUDGET_MM2)
+        .unwrap();
 
     assert!(plain.diagnostics.is_clean());
     assert!(quiet.diagnostics.is_clean());
@@ -194,9 +184,9 @@ fn quiet_plan_matches_fault_free_run() {
 
 #[test]
 fn certain_solver_failure_still_ships_the_seed() {
-    // With every metric evaluation failing, BestSoFar must still return
+    // With every metric evaluation failing, the router must still return
     // a connected result built from the seed, with an infinite objective
-    // and a diagnostics trail; FailFast must return the underlying error.
+    // and a diagnostics trail.
     let board = presets::two_rail();
     let layer = presets::TWO_RAIL_ROUTE_LAYER;
     let (net, _) = board.power_nets().next().unwrap();
@@ -205,41 +195,44 @@ fn certain_solver_failure_still_ships_the_seed() {
         ..FaultPlan::quiet(11)
     };
 
-    let r = Router::new(&board, sweep_config(certain, RecoveryPolicy::BestSoFar))
+    let r = Router::new(&board, sweep_config(certain))
         .route_net(net, layer, BUDGET_MM2)
-        .expect("BestSoFar absorbs solver failures");
+        .expect("stage failures revert, they do not propagate");
     assert!(r.final_resistance_sq.is_infinite());
     assert!(!r.diagnostics.is_clean());
     let nodes: Vec<NodeId> = r.terminals.iter().map(|t| t.node).collect();
     assert!(r.subgraph.connects(&r.graph, &nodes));
-
-    let err = Router::new(&board, sweep_config(certain, RecoveryPolicy::FailFast))
-        .route_net(net, layer, BUDGET_MM2)
-        .unwrap_err();
-    assert!(matches!(err, SproutError::Linalg(_)), "{err:?}");
 }
 
 #[test]
 fn stage_budget_truncates_work() {
-    // A one-solve budget forces overruns in every solve-heavy stage while
-    // still producing a valid shape.
+    // A forced timeout in each solve-heavy stage truncates that stage
+    // on entry while still producing a valid shape.
     let board = presets::two_rail();
     let layer = presets::TWO_RAIL_ROUTE_LAYER;
     let (net, _) = board.power_nets().next().unwrap();
-    let mut config = sweep_config(FaultPlan::quiet(0), RecoveryPolicy::BestSoFar);
-    config.recovery.fault = None;
-    config.recovery.budget = StageBudget {
-        wall_clock_ms: f64::INFINITY,
-        max_solves: 1,
-    };
-    let r = Router::new(&board, config)
-        .route_net(net, layer, BUDGET_MM2)
-        .expect("budget truncation is not an error");
-    assert!(r.diagnostics.budget_overruns > 0);
-    let nodes: Vec<NodeId> = r.terminals.iter().map(|t| t.node).collect();
-    assert!(r.subgraph.connects(&r.graph, &nodes));
-    let violations = check_route(&board, r.net, layer, &r.shape, &[]).unwrap();
-    assert!(violations.is_empty(), "{violations:?}");
+    for stage in [Stage::Grow, Stage::Refine, Stage::Reheat] {
+        let plan = FaultPlan {
+            timeout_stage: Some(stage),
+            ..FaultPlan::quiet(0)
+        };
+        let r = Router::new(&board, sweep_config(plan))
+            .route_net(net, layer, BUDGET_MM2)
+            .expect("budget truncation is not an error");
+        assert_eq!(r.diagnostics.budget_overruns, 1, "{stage}");
+        assert!(
+            r.diagnostics.degradations.iter().any(|d| matches!(
+                d,
+                sprout_core::Degradation::BudgetOverrun { stage: s, .. } if *s == stage
+            )),
+            "{stage}: {:?}",
+            r.diagnostics.degradations
+        );
+        let nodes: Vec<NodeId> = r.terminals.iter().map(|t| t.node).collect();
+        assert!(r.subgraph.connects(&r.graph, &nodes));
+        let violations = check_route(&board, r.net, layer, &r.shape, &[]).unwrap();
+        assert!(violations.is_empty(), "{stage}: {violations:?}");
+    }
 }
 
 #[test]
@@ -251,7 +244,7 @@ fn degenerate_polygon_is_sanitized_before_drc() {
         degenerate_polygon: true,
         ..FaultPlan::quiet(5)
     };
-    let r = Router::new(&board, sweep_config(plan, RecoveryPolicy::BestSoFar))
+    let r = Router::new(&board, sweep_config(plan))
         .route_net(net, layer, BUDGET_MM2)
         .unwrap();
     assert!(r

@@ -7,7 +7,7 @@
 //! same stage set, monotonic timestamps, every degradation verbatim.
 
 use sprout_board::presets;
-use sprout_core::recovery::{FaultPlan, RecoveryConfig, RecoveryPolicy, StageBudget};
+use sprout_core::recovery::{FaultPlan, RecoveryConfig, Stage};
 use sprout_core::report::{stage_breakdown, STAGE_ORDER};
 use sprout_core::router::{Router, RouterConfig};
 use sprout_core::RunReport;
@@ -146,77 +146,85 @@ fn memory_collector_sees_stages_nested_in_execution_order() {
 
 #[test]
 fn run_report_agrees_with_route_diagnostics() {
-    // Inject a degenerate polygon and a tight solve budget so the
-    // diagnostics are non-trivial.
-    let mut cfg = config();
-    cfg.recovery = RecoveryConfig {
-        policy: RecoveryPolicy::BestSoFar,
-        budget: StageBudget {
-            wall_clock_ms: f64::INFINITY,
-            max_solves: 1,
-        },
-        fault: Some(FaultPlan {
-            degenerate_polygon: true,
-            ..FaultPlan::quiet(5)
-        }),
-    };
-    let (result, _) = route_with_memory_sink(cfg);
-    assert!(
-        !result.diagnostics.degradations.is_empty(),
-        "faults must leave a diagnostics trail"
-    );
+    // Inject a degenerate polygon and a forced timeout in each
+    // solve-heavy stage so the diagnostics are non-trivial.
+    for stage in [Stage::Grow, Stage::Refine, Stage::Reheat] {
+        let mut cfg = config();
+        cfg.recovery = RecoveryConfig {
+            fault: Some(FaultPlan {
+                degenerate_polygon: true,
+                timeout_stage: Some(stage),
+                ..FaultPlan::quiet(5)
+            }),
+            ..RecoveryConfig::default()
+        };
+        let (result, _) = route_with_memory_sink(cfg);
+        assert!(
+            !result.diagnostics.degradations.is_empty(),
+            "faults must leave a diagnostics trail"
+        );
 
-    let mut report = RunReport::from_results("integration", std::slice::from_ref(&result));
-    report.rails[0].budget_mm2 = BUDGET_MM2;
-    let rail = &report.rails[0];
+        let mut report = RunReport::from_results("integration", std::slice::from_ref(&result));
+        report.rails[0].budget_mm2 = BUDGET_MM2;
+        let rail = &report.rails[0];
 
-    // Stage set matches the pipeline, in order.
-    let names: Vec<&str> = rail.stages.iter().map(|s| s.name).collect();
-    assert_eq!(names, STAGE_ORDER);
+        // Stage set matches the pipeline, in order.
+        let names: Vec<&str> = rail.stages.iter().map(|s| s.name).collect();
+        assert_eq!(names, STAGE_ORDER);
 
-    // Timestamps are monotonic and cumulative.
-    for pair in rail.stages.windows(2) {
-        assert!(pair[1].start_ms >= pair[0].start_ms);
-        assert!((pair[1].start_ms - (pair[0].start_ms + pair[0].duration_ms)).abs() < 1e-9);
-    }
-    assert!(
-        (rail.stages.last().unwrap().start_ms + rail.stages.last().unwrap().duration_ms
-            - result.timings.total_ms())
-        .abs()
-            < 1e-9
-    );
-    assert_eq!(rail.stages, stage_breakdown(&result.timings));
+        // Timestamps are monotonic and cumulative.
+        for pair in rail.stages.windows(2) {
+            assert!(pair[1].start_ms >= pair[0].start_ms);
+            assert!((pair[1].start_ms - (pair[0].start_ms + pair[0].duration_ms)).abs() < 1e-9);
+        }
+        assert!(
+            (rail.stages.last().unwrap().start_ms + rail.stages.last().unwrap().duration_ms
+                - result.timings.total_ms())
+            .abs()
+                < 1e-9
+        );
+        assert_eq!(rail.stages, stage_breakdown(&result.timings));
 
-    // Every degradation appears verbatim (Display form, same order).
-    let expected: Vec<String> = result
-        .diagnostics
-        .degradations
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-    assert_eq!(rail.degradations, expected, "degradations verbatim");
-    assert!(
-        rail.degradations
+        // Every degradation appears verbatim (Display form, same order).
+        let expected: Vec<String> = result
+            .diagnostics
+            .degradations
             .iter()
-            .any(|d| d.contains("degenerate fragment(s) dropped")),
-        "sliver injection surfaces in the report: {:?}",
-        rail.degradations
-    );
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(rail.degradations, expected, "degradations verbatim");
+        assert!(
+            rail.degradations
+                .iter()
+                .any(|d| d.contains("degenerate fragment(s) dropped")),
+            "sliver injection surfaces in the report: {:?}",
+            rail.degradations
+        );
 
-    // Counts line up with the diagnostics counters.
-    assert_eq!(rail.budget_overruns, result.diagnostics.budget_overruns);
-    assert_eq!(rail.solver_fallbacks, result.diagnostics.solver_fallbacks);
-    assert_eq!(rail.edges_sanitized, result.diagnostics.edges_sanitized);
-    assert!(rail.budget_overruns > 0, "one-solve budget must overrun");
-    assert!(!report.is_clean());
+        // Counts line up with the diagnostics counters.
+        assert_eq!(rail.budget_overruns, result.diagnostics.budget_overruns);
+        assert_eq!(rail.solver_fallbacks, result.diagnostics.solver_fallbacks);
+        assert_eq!(rail.edges_sanitized, result.diagnostics.edges_sanitized);
+        assert_eq!(
+            rail.budget_overruns, 1,
+            "forced {stage} timeout must overrun"
+        );
+        let overrun = format!("{stage} stage over budget");
+        assert!(
+            rail.degradations.iter().any(|d| d.starts_with(&overrun)),
+            "the overrun names its stage: {:?}",
+            rail.degradations
+        );
+        assert!(!report.is_clean());
 
-    // And the JSON line carries them through still verbatim.
-    let json = report.to_json();
-    assert!(!json.contains('\n'));
-    for d in &expected {
-        let mut escaped = String::new();
-        sprout_telemetry::json::escape_into(&mut escaped, d);
-        assert!(json.contains(&escaped), "JSON keeps {d:?} verbatim");
+        // And the JSON line carries them through still verbatim.
+        let json = report.to_json();
+        assert!(!json.contains('\n'));
+        for d in &expected {
+            let mut escaped = String::new();
+            sprout_telemetry::json::escape_into(&mut escaped, d);
+            assert!(json.contains(&escaped), "JSON keeps {d:?} verbatim");
+        }
     }
 }
 

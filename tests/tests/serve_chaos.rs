@@ -10,31 +10,16 @@
 //! they stay non-terminal until a restarted service recovers them from
 //! their journal and checkpoint — which this suite also asserts.
 
-use sprout_core::recovery::{FaultPlan, RecoveryConfig, RecoveryPolicy, StageBudget};
-use sprout_core::router::RouterConfig;
+use sprout_core::recovery::FaultPlan;
 use sprout_serve::backoff::BackoffConfig;
 use sprout_serve::chaos::ServeFaultPlan;
 use sprout_serve::events::EventKind;
 use sprout_serve::job::{JobSpec, JobState, Priority};
 use sprout_serve::ledger::{replay_journal, JournalReplay, JOURNAL_FILE};
 use sprout_serve::service::{RoutingService, ServiceConfig, SubmitError};
+use sprout_serve::worker::fast_router;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-fn fast_router() -> RouterConfig {
-    RouterConfig {
-        tile_pitch_mm: 0.5,
-        grow_iterations: 8,
-        refine_iterations: 2,
-        reheat: None,
-        recovery: RecoveryConfig {
-            policy: RecoveryPolicy::BestSoFar,
-            budget: StageBudget::default(),
-            fault: None,
-        },
-        ..RouterConfig::default()
-    }
-}
 
 fn service_config() -> ServiceConfig {
     ServiceConfig {

@@ -9,13 +9,12 @@
 //! slowloris, oversized request lines, mid-stream disconnects — and
 //! assert the server stays responsive throughout.
 
-use sprout_core::recovery::{RecoveryConfig, RecoveryPolicy, StageBudget};
-use sprout_core::router::RouterConfig;
 use sprout_serve::chaos::ServeFaultPlan;
 use sprout_serve::fleet::{FleetConfig, FleetCoordinator};
 use sprout_serve::http::HttpServer;
 use sprout_serve::job::JobSpec;
 use sprout_serve::service::{RoutingService, ServiceConfig};
+use sprout_serve::worker::fast_router;
 use sprout_telemetry::json::{parse, Json};
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -23,21 +22,6 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn fast_router() -> RouterConfig {
-    RouterConfig {
-        tile_pitch_mm: 0.5,
-        grow_iterations: 8,
-        refine_iterations: 2,
-        reheat: None,
-        recovery: RecoveryConfig {
-            policy: RecoveryPolicy::BestSoFar,
-            budget: StageBudget::default(),
-            fault: None,
-        },
-        ..RouterConfig::default()
-    }
-}
 
 fn service_config() -> ServiceConfig {
     ServiceConfig {

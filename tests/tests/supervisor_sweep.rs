@@ -13,7 +13,7 @@
 use sprout_board::presets;
 use sprout_core::backconv::RoutedShape;
 use sprout_core::drc::check_route;
-use sprout_core::recovery::{FaultPlan, RecoveryConfig, RecoveryPolicy, StageBudget};
+use sprout_core::recovery::{FaultPlan, RecoveryConfig};
 use sprout_core::router::{Router, RouterConfig};
 use sprout_core::supervisor::{verify_checkpoint, RailOutcome, Supervisor, SupervisorConfig};
 use sprout_core::{CancelToken, JobReport, NodeId, SproutError};
@@ -34,12 +34,11 @@ fn fast_config() -> RouterConfig {
     }
 }
 
-fn faulted_config(plan: FaultPlan, policy: RecoveryPolicy) -> RouterConfig {
+fn faulted_config(plan: FaultPlan) -> RouterConfig {
     RouterConfig {
         recovery: RecoveryConfig {
-            policy,
-            budget: StageBudget::default(),
             fault: Some(plan),
+            ..RecoveryConfig::default()
         },
         ..fast_config()
     }
@@ -165,8 +164,7 @@ fn worker_panic_is_contained_and_the_other_rail_completes() {
         ..FaultPlan::quiet(seed)
     };
 
-    let report =
-        Router::new(&board, faulted_config(plan, RecoveryPolicy::BestSoFar)).route_all(&requests);
+    let report = Router::new(&board, faulted_config(plan)).route_all(&requests);
     assert_job_contract(&board, &report);
     assert!(!report.is_complete());
     assert!(
@@ -209,12 +207,7 @@ fn panicked_rail_reports_the_panic_once() {
     let sink = Arc::new(MemorySink::new());
     let report = {
         let _scope = RecorderScope::install(sink.clone());
-        Supervisor::new(
-            &board,
-            faulted_config(plan, RecoveryPolicy::BestSoFar),
-            SupervisorConfig::sequential(),
-        )
-        .run(&requests)
+        Supervisor::new(&board, faulted_config(plan), SupervisorConfig::sequential()).run(&requests)
     };
     let panics = sink
         .names()
@@ -310,7 +303,7 @@ fn crash_of_one_worker_then_restart_completes_the_job_identically() {
         };
         let crashed = Supervisor::new(
             &board,
-            faulted_config(plan, RecoveryPolicy::BestSoFar),
+            faulted_config(plan),
             SupervisorConfig {
                 threads: 1,
                 checkpoint: Some(path.clone()),
@@ -387,6 +380,11 @@ fn resume_restores_only_each_layers_completed_prefix() {
         RailOutcome::Failed(SproutError::WorkerPanicked { .. })
     ));
     assert!(crashed.rails[1..].iter().all(|r| r.outcome.is_complete()));
+    // Run A writes only what can be restored: rail 0 failed, so no
+    // rail of the layer gets a record.
+    let text = std::fs::read_to_string(&path).expect("run A checkpoints");
+    let records = text.lines().filter(|l| l.starts_with("rail ")).count();
+    assert_eq!(records, 0, "{records} unrestorable rail record(s) written");
     let restorable = verify_checkpoint(&path, &board, &requests);
 
     let restarted = Supervisor::new(&board, config, job()).run(&requests);
@@ -523,11 +521,6 @@ fn seeded_scenario_sweep_never_panics() {
     let requests = two_rail_requests(&board);
     for seed in 0..16u64 {
         let plan = FaultPlan::for_scenario(seed);
-        let policy = [
-            RecoveryPolicy::BestSoFar,
-            RecoveryPolicy::SkipStage,
-            RecoveryPolicy::FailFast,
-        ][(seed % 3) as usize];
         let use_checkpoint = seed % 4 == 0;
         let path = checkpoint_path(&format!("sweep-{seed}"));
         let supervisor_config = || SupervisorConfig {
@@ -536,15 +529,14 @@ fn seeded_scenario_sweep_never_panics() {
             checkpoint: use_checkpoint.then(|| path.clone()),
             ..SupervisorConfig::default()
         };
-        let supervisor = Supervisor::new(&board, faulted_config(plan, policy), supervisor_config());
+        let supervisor = Supervisor::new(&board, faulted_config(plan), supervisor_config());
         let report = supervisor.run(&requests);
         assert_job_contract(&board, &report);
         assert_eq!(report.rails.len(), requests.len());
 
         if use_checkpoint {
             let resumed =
-                Supervisor::new(&board, faulted_config(plan, policy), supervisor_config())
-                    .run(&requests);
+                Supervisor::new(&board, faulted_config(plan), supervisor_config()).run(&requests);
             assert_job_contract(&board, &resumed);
             // Whatever completed the first time must stay complete.
             for (a, b) in report.rails.iter().zip(resumed.rails.iter()) {
